@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
-                         build_modal, validate_coalgebra)
+                         build_modal, node_chain, validate_coalgebra)
 from .games import GameSpec, Verdict, solve
 from .morphisms import check_bijection, check_coalgebra_morphism, verify_morphism
 from .structures import Structure
@@ -69,12 +69,8 @@ class BisimWitness:
 # ---------------------------------------------------------------------------
 # Back-and-forth systems on path trees
 
-def _node_chain(x: ForestCoalgebra, node) -> tuple:
-    return () if node is BOTTOM else x.chain(node)
-
-
 def _chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, xn, yn, iso: bool) -> bool:
-    cx, cy = _node_chain(x, xn), _node_chain(y, yn)
+    cx, cy = node_chain(x, xn), node_chain(y, yn)
     if len(cx) != len(cy):
         return False
     m = dict(zip(cx, cy))
@@ -137,8 +133,8 @@ def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
         return None
 
     def reachable(pair) -> bool:
-        cx = (BOTTOM,) + _node_chain(x, pair[0])
-        cy = (BOTTOM,) + _node_chain(y, pair[1])
+        cx = (BOTTOM,) + node_chain(x, pair[0])
+        cy = (BOTTOM,) + node_chain(y, pair[1])
         return all((a, b) in alive for a, b in zip(cx, cy))
 
     strong_pairs = frozenset(p for p in alive if reachable(p))
@@ -179,69 +175,27 @@ def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCo
 # ---------------------------------------------------------------------------
 # Winning plays under the extracted strategy
 
-def _winning_plays(verdict: Verdict, a: Structure, b: Structure):
+def _winning_plays(verdict: Verdict) -> list:
     """All plays reachable when Duplicator follows the positional strategy.
 
-    Returns pairs of cofree-coalgebra elements: (sequence, sequence) for the
-    EF family, (labelled path, labelled path) for modal; the modal list
-    includes the zero-length root play.
+    The plays are the verdict's histories, pairs of cofree-coalgebra
+    elements: (sequence, sequence) for the EF family, (labelled path,
+    labelled path) for modal.  The modal list includes the zero-length root
+    play; the EF comonad has no empty sequence, so its root play is dropped.
     """
-    spec = verdict.spec
-    back = not spec.forth_only
-
-    if spec.family == "ef":
-        root = ((), ())
-        seen = {root}
-        order = [root]
-        queue = [root]
-        while queue:
-            s, t = queue.pop(0)
-            if len(s) >= spec.k:
-                continue
-            moves = [("A", e) for e in a.universe]
-            if back:
-                moves += [("B", e) for e in b.universe]
-            for move in moves:
-                resp = verdict.duplicator_response((s, t), move)
-                assert resp is not None, "winning strategy has no response (bug sentinel)"
-                side, e = move
-                child = (s + (e,), t + (resp,)) if side == "A" else (s + (resp,), t + (e,))
-                if child not in seen:
-                    seen.add(child)
-                    order.append(child)
-                    queue.append(child)
-        return [w for w in order if w != root]
-
-    root = ((a.point,), (b.point,))
+    root = verdict.initial_history()
     seen = {root}
     order = [root]
-    queue = [root]
-
-    def worlds(path):
-        return (path[0],) + tuple(step[1] for step in path[1:])
-
-    while queue:
-        s, t = queue.pop(0)
-        if len(s) - 1 >= spec.k:
-            continue
-        hist = (worlds(s), worlds(t))
-        cur_a, cur_b = worlds(s)[-1], worlds(t)[-1]
-        moves = []
-        for rel in a.vocab.binary:
-            moves += [(rel, "A", e) for e in a.successors(rel, cur_a)]
-            if back:
-                moves += [(rel, "B", e) for e in b.successors(rel, cur_b)]
-        for move in moves:
+    for hist in order:  # appending while iterating walks the plays breadth-first
+        for move in verdict.legal_moves(hist):
             resp = verdict.duplicator_response(hist, move)
-            assert resp is not None, "winning strategy has no response (bug sentinel)"
-            rel, side, e = move
-            pa, pb = (e, resp) if side == "A" else (resp, e)
-            child = (s + ((rel, pa),), t + ((rel, pb),))
+            if resp is None:
+                raise BisimVerificationError("winning strategy has no response (bug sentinel)")
+            child = verdict.extend(hist, move, resp)
             if child not in seen:
                 seen.add(child)
                 order.append(child)
-                queue.append(child)
-    return order
+    return order if verdict.spec.family == "modal" else order[1:]
 
 
 def _span_structure(w_elems, vocab, project, source_carrier: Structure) -> dict:
@@ -285,7 +239,8 @@ def _build_span_coalgebra(w_elems, cofree: ForestCoalgebra, which: int, name: st
     point = None
     if cofree.kind == "modal":
         roots = [w for w in w_elems if w not in data["parent"]]
-        assert len(roots) == 1
+        if len(roots) != 1:
+            raise BisimVerificationError(f"modal span has {len(roots)} roots (bug sentinel)")
         point = roots[0]
     carrier = Structure(cofree.carrier.vocab, tuple(w_elems), data["interp"], point, name)
     return ForestCoalgebra(carrier, data["parent"], cofree.k_bound, cofree.kind)
@@ -315,7 +270,7 @@ def build_positive_bisim(a: Structure, b: Structure, family: str, k: int,
     if not verdict.duplicator_wins:
         return None
     x, y = _cofree_pair(a, b, family, k)
-    plays = _winning_plays(verdict, a, b)
+    plays = _winning_plays(verdict)
     z1 = _build_span_coalgebra(plays, x, 0, f"Z1({a.name},{b.name})")
     z2 = _build_span_coalgebra(plays, y, 1, f"Z2({a.name},{b.name})")
     h = {w: w for w in plays}
@@ -351,7 +306,7 @@ def build_bisim(a: Structure, b: Structure, family: str, k: int,
     if not verdict.duplicator_wins:
         return None
     x, y = _cofree_pair(a, b, family, k)
-    plays = _winning_plays(verdict, a, b)
+    plays = _winning_plays(verdict)
     z1 = _build_span_coalgebra(plays, x, 0, f"Z({a.name},{b.name})")
     z2 = _build_span_coalgebra(plays, y, 1, f"Z({a.name},{b.name})")
     if z1.carrier.interp != z2.carrier.interp:

@@ -75,10 +75,11 @@ def _spec_from_args(args) -> GameSpec:
     return GameSpec(args.family, args.mode, args.k, rounds)
 
 
-def _game_direction(spec: GameSpec, a: Structure, b: Structure) -> dict:
+def _game_direction(args, a: Structure, b: Structure) -> dict:
+    spec = _spec_from_args(args)
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
-    if spec.family == "pebble" and spec.rounds is None and verdict.stage:
+    if verdict.stage:
         out["stageTable"] = {repr(sorted(pl)): s for pl, s in sorted(
             verdict.stage.items(), key=lambda kv: repr(sorted(kv[0])))}
     if not verdict.duplicator_wins:
@@ -124,12 +125,14 @@ def _coalgebra_direction(args, a: Structure, b: Structure) -> dict:
     return {"preserved": found is not None, "witness": None}
 
 
+_DIRECTIONS = {"game": _game_direction, "oracle": _oracle_direction,
+               "coalgebra": _coalgebra_direction}
+
+
 def cmd_check(args) -> int:
     a, b = _load_structure(args.file_a), _load_structure(args.file_b)
-    run = {"game": lambda: _game_direction(_spec_from_args(args), a, b),
-           "oracle": lambda: _oracle_direction(args, a, b),
-           "coalgebra": lambda: _coalgebra_direction(args, a, b)}[args.via]
-    forward = run()
+    direction = _DIRECTIONS[args.via]
+    forward = direction(args, a, b)
     report = {
         "schemaVersion": SCHEMA_VERSION, "command": "check",
         "family": args.family, "mode": args.mode, "k": args.k,
@@ -142,10 +145,7 @@ def cmd_check(args) -> int:
         lines.append(f"witness: {forward['witness']}")
     ok = forward["preserved"]
     if args.both:
-        swap = {"game": lambda: _game_direction(_spec_from_args(args), b, a),
-                "oracle": lambda: _oracle_direction(args, b, a),
-                "coalgebra": lambda: _coalgebra_direction(args, b, a)}[args.via]
-        backward = swap()
+        backward = direction(args, b, a)
         report["backward"] = backward
         report["equivalent"] = forward["preserved"] and backward["preserved"]
         lines.append(f"{b.name} => {a.name}: "
@@ -295,15 +295,12 @@ def _parse_move(words, spec: GameSpec, verdict, history, side):
 
 def _status_lines(spec: GameSpec, verdict, history) -> list[str]:
     ok = verdict.condition_holds(history)
+    bindings = verdict.bindings(history)
     if spec.family == "pebble":
-        placement = {}
-        for p, x, y in history:
-            placement[p] = (x, y)
-        pos = ", ".join(f"{p}:({x},{y})" for p, (x, y) in sorted(placement.items()))
+        pos = ", ".join(f"{p}:({x},{y})" for p, x, y in bindings)
         head = f"pebbles [{pos}]"
     else:
-        pa, pb = history
-        head = f"played A={list(pa)} B={list(pb)}"
+        head = f"played A={[x for _, x, _ in bindings]} B={[y for _, _, y in bindings]}"
     return [head, f"condition: {'holds' if ok else 'violated'}"]
 
 
@@ -381,7 +378,7 @@ def cmd_play(args) -> int:
                     return 0
                 response = options[0]
             print(f"engine (Duplicator) answers {response}")
-        history = verdict._child(history, move, response)
+        history = verdict.extend(history, move, response)
         round_no += 1
         if not verdict.condition_holds(history):
             print(f"condition violated at round {round_no}: Spoiler wins")

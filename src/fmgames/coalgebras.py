@@ -71,17 +71,19 @@ class ForestCoalgebra:
 
     @cached_property
     def height(self) -> dict:
+        """Distance to the root per element; raises on a parent cycle."""
         out: dict = {}
-
-        def h(x):
-            if x in out:
-                return out[x]
-            p = self.parent.get(x)
-            out[x] = 0 if p is None else h(p) + 1
-            return out[x]
-
         for e in self.universe:
-            h(e)
+            trail = []
+            while e not in out and self.parent.get(e) is not None:
+                trail.append(e)
+                if len(trail) > len(self.universe):
+                    raise CoalgebraError("parent map has a cycle")
+                e = self.parent[e]
+            h = out.setdefault(e, 0)
+            for x in reversed(trail):
+                h += 1
+                out[x] = h
         return out
 
     def chain(self, x) -> tuple:
@@ -443,6 +445,11 @@ class PathTree:
         return self.nodes[0]
 
 
+def node_chain(x: ForestCoalgebra, node) -> tuple:
+    """The branch of ``x`` down to a path-tree node; empty for ``BOTTOM``."""
+    return () if node is BOTTOM else x.chain(node)
+
+
 def path_tree(x: ForestCoalgebra) -> PathTree:
     parent = {BOTTOM: None}
     parent.update({e: x.parent.get(e, BOTTOM) for e in x.universe})
@@ -475,33 +482,36 @@ def is_p_morphism(tmap: Mapping, t1: PathTree, t2: PathTree) -> bool:
     return True
 
 
-def forest_shape(nodes, children: Mapping, roots) -> tuple:
-    """Canonical label-free shape of a forest; equal shapes = order isomorphic."""
+def forest_shape(nodes, children: Mapping, roots) -> str:
+    """Canonical label-free shape of a forest; equal shapes = order isomorphic.
 
-    def shape(n) -> tuple:
-        return tuple(sorted(shape(c) for c in children[n]))
-
-    return tuple(sorted(shape(r) for r in roots))
+    The shape is the AHU encoding: a node is ``(`` + its children's shapes
+    in sorted order + ``)``, and the forest its sorted root shapes.  Built
+    bottom-up without recursion, and compared as flat strings, so forests of
+    any depth work.
+    """
+    shape: dict = {}
+    stack = list(roots)
+    while stack:
+        n = stack[-1]
+        pending = [c for c in children[n] if c not in shape]
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            shape[n] = "(" + "".join(sorted(shape[c] for c in children[n])) + ")"
+    return "".join(sorted(shape[r] for r in roots))
 
 
 # ---------------------------------------------------------------------------
 # Coalgebra files: the structure grammar plus a forest section
 
 def serialize_coalgebra(x: ForestCoalgebra) -> str:
-    """Emit the coalgebra file grammar; bit-exact round trip for canonical order."""
-    from .structures import element_tokens
+    """Emit the coalgebra file grammar: the carrier in the structure grammar,
+    then the forest section; bit-exact round trip for canonical order."""
+    from .structures import element_tokens, serialize_structure
     tok = element_tokens(x.universe)
-    carrier = x.carrier
-    lines = ["vocab " + " ".join(f"{r}/{a}" for r, a in carrier.vocab.relations)]
-    lines.append(f"structure {carrier.name}")
-    if x.universe:
-        lines.append("elems " + " ".join(tok[e] for e in x.universe))
-    for rel, _ in carrier.vocab.relations:
-        for tup in sorted(carrier.interp[rel], key=lambda t: tuple(carrier.index[e] for e in t)):
-            lines.append(f"rel {rel} " + " ".join(tok[e] for e in tup))
-    if carrier.point is not None:
-        lines.append(f"point {tok[carrier.point]}")
-    lines.append("forest")
+    lines = ["forest"]
     for e in x.universe:
         if e not in x.parent:
             lines.append(f"root {tok[e]}")
@@ -511,7 +521,7 @@ def serialize_coalgebra(x: ForestCoalgebra) -> str:
     if x.kind == "pebble":
         for e in x.universe:
             lines.append(f"pebble {tok[e]} {x.pebble_fn[e]}")
-    return "\n".join(lines) + "\n"
+    return serialize_structure(x.carrier) + "\n".join(lines) + "\n"
 
 
 def parse_coalgebra(text: str) -> ForestCoalgebra:
@@ -565,6 +575,9 @@ def parse_coalgebra(text: str) -> ForestCoalgebra:
         kind = "ef"
         k_bound = 0
     c = ForestCoalgebra(carrier, parent, max(k_bound, 1), kind, pebble or None)
-    heights = c.height.values()
-    k_bound = max(k_bound, max(heights, default=0), 1)
+    try:
+        depth = max(c.height.values(), default=0)
+    except CoalgebraError:  # a parent cycle, which validate_coalgebra reports
+        depth = 0
+    k_bound = max(k_bound, depth, 1)
     return ForestCoalgebra(carrier, parent, k_bound, kind, pebble or None)

@@ -1,16 +1,23 @@
-"""Unified solvers for the twelve game variants (3 families x 4 modes).
+"""One game core for the twelve game variants (3 families x 4 modes).
 
-EF and modal games are solved by backward induction over the round budget
-with the maintain-condition formulation; this is sound because both winning
-conditions are hereditary (every sub-relation of a partial isomorphism or
-partial homomorphism is again one).  The unbounded pebble game is solved by
-a greatest fixpoint over the finite placement space; the iteration at which
-a placement is pruned is its death stage.
+Each family is a small rules object: its positional keys, winning condition,
+Spoiler moves, Duplicator responses and the position a move leads to.  The
+families differ only there; existential modes are the forth-only game and
+positive modes trade the partial-isomorphism condition for partial
+homomorphism, which the rules read off the spec.
 
-EF positions are memoized by (set of chosen pairs, remaining rounds): the
-winning condition and the available moves depend on nothing else, which
-collapses the sequence blowup.  Points of the structures are ignored by the
-EF and pebble families; the modal family requires them.
+Two solvers serve every family.  Round-bounded games (EF, modal, bounded
+pebble) are solved by memoized backward induction over
+``(state, remaining)`` keys with the maintain-condition formulation; this is
+sound because both winning conditions are hereditary (every sub-relation of
+a partial isomorphism or partial homomorphism is again one).  The unbounded
+pebble game is solved by a greatest fixpoint over the finite placement
+space; the iteration at which a placement is pruned is its death stage.
+
+EF states are sets of chosen pairs, which collapses the sequence blowup;
+modal states are pairs of current worlds; pebble states are placements.
+Points of the structures are ignored by the EF and pebble families; the
+modal family requires them.
 """
 
 from __future__ import annotations
@@ -108,136 +115,259 @@ def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
     return True
 
 
-def modal_pair_condition(x, y, a: Structure, b: Structure, iso: bool) -> bool:
-    for rel in a.vocab.unary:
-        in_a = (x,) in a.interp[rel]
-        in_b = (y,) in b.interp[rel]
-        if iso and in_a != in_b:
-            return False
-        if not iso and in_a and not in_b:
-            return False
-    return True
+class _Rules:
+    """The positions, moves and winning condition of one game family.
+
+    Solvers work on positional keys ``(state, remaining)``: the state holds
+    everything the winning condition and the available moves depend on, and
+    ``remaining`` counts the rounds left (None in the unbounded pebble game).
+    ``root`` is the starting key, ``cond`` the winning condition (memoized
+    per state), ``moves`` Spoiler's moves, ``responses`` Duplicator's answers
+    to one, and ``step`` the resulting state.  Every move ends with
+    ``(side, element)`` and is answered by an element of the other structure.
+
+    Histories, the explicit play records of the strategy API, start at
+    ``initial``, grow by ``extend`` and reduce to keys by ``key``;
+    ``bindings`` lists the position's pairs under their variables and
+    ``label`` names the variable or relation a move binds.
+    """
+
+    def __init__(self, spec: GameSpec, a: Structure, b: Structure):
+        self.a, self.b = a, b
+        self.k = spec.k
+        self.iso = spec.iso_condition
+        self.sides = ("A",) if spec.forth_only else ("A", "B")
+        self._answers = {"A": list(b.universe), "B": list(a.universe)}
+        self._cond: dict = {}
+
+    def cond(self, state) -> bool:
+        res = self._cond.get(state)
+        if res is None:
+            res = self._cond[state] = self._holds(state)
+        return res
+
+    def moves(self, state) -> list:
+        return self._moves
+
+    def responses(self, state, move) -> list:
+        return self._answers[move[-2]]
+
+    def label(self, history, move):
+        return move[0]
+
+    def _universe_moves(self, labels) -> list:
+        return [(*label, side, e) for label in labels for side in self.sides
+                for e in (self.a if side == "A" else self.b).universe]
+
+    @staticmethod
+    def pair(move, response) -> tuple:
+        """The (A, B) element pair a move and its response place."""
+        side, e = move[-2:]
+        return (e, response) if side == "A" else (response, e)
+
+
+class _EFRules(_Rules):
+    """EF: the state is the set of chosen pairs; histories are
+    ``(played_a, played_b)`` element tuples."""
+
+    def __init__(self, spec: GameSpec, a: Structure, b: Structure):
+        super().__init__(spec, a, b)
+        self.root = (frozenset(), spec.k)
+        self.initial = ((), ())
+        self._moves = self._universe_moves([()])
+
+    def _holds(self, state) -> bool:
+        return pairs_condition(state, self.a, self.b, self.iso)
+
+    def step(self, state, move, response):
+        side, e = move
+        return state | {(e, response) if side == "A" else (response, e)}
+
+    def key(self, history):
+        pa, pb = history
+        return frozenset(zip(pa, pb)), self.k - len(pa)
+
+    def extend(self, history, move, response):
+        x, y = self.pair(move, response)
+        return history[0] + (x,), history[1] + (y,)
+
+    def bindings(self, history) -> list:
+        return [(i, x, y) for i, (x, y) in enumerate(zip(*history), start=1)]
+
+    def label(self, history, move):
+        return len(history[0]) + 1
+
+
+def _worlds(path) -> tuple:
+    """The worlds a labelled path ``(point, (R, w1), (R, w2), ...)`` visits."""
+    return (path[0],) + tuple(w for _, w in path[1:])
+
+
+class _ModalRules(_Rules):
+    """Modal: the state is the pair of current worlds; histories are pairs of
+    labelled paths from the points, the elements of the modal cofree
+    coalgebras."""
+
+    def __init__(self, spec: GameSpec, a: Structure, b: Structure):
+        if not a.vocab.modal_flag:
+            raise StructureError("modal game needs a modal vocabulary")
+        if a.point is None or b.point is None:
+            raise StructureError("modal game needs pointed structures on both sides")
+        super().__init__(spec, a, b)
+        self.root = ((a.point, b.point), spec.k)
+        self.initial = ((a.point,), (b.point,))
+        self._binary = a.vocab.binary
+        self._succ: dict = {}
+
+    def _holds(self, state) -> bool:
+        x, y = state
+        for rel in self.a.vocab.unary:
+            in_a = (x,) in self.a.interp[rel]
+            in_b = (y,) in self.b.interp[rel]
+            if self.iso and in_a != in_b:
+                return False
+            if not self.iso and in_a and not in_b:
+                return False
+        return True
+
+    def _successors(self, side, rel, w) -> list:
+        out = self._succ.get((side, rel, w))
+        if out is None:
+            src = self.a if side == "A" else self.b
+            out = self._succ[side, rel, w] = src.successors(rel, w)
+        return out
+
+    def moves(self, state) -> list:
+        return [(rel, side, e) for side, cur in zip(self.sides, state)
+                for rel in self._binary for e in self._successors(side, rel, cur)]
+
+    def responses(self, state, move) -> list:
+        rel, side, _ = move
+        if side == "A":
+            return self._successors("B", rel, state[1])
+        return self._successors("A", rel, state[0])
+
+    def step(self, state, move, response):
+        _, side, e = move
+        return (e, response) if side == "A" else (response, e)
+
+    def key(self, history):
+        pa, pb = history
+        return (_worlds(pa)[-1], _worlds(pb)[-1]), self.k - (len(pa) - 1)
+
+    def extend(self, history, move, response):
+        rel = move[0]
+        x, y = self.pair(move, response)
+        return history[0] + ((rel, x),), history[1] + ((rel, y),)
+
+    def bindings(self, history) -> list:
+        pairs = zip(_worlds(history[0]), _worlds(history[1]))
+        return [(i, x, y) for i, (x, y) in enumerate(pairs, start=1)]
+
+
+class _PebbleRules(_Rules):
+    """Pebble: the state is the placement, a frozenset of ``(pebble, (a, b))``;
+    histories are tuples of ``(pebble, a, b)`` triples."""
+
+    def __init__(self, spec: GameSpec, a: Structure, b: Structure):
+        super().__init__(spec, a, b)
+        self.rounds = spec.rounds
+        self.root = (frozenset(), spec.rounds)
+        self.initial = ()
+        self._moves = self._universe_moves([(p,) for p in range(1, spec.k + 1)])
+
+    def _holds(self, state) -> bool:
+        return pairs_condition(frozenset(pair for _, pair in state), self.a, self.b, self.iso)
+
+    def step(self, state, move, response):
+        p, side, e = move
+        pair = (e, response) if side == "A" else (response, e)
+        return frozenset(item for item in state if item[0] != p) | {(p, pair)}
+
+    @staticmethod
+    def _placement(history) -> dict:
+        return {p: (x, y) for p, x, y in history}
+
+    def key(self, history):
+        rem = None if self.rounds is None else self.rounds - len(history)
+        return frozenset(self._placement(history).items()), rem
+
+    def extend(self, history, move, response):
+        return history + ((move[0], *self.pair(move, response)),)
+
+    def bindings(self, history) -> list:
+        return [(p, x, y) for p, (x, y) in sorted(self._placement(history).items())]
+
+
+_RULES = {"ef": _EFRules, "modal": _ModalRules, "pebble": _PebbleRules}
 
 
 class Verdict:
     """Solver outcome plus positional strategies for both players.
 
     Histories are explicit play records: ``(played_a, played_b)`` element
-    tuples for EF, world tuples including the starting points for modal, and
-    tuples of ``(pebble, a, b)`` triples for pebble.  Strategy lookups reduce
-    them to the memoized positional keys.
+    tuples for EF, pairs of labelled paths ``(point, (R, w1), ...)`` for
+    modal, and tuples of ``(pebble, a, b)`` triples for pebble.  Strategy
+    lookups reduce them to the memoized positional keys.
     """
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         self.spec = spec
         self.a = a
         self.b = b
+        self.rules = _RULES[spec.family](spec, a, b)
         self.duplicator_wins: bool = False
         self.stage: dict | None = None
         self._alive = None
-        self._cond = None
 
-    # -- positional keys ----------------------------------------------------
+    # -- histories ------------------------------------------------------------
 
-    def _key(self, history):
-        spec = self.spec
-        if spec.family == "ef":
-            pa, pb = history
-            return frozenset(zip(pa, pb)), spec.k - len(pa)
-        if spec.family == "modal":
-            pa, pb = history
-            return pa[-1], pb[-1], spec.k - (len(pa) - 1)
-        placement = {}
-        for p, x, y in history:
-            placement[p] = (x, y)
-        key = frozenset(placement.items())
-        if spec.rounds is not None:
-            return key, spec.rounds - len(history)
-        return key
+    def initial_history(self):
+        return self.rules.initial
+
+    def extend(self, history, move, response):
+        """The history after ``move`` and Duplicator's ``response``."""
+        return self.rules.extend(history, move, response)
+
+    def bindings(self, history) -> list:
+        """``(variable, a, b)`` for the pairs of the position a history
+        reaches: EF rounds and modal worlds in play order, pebbles by index."""
+        return self.rules.bindings(history)
+
+    def label(self, history, move):
+        """The variable (EF, pebble) or relation (modal) a move binds."""
+        return self.rules.label(history, move)
 
     def condition_holds(self, history) -> bool:
-        spec = self.spec
-        if spec.family == "modal":
-            pa, pb = history
-            return all(modal_pair_condition(x, y, self.a, self.b, spec.iso_condition)
-                       for x, y in zip(pa, pb))
-        if spec.family == "ef":
-            pa, pb = history
-            pairs = frozenset(zip(pa, pb))
-        else:
-            placement = {}
-            for p, x, y in history:
-                placement[p] = (x, y)
-            pairs = frozenset(placement.values())
-        return pairs_condition(pairs, self.a, self.b, spec.iso_condition)
+        return self.rules.cond(self.rules.key(history)[0])
 
     def position_alive(self, history) -> bool:
-        return self._alive(self._key(history))
+        return self._alive(self.rules.key(history))
 
     # -- moves --------------------------------------------------------------
 
+    def _moves(self, key) -> list:
+        state, rem = key
+        return [] if rem is not None and rem <= 0 else self.rules.moves(state)
+
+    def _children(self, key, move) -> list:
+        state, rem = key
+        rem = None if rem is None else rem - 1
+        return [(r, (self.rules.step(state, move, r), rem))
+                for r in self.rules.responses(state, move)]
+
     def legal_moves(self, history) -> list:
-        spec = self.spec
-        sides = ("A",) if spec.forth_only else ("A", "B")
-        moves = []
-        if spec.family == "ef":
-            pa, _ = history
-            if len(pa) >= spec.k:
-                return []
-            for side in sides:
-                src = self.a if side == "A" else self.b
-                moves += [(side, e) for e in src.universe]
-        elif spec.family == "modal":
-            pa, pb = history
-            if len(pa) - 1 >= spec.k:
-                return []
-            for side in sides:
-                src, cur = (self.a, pa[-1]) if side == "A" else (self.b, pb[-1])
-                for rel in src.vocab.binary:
-                    moves += [(rel, side, e) for e in src.successors(rel, cur)]
-        else:
-            if spec.rounds is not None and len(history) >= spec.rounds:
-                return []
-            for p in range(1, spec.k + 1):
-                for side in sides:
-                    src = self.a if side == "A" else self.b
-                    moves += [(p, side, e) for e in src.universe]
-        return moves
+        return list(self._moves(self.rules.key(history)))
 
     def responses(self, history, move) -> list:
-        spec = self.spec
-        if spec.family == "ef":
-            side = move[0]
-            return list(self.b.universe if side == "A" else self.a.universe)
-        if spec.family == "modal":
-            rel, side, _ = move
-            pa, pb = history
-            if side == "A":
-                return self.b.successors(rel, pb[-1])
-            return self.a.successors(rel, pa[-1])
-        _, side, _ = move
-        return list(self.b.universe if side == "A" else self.a.universe)
-
-    def _child(self, history, move, response):
-        spec = self.spec
-        if spec.family == "ef":
-            pa, pb = history
-            side, e = move
-            return (pa + (e,), pb + (response,)) if side == "A" else (pa + (response,), pb + (e,))
-        if spec.family == "modal":
-            pa, pb = history
-            _, side, e = move
-            return (pa + (e,), pb + (response,)) if side == "A" else (pa + (response,), pb + (e,))
-        p, side, e = move
-        pair = (e, response) if side == "A" else (response, e)
-        return history + ((p, pair[0], pair[1]),)
+        return list(self.rules.responses(self.rules.key(history)[0], move))
 
     # -- strategies ----------------------------------------------------------
 
     def duplicator_response(self, history, move):
         """First response (canonical order) keeping the position alive."""
-        for r in self.responses(history, move):
-            if self._alive(self._key(self._child(history, move, r))):
+        for r, child in self._children(self.rules.key(history), move):
+            if self._alive(child):
                 return r
         return None
 
@@ -248,15 +378,16 @@ class Verdict:
         then canonical order; the stage bound is what keeps synthesized
         distinguishing formulas within rank = death stage.
         """
+        key = self.rules.key(history)
         best = None
         best_stage = None
-        for move in self.legal_moves(history):
-            children = [self._child(history, move, r) for r in self.responses(history, move)]
-            if any(self._alive(self._key(c)) for c in children):
+        for move in self._moves(key):
+            children = [child for _, child in self._children(key, move)]
+            if any(self._alive(c) for c in children):
                 continue
             if self.stage is None:
                 return move
-            worst = max((self.stage.get(self._key(c), 0) for c in children), default=0)
+            worst = max((self.stage.get(state, 0) for state, _ in children), default=0)
             if best is None or worst < best_stage:
                 best, best_stage = move, worst
         return best
@@ -267,144 +398,48 @@ class Verdict:
         EF and modal positions are memoized by remaining rounds, so one
         backward induction answers every smaller (or larger) budget too.
         """
-        if self.spec.family == "ef":
-            return self._alive((frozenset(), rounds))
-        if self.spec.family == "modal":
-            return self._alive((self.a.point, self.b.point, rounds))
-        raise ValueError("round-budget reuse applies to EF and modal verdicts")
-
-    def initial_history(self):
-        if self.spec.family == "modal":
-            return ((self.a.point,), (self.b.point,))
-        if self.spec.family == "ef":
-            return ((), ())
-        return ()
-
-    def report(self) -> dict:
-        out = {
-            "family": self.spec.family,
-            "mode": self.spec.mode,
-            "k": self.spec.k,
-            "duplicatorWins": self.duplicator_wins,
-        }
-        if self.spec.rounds is not None:
-            out["rounds"] = self.spec.rounds
-        return out
-
-
-def _precheck(spec: GameSpec, a: Structure, b: Structure):
-    if not same_vocab(a, b):
-        raise StructureError("vocabulary mismatch between the two structures")
-    if spec.family == "modal":
-        if not a.vocab.modal_flag:
-            raise StructureError("modal game needs a modal vocabulary")
-        if a.point is None or b.point is None:
-            raise StructureError("modal game needs pointed structures on both sides")
+        if self.spec.family == "pebble":
+            raise ValueError("round-budget reuse applies to EF and modal verdicts")
+        return self._alive((self.rules.root[0], rounds))
 
 
 def solve(spec: GameSpec, a: Structure, b: Structure,
           *, placement_cap: int = 200_000) -> Verdict:
     """Decide the game and extract positional strategies."""
-    _precheck(spec, a, b)
+    if not same_vocab(a, b):
+        raise StructureError("vocabulary mismatch between the two structures")
     verdict = Verdict(spec, a, b)
-    if spec.family == "ef":
-        _solve_ef(verdict)
-    elif spec.family == "modal":
-        _solve_modal(verdict)
-    elif spec.rounds is not None:
-        _solve_pebble_bounded(verdict, placement_cap)
+    if verdict.rules.root[1] is None:
+        _solve_fixpoint(verdict, placement_cap)
     else:
-        _solve_pebble_fixpoint(verdict, placement_cap)
+        _solve_backward(verdict)
     return verdict
 
 
-def _solve_ef(v: Verdict):
-    a, b, spec = v.a, v.b, v.spec
-    iso = spec.iso_condition
-    cond_memo: dict = {}
-
-    def cond(pairs) -> bool:
-        r = cond_memo.get(pairs)
-        if r is None:
-            r = cond_memo[pairs] = pairs_condition(pairs, a, b, iso)
-        return r
-
-    sides = ("A",) if spec.forth_only else ("A", "B")
+def _solve_backward(v: Verdict):
+    """Memoized backward induction over ``(state, remaining)`` keys."""
+    rules = v.rules
     memo: dict = {}
 
     def alive(key) -> bool:
         res = memo.get(key)
         if res is not None:
             return res
-        pairs, rem = key
-        if not cond(pairs):
-            memo[key] = False
-            return False
-        if rem == 0:
-            memo[key] = True
-            return True
-        result = True
-        for side in sides:
-            src, dst = (a, b) if side == "A" else (b, a)
-            for e in src.universe:
-                ok = False
-                for r in dst.universe:
-                    pair = (e, r) if side == "A" else (r, e)
-                    if alive((pairs | {pair}, rem - 1)):
-                        ok = True
+        state, rem = key
+        res = rules.cond(state)
+        if res and rem > 0:
+            for move in rules.moves(state):
+                for r in rules.responses(state, move):
+                    if alive((rules.step(state, move, r), rem - 1)):
                         break
-                if not ok:
-                    result = False
+                else:
+                    res = False
                     break
-            if not result:
-                break
-        memo[key] = result
-        return result
+        memo[key] = res
+        return res
 
     v._alive = alive
-    v.duplicator_wins = alive((frozenset(), spec.k))
-
-
-def _solve_modal(v: Verdict):
-    a, b, spec = v.a, v.b, v.spec
-    iso = spec.iso_condition
-    sides = ("A",) if spec.forth_only else ("A", "B")
-    memo: dict = {}
-
-    def alive(key) -> bool:
-        res = memo.get(key)
-        if res is not None:
-            return res
-        x, y, rem = key
-        if not modal_pair_condition(x, y, a, b, iso):
-            memo[key] = False
-            return False
-        if rem == 0:
-            memo[key] = True
-            return True
-        result = True
-        for side in sides:
-            src, dst, cur, other = (a, b, x, y) if side == "A" else (b, a, y, x)
-            for rel in src.vocab.binary:
-                for e in src.successors(rel, cur):
-                    ok = False
-                    for r in dst.successors(rel, other):
-                        child = (e, r, rem - 1) if side == "A" else (r, e, rem - 1)
-                        if alive(child):
-                            ok = True
-                            break
-                    if not ok:
-                        result = False
-                        break
-                if not result:
-                    break
-            if not result:
-                break
-        memo[key] = result
-        return result
-
-    v._alive = alive
-    v.duplicator_wins = alive((a.point, b.point, spec.k))
+    v.duplicator_wins = alive(rules.root)
 
 
 def _enumerate_placements(a: Structure, b: Structure, k: int, cap: int):
@@ -419,38 +454,12 @@ def _enumerate_placements(a: Structure, b: Structure, k: int, cap: int):
     return sorted(set(out), key=lambda s: sorted(map(repr, s)))
 
 
-def _pebble_moves(spec, a, b):
-    sides = ("A",) if spec.forth_only else ("A", "B")
-    moves = []
-    for p in range(1, spec.k + 1):
-        for side in sides:
-            src = a if side == "A" else b
-            moves += [(p, side, e) for e in src.universe]
-    return moves
-
-
-def _apply_pebble(placement, move, response):
-    p, side, e = move
-    pair = (e, response) if side == "A" else (response, e)
-    return frozenset(item for item in placement if item[0] != p) | {(p, pair)}
-
-
-def _solve_pebble_fixpoint(v: Verdict, cap: int):
-    a, b, spec = v.a, v.b, v.spec
-    iso = spec.iso_condition
-    placements = _enumerate_placements(a, b, spec.k, cap)
-    cond_memo: dict = {}
-
-    def cond(pl) -> bool:
-        r = cond_memo.get(pl)
-        if r is None:
-            pairs = frozenset(pair for _, pair in pl)
-            r = cond_memo[pl] = pairs_condition(pairs, a, b, iso)
-        return r
-
-    moves = _pebble_moves(spec, a, b)
-    responses = {"A": list(b.universe), "B": list(a.universe)}
-    alive = {pl: cond(pl) for pl in placements}
+def _solve_fixpoint(v: Verdict, cap: int):
+    """Greatest fixpoint over the placement space; death stages per placement."""
+    rules = v.rules
+    moves, responses, step = rules.moves, rules.responses, rules.step
+    placements = _enumerate_placements(v.a, v.b, v.spec.k, cap)
+    alive = {pl: rules.cond(pl) for pl in placements}
     stage = {pl: 0 for pl in placements if not alive[pl]}
     iteration = 0
     changed = True
@@ -464,56 +473,17 @@ def _solve_pebble_fixpoint(v: Verdict, cap: int):
         for pl in placements:
             if not alive[pl]:
                 continue
-            for move in moves:
-                if not any(alive[_apply_pebble(pl, move, r)] for r in responses[move[1]]):
+            for move in moves(pl):
+                if not any(alive[step(pl, move, r)] for r in responses(pl, move)):
                     killed.append(pl)
                     changed = True
                     break
         for pl in killed:
             alive[pl] = False
             stage[pl] = iteration
-    v._alive = lambda key: alive[key]
+    v._alive = lambda key: alive[key[0]]
     v.stage = stage
     v.duplicator_wins = alive[frozenset()]
-
-
-def _solve_pebble_bounded(v: Verdict, cap: int):
-    a, b, spec = v.a, v.b, v.spec
-    iso = spec.iso_condition
-    cond_memo: dict = {}
-
-    def cond(pl) -> bool:
-        r = cond_memo.get(pl)
-        if r is None:
-            pairs = frozenset(pair for _, pair in pl)
-            r = cond_memo[pl] = pairs_condition(pairs, a, b, iso)
-        return r
-
-    moves = _pebble_moves(spec, a, b)
-    responses = {"A": list(b.universe), "B": list(a.universe)}
-    memo: dict = {}
-
-    def alive(key) -> bool:
-        res = memo.get(key)
-        if res is not None:
-            return res
-        pl, rem = key
-        if not cond(pl):
-            memo[key] = False
-            return False
-        if rem == 0:
-            memo[key] = True
-            return True
-        result = True
-        for move in moves:
-            if not any(alive((_apply_pebble(pl, move, r), rem - 1)) for r in responses[move[1]]):
-                result = False
-                break
-        memo[key] = result
-        return result
-
-    v._alive = alive
-    v.duplicator_wins = alive((frozenset(), spec.rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +524,8 @@ def replay(spec: GameSpec, a: Structure, b: Structure, verdict: Verdict,
            moves_script: Sequence) -> Transcript:
     """Play the engine's Duplicator strategy against a Spoiler move script.
 
-    If the solver declared Duplicator the winner, the produced transcript is
-    asserted never to reach a lost position.
+    If the solver declared Duplicator the winner, reaching a lost position
+    raises ``RuntimeError`` (a bug sentinel).
     """
     if verdict.spec != spec or verdict.a != a or verdict.b != b:
         raise ValueError("verdict does not match the given spec and structures")
@@ -573,21 +543,23 @@ def replay(spec: GameSpec, a: Structure, b: Structure, verdict: Verdict,
             options = verdict.responses(history, move)
             if not options:
                 transcript.rounds.append({"move": move, "response": None, "condition": False})
-                transcript.winner = "Spoiler"
                 transcript.note = f"no response available at round {i}"
-                assert not verdict.duplicator_wins
-                return transcript
+                break
             response = options[0]
             doomed_note = " (best effort)"
-        history = verdict._child(history, move, response)
+        history = verdict.extend(history, move, response)
         ok = verdict.condition_holds(history)
         transcript.rounds.append({"move": move, "response": response, "condition": ok})
         if not ok:
-            transcript.winner = "Spoiler"
             transcript.note = f"condition violated at round {i}{doomed_note}"
-            assert not verdict.duplicator_wins
-            return transcript
-    transcript.winner = "Duplicator"
+            break
+    else:
+        if verdict.duplicator_wins and not verdict.position_alive(history):
+            raise RuntimeError("replay left the winning region under Duplicator's strategy "
+                               "(bug sentinel)")
+        return transcript
     if verdict.duplicator_wins:
-        assert verdict.position_alive(history)
+        raise RuntimeError("replay lost a game the solver declared won by Duplicator "
+                           "(bug sentinel)")
+    transcript.winner = "Spoiler"
     return transcript

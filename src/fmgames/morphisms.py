@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .coalgebras import BOTTOM, CoalgebraError, ForestCoalgebra
+from .coalgebras import BOTTOM, CoalgebraError, ForestCoalgebra, node_chain
 from .structures import EQUALITY_SYMBOL, is_homomorphism
 
 MORPHISM_KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
@@ -129,10 +129,6 @@ def check_open_cover_lifting(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra)
     return out
 
 
-def _chain_of(x: ForestCoalgebra, node) -> tuple:
-    return () if node is BOTTOM else x.chain(node)
-
-
 def _is_induced_embedding(pairs: list, x: ForestCoalgebra, y: ForestCoalgebra) -> bool:
     """Is the chain map {x_i -> y_i} an embedding of induced substructures?
 
@@ -166,9 +162,9 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
     out = []
     x_nodes = (BOTTOM,) + x.universe
     y_nodes = (BOTTOM,) + y.universe
-    y_chain = {n: _chain_of(y, n) for n in y_nodes}
+    y_chain = {n: node_chain(y, n) for n in y_nodes}
     for xn in x_nodes:
-        cx = _chain_of(x, xn)
+        cx = node_chain(x, xn)
         image_chain = tuple(f[c] for c in cx)
         for yn in y_nodes:
             cy = y_chain[yn]
@@ -179,7 +175,7 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
                 continue
             filler = False
             for xn2 in x_nodes:
-                cx2 = _chain_of(x, xn2)
+                cx2 = node_chain(x, xn2)
                 if len(cx2) != len(cy) or cx2[: len(cx)] != cx:
                     continue
                 if tuple(f[c] for c in cx2) != cy:
@@ -199,16 +195,6 @@ def check_bijection(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) -> list[
     if set(values) != set(y.universe):
         return ["h not surjective"]
     return []
-
-
-_CHECKERS = {
-    "hom": check_coalgebra_morphism,
-    "forest": check_forest_morphism,
-    "pebblePreserving": check_pebble_preserving,
-    "pathwiseEmbedding": lambda f, x, y: check_coalgebra_morphism(f, x, y) + check_pathwise(f, x, y),
-    "open": lambda f, x, y: check_open_cover_lifting(f, x, y),
-    "bijection": check_bijection,
-}
 
 
 def verify_morphism(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra, kind: str) -> list[str]:
@@ -297,7 +283,8 @@ def find_morphism(kind: str, x: ForestCoalgebra, y: ForestCoalgebra) -> Optional
     if not search(0):
         return None
     reasons = verify_morphism(assignment, x, y, kind)
-    assert not reasons, f"search produced an unverified morphism: {reasons}"
+    if reasons:
+        raise RuntimeError(f"search produced an unverified morphism: {reasons}")
     tags = _KIND_TAGS[kind]
     if x.kind == "pebble":
         tags = tags | {"pebblePreserving"}
@@ -336,8 +323,10 @@ def factor_xo(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra
                                    carrier.point, carrier.name + "°")
     x0 = ForestCoalgebra(x0_carrier, x.parent, x.k_bound, x.kind, x.pebble_fn)
     e_map = {e: e for e in x.universe}
-    assert not check_structure_hom(e_map, x, x0), "identity failed to be a homomorphism"
+    if check_structure_hom(e_map, x, x0):
+        raise RuntimeError("identity failed to be a homomorphism")
     reasons = verify_morphism(dict(f), x0, y, "pathwise_embedding")
-    assert not reasons, f"factorization failed: {reasons}"
+    if reasons:
+        raise RuntimeError(f"factorization failed: {reasons}")
     g = MorphismWitness(dict(f), _KIND_TAGS["pathwise_embedding"])
     return e_map, x0, g

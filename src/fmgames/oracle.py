@@ -451,10 +451,9 @@ class _ModalOracle:
         if self.violation is not None:
             return self.violation
         pa, pb = self.point_bit_a, self.point_bit_b
-        width = self.width_b
         for idx in range(start, len(self.meets.keys)):
             key = self.meets.keys[idx]
-            if key & (pa << 0) and not key & pb:
+            if key & pa and not key & pb:
                 self.violation = idx
                 return idx
         return None

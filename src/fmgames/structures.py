@@ -71,16 +71,16 @@ class Vocabulary:
         except KeyError:
             raise StructureError(f"unknown relation {name!r}") from None
 
-    @property
+    @cached_property
     def modal_flag(self) -> bool:
         """True iff every arity is 1 or 2, i.e. the vocabulary is modal."""
         return all(arity in (1, 2) for _, arity in self.relations)
 
-    @property
+    @cached_property
     def unary(self) -> tuple[str, ...]:
         return tuple(n for n, a in self.relations if a == 1)
 
-    @property
+    @cached_property
     def binary(self) -> tuple[str, ...]:
         return tuple(n for n, a in self.relations if a == 2)
 
@@ -231,13 +231,6 @@ def gaifman(a: Structure) -> frozenset:
                 edges.add((x, y))
                 edges.add((y, x))
     return frozenset(edges)
-
-
-def gaifman_neighbours(a: Structure) -> dict:
-    nbr: dict = {e: set() for e in a.universe}
-    for x, y in gaifman(a):
-        nbr[x].add(y)
-    return nbr
 
 
 def expand_i(a: Structure) -> Structure:

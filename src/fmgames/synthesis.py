@@ -16,7 +16,7 @@ import itertools
 
 from .formulas import (Atom, Box, Dia, Eq, Formula, NegAtom, NegEq, NegProp,
                        Prop, Exists, Forall, and_, or_)
-from .games import GameSpec, Verdict, modal_pair_condition, solve
+from .games import GameSpec, Verdict, solve
 from .structures import Structure
 
 
@@ -24,13 +24,13 @@ class DuplicatorWinsError(ValueError):
     """distinguish() called on a pair where Duplicator wins."""
 
 
-def _violated_literal(indexed_pairs, a: Structure, b: Structure, iso: bool) -> Formula:
+def _violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula:
     """A literal refuting the condition, over (variable index, a, b) triples.
 
     Scan order is fixed: functionality, then (iso) injectivity, then per
     relation the preserved atoms and (iso) the reflected ones.
     """
-    items = list(indexed_pairs)
+    items = list(bindings)
     for (i, ai, bi), (j, aj, bj) in itertools.combinations(items, 2):
         if ai == aj and bi != bj:
             return Eq(i, j)
@@ -47,7 +47,7 @@ def _violated_literal(indexed_pairs, a: Structure, b: Structure, iso: bool) -> F
                 return Atom(rel, idx)
             if iso and ta not in a.interp[rel] and tb in b.interp[rel]:
                 return NegAtom(rel, idx)
-    raise AssertionError("no violated literal found at a condition-violating position")
+    raise RuntimeError("no violated literal found at a condition-violating position")
 
 
 def _modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Formula:
@@ -58,7 +58,7 @@ def _modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Formula:
             return Prop(rel)
         if iso and in_b and not in_a:
             return NegProp(rel)
-    raise AssertionError("no violated proposition at a condition-violating pair")
+    raise RuntimeError("no violated proposition at a condition-violating pair")
 
 
 def distinguish(spec: GameSpec, a: Structure, b: Structure,
@@ -74,48 +74,24 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
     if verdict.duplicator_wins:
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
     iso = spec.iso_condition
-
-    if spec.family == "modal":
-
-        def synth(history) -> Formula:
-            pa, pb = history
-            x, y = pa[-1], pb[-1]
-            if not modal_pair_condition(x, y, a, b, iso):
-                return _modal_literal(x, y, a, b, iso)
-            move = verdict.spoiler_move(history)
-            assert move is not None, "dead position without a winning move"
-            rel, side, _ = move
-            parts = [synth(verdict._child(history, move, r))
-                     for r in verdict.responses(history, move)]
-            if side == "A":
-                return Dia(rel, and_(parts))
-            return Box(rel, or_(parts))
-
-        return synth(verdict.initial_history())
-
-    def indexed(history):
-        if spec.family == "ef":
-            pa, pb = history
-            return [(i + 1, pa[i], pb[i]) for i in range(len(pa))]
-        seen = {}
-        for p, x, y in history:
-            seen[p] = (x, y)
-        return [(p, x, y) for p, (x, y) in sorted(seen.items())]
+    modal = spec.family == "modal"
+    forth, back = (Dia, Box) if modal else (Exists, Forall)
 
     def synth(history) -> Formula:
         if not verdict.condition_holds(history):
-            return _violated_literal(indexed(history), a, b, iso)
+            bindings = verdict.bindings(history)
+            if modal:
+                _, x, y = bindings[-1]
+                return _modal_literal(x, y, a, b, iso)
+            return _violated_literal(bindings, a, b, iso)
         move = verdict.spoiler_move(history)
-        assert move is not None, "dead position without a winning move"
-        if spec.family == "ef":
-            side, _ = move
-            var = len(history[0]) + 1
-        else:
-            var, side, _ = move
-        parts = [synth(verdict._child(history, move, r))
+        if move is None:
+            raise RuntimeError("dead position without a winning move")
+        parts = [synth(verdict.extend(history, move, r))
                  for r in verdict.responses(history, move)]
-        if side == "A":
-            return Exists(var, and_(parts))
-        return Forall(var, or_(parts))
+        label = verdict.label(history, move)
+        if move[-2] == "A":
+            return forth(label, and_(parts))
+        return back(label, or_(parts))
 
     return synth(verdict.initial_history())

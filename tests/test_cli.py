@@ -205,3 +205,12 @@ def test_all_vias_agree_on_regression_corpus(files):
             codes.add(main(["check", "--family", family, "--mode", mode,
                             "-k", k, "--via", via, fa, fb]))
         assert len(codes) == 1, (family, mode, k, fa, fb, codes)
+
+
+def test_validate_parent_cycle_is_a_verdict(tmp_path, capsys):
+    cyclic = tmp_path / "cyclic.fmc"
+    cyclic.write_text("vocab E/2\nstructure C\nelems a b\nforest\nparent a b\nparent b a\n")
+    assert main(["validate", str(cyclic)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("forest-cycle:")
+    assert captured.err == ""

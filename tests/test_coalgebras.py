@@ -187,3 +187,37 @@ def test_counit_is_verified_homomorphism(edge, loop, chain_ab):
                     (chain_ab, build_modal(chain_ab, 2)),
                     (edge, build_pebble_truncated(edge, 2, 2))):
         assert is_homomorphism(counit_map(c), c.carrier, base)
+
+
+def _chain_coalgebra(depth: int) -> ForestCoalgebra:
+    elems = [f"n{i}" for i in range(depth)]
+    carrier = Structure.make(Vocabulary((("E", 2),)), elems, {})
+    return ForestCoalgebra(carrier, dict(zip(elems[1:], elems)), depth)
+
+
+def test_deep_chain_height_and_shape():
+    deep = _chain_coalgebra(3000)
+    assert deep.height["n2999"] == 2999
+    assert validate_coalgebra(deep) == []
+    shape = forest_shape(deep.universe, deep.children, deep.roots)
+    assert shape == "(" * 3000 + ")" * 3000
+    assert shape == forest_shape(deep.universe, deep.children, deep.roots)
+
+
+def test_forest_shape_ignores_child_order():
+    children = {"r": ["x", "y"], "x": ["z"], "y": [], "z": []}
+    swapped = {**children, "r": ["y", "x"]}
+    shape = forest_shape(list(children), children, ["r"])
+    assert shape == forest_shape(list(swapped), swapped, ["r"])
+    assert shape != forest_shape(list(children), children, ["x", "y"])
+
+
+@pytest.mark.parametrize("text", [
+    "vocab E/2\nstructure C\nelems a b\nforest\nparent a b\nparent b a\n",
+    "vocab E/2\nstructure C\nelems a\nforest\nparent a a\n",
+])
+def test_parse_coalgebra_with_parent_cycle_reports_it(text):
+    c = parse_coalgebra(text)
+    assert [v.code for v in validate_coalgebra(c)] == ["forest-cycle"]
+    with pytest.raises(CoalgebraError, match="cycle"):
+        c.height
