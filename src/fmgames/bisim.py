@@ -24,14 +24,15 @@ conditions, then filtered to the reachable, hence strong, subsystem.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
-                         build_modal, node_chain, validate_coalgebra)
+                         build_modal, node_chain, path_tree, pull_back,
+                         validate_coalgebra)
 from .games import GameSpec, Verdict, solve
-from .morphisms import check_bijection, check_coalgebra_morphism, verify_morphism
+from .morphisms import (chain_map_ok, check_bijection, check_coalgebra_morphism,
+                        verify_morphism)
 from .structures import Structure
 
 BISIM_FAMILIES = ("ef_i", "modal")
@@ -69,32 +70,6 @@ class BisimWitness:
 # ---------------------------------------------------------------------------
 # Back-and-forth systems on path trees
 
-def _chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, xn, yn, iso: bool) -> bool:
-    cx, cy = node_chain(x, xn), node_chain(y, yn)
-    if len(cx) != len(cy):
-        return False
-    m = dict(zip(cx, cy))
-    if x.kind == "pebble":
-        if any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
-            return False
-    for rel, arity in x.carrier.vocab.relations:
-        x_rel, y_rel = x.carrier.interp[rel], y.carrier.interp[rel]
-        for combo in itertools.product(cx, repeat=arity):
-            holds = combo in x_rel
-            image_holds = tuple(m[c] for c in combo) in y_rel
-            if holds and not image_holds:
-                return False
-            if iso and image_holds and not holds:
-                return False
-    return True
-
-
-def _tree_children(x: ForestCoalgebra) -> dict:
-    out = {BOTTOM: list(x.roots)}
-    out.update({e: x.children[e] for e in x.universe})
-    return out
-
-
 def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
                ) -> Optional[BackForthSystem]:
     """Largest (strong) back-and-forth system between two coalgebras, or None.
@@ -110,22 +85,22 @@ def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
         raise CoalgebraError("back_forth needs validated coalgebras")
     iso = mode in ("full", "existential")
     back = mode in ("full", "positive")
-    kids_x, kids_y = _tree_children(x), _tree_children(y)
-    hx = {BOTTOM: -1, **x.height}
-    hy = {BOTTOM: -1, **y.height}
+    tx, ty = path_tree(x), path_tree(y)
+    chains_x = {n: node_chain(x, n) for n in tx.nodes}
+    chains_y = {n: node_chain(y, n) for n in ty.nodes}
     alive = set()
-    for xn in (BOTTOM,) + x.universe:
-        for yn in (BOTTOM,) + y.universe:
-            if hx[xn] == hy[yn] and _chain_map_ok(x, y, xn, yn, iso):
+    for xn, cx in chains_x.items():
+        for yn, cy in chains_y.items():
+            if tx.height[xn] == ty.height[yn] and chain_map_ok(x, y, cx, cy, iso):
                 alive.add((xn, yn))
     changed = True
     while changed:
         changed = False
         for pair in list(alive):
-            xn, yn = pair
-            ok = all(any((xc, yc) in alive for yc in kids_y[yn]) for xc in kids_x[xn])
+            kids_x, kids_y = tx.children[pair[0]], ty.children[pair[1]]
+            ok = all(any((xc, yc) in alive for yc in kids_y) for xc in kids_x)
             if ok and back:
-                ok = all(any((xc, yc) in alive for xc in kids_x[xn]) for yc in kids_y[yn])
+                ok = all(any((xc, yc) in alive for xc in kids_x) for yc in kids_y)
             if not ok:
                 alive.discard(pair)
                 changed = True
@@ -133,8 +108,8 @@ def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
         return None
 
     def reachable(pair) -> bool:
-        cx = (BOTTOM,) + node_chain(x, pair[0])
-        cy = (BOTTOM,) + node_chain(y, pair[1])
+        cx = (BOTTOM,) + chains_x[pair[0]]
+        cy = (BOTTOM,) + chains_y[pair[1]]
         return all((a, b) in alive for a, b in zip(cx, cy))
 
     strong_pairs = frozenset(p for p in alive if reachable(p))
@@ -147,27 +122,25 @@ def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCo
     iso = mode in ("full", "existential")
     back = mode in ("full", "positive")
     out = []
-    kids_x, kids_y = _tree_children(x), _tree_children(y)
+    tx, ty = path_tree(x), path_tree(y)
     if (BOTTOM, BOTTOM) not in system.pairs:
         out.append("root pair missing")
     for xn, yn in system.pairs:
-        if not _chain_map_ok(x, y, xn, yn, iso):
+        if not chain_map_ok(x, y, node_chain(x, xn), node_chain(y, yn), iso):
             out.append(f"pair ({xn!r}, {yn!r}) fails the chain-map condition")
     for xn, yn in system.pairs:
-        for xc in kids_x[xn]:
-            if not any((xc, yc) in system.pairs for yc in kids_y[yn]):
+        for xc in tx.children[xn]:
+            if not any((xc, yc) in system.pairs for yc in ty.children[yn]):
                 out.append(f"forth fails at ({xn!r}, {yn!r}) on {xc!r}")
         if back:
-            for yc in kids_y[yn]:
-                if not any((xc, yc) in system.pairs for xc in kids_x[xn]):
+            for yc in ty.children[yn]:
+                if not any((xc, yc) in system.pairs for xc in tx.children[xn]):
                     out.append(f"back fails at ({xn!r}, {yn!r}) on {yc!r}")
     if system.strong:
-        parent_x = {**{r: BOTTOM for r in x.roots}, **x.parent}
-        parent_y = {**{r: BOTTOM for r in y.roots}, **y.parent}
         for xn, yn in system.pairs:
             if xn is BOTTOM or yn is BOTTOM:
                 continue
-            if (parent_x[xn], parent_y[yn]) not in system.pairs:
+            if (tx.parent[xn], ty.parent[yn]) not in system.pairs:
                 out.append(f"strength fails below ({xn!r}, {yn!r})")
     return out
 
@@ -198,52 +171,33 @@ def _winning_plays(verdict: Verdict) -> list:
     return order if verdict.spec.family == "modal" else order[1:]
 
 
-def _span_structure(w_elems, vocab, project, source_carrier: Structure) -> dict:
-    """Relations of Z1/Z2: other components comparable, projections related.
-
-    Tuples of comparable play pairs all lie on one branch of W, so it is
-    enough to scan branch tuples; comparability of the other side holds
-    along a branch by construction and is asserted via the prefix test.
-    """
-    by_elem = {w: i for i, w in enumerate(w_elems)}
-    parent = {}
-    for w in w_elems:
-        s, t = w
-        pw = (s[:-1], t[:-1])
-        if pw in by_elem:
-            parent[w] = pw
-    chains = {}
-    for w in w_elems:
-        chain = [w]
-        while chain[-1] in parent:
-            chain.append(parent[chain[-1]])
-        chains[w] = tuple(reversed(chain))
-    interp: dict = {}
-    for rel, arity in vocab.relations:
-        rel_set = source_carrier.interp[rel]
-        tuples = set()
-        for w in w_elems:
-            for combo in itertools.product(chains[w], repeat=arity):
-                if w not in combo:
-                    continue
-                if tuple(project(v) for v in combo) in rel_set:
-                    tuples.add(combo)
-        interp[rel] = frozenset(tuples)
-    return {"parent": parent, "interp": interp}
-
-
-def _build_span_coalgebra(w_elems, cofree: ForestCoalgebra, which: int, name: str
+def _build_span_coalgebra(plays: list, cofree: ForestCoalgebra, which: int, name: str
                           ) -> ForestCoalgebra:
-    project = (lambda w: w[0]) if which == 0 else (lambda w: w[1])
-    data = _span_structure(w_elems, cofree.carrier.vocab, project, cofree.carrier)
+    """Z1 (``which`` 0) or Z2 (``which`` 1): the plays ordered by prefix pairs,
+    a tuple of plays on one branch related when its projections to ``cofree``
+    are related there.
+
+    Tuples of comparable play pairs all lie on one branch of W, so the
+    relations are the pull back of ``cofree`` along the branches of W.
+    """
+    parent: dict = {}
+    chains: dict = {}
+    for w in plays:  # breadth-first, so a parent play precedes its children
+        pw = (w[0][:-1], w[1][:-1])
+        if pw in chains:
+            parent[w] = pw
+            chains[w] = chains[pw] + (w,)
+        else:
+            chains[w] = (w,)
+    interp = pull_back(chains.values(), lambda w: w[which], cofree.carrier)
     point = None
     if cofree.kind == "modal":
-        roots = [w for w in w_elems if w not in data["parent"]]
+        roots = [w for w in plays if w not in parent]
         if len(roots) != 1:
             raise BisimVerificationError(f"modal span has {len(roots)} roots (bug sentinel)")
         point = roots[0]
-    carrier = Structure(cofree.carrier.vocab, tuple(w_elems), data["interp"], point, name)
-    return ForestCoalgebra(carrier, data["parent"], cofree.k_bound, cofree.kind)
+    carrier = Structure(cofree.carrier.vocab, tuple(plays), interp, point, name)
+    return ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind)
 
 
 def _cofree_pair(a: Structure, b: Structure, family: str, k: int):

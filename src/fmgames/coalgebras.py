@@ -11,6 +11,10 @@ logic go through the game fixpoint, never through this object).
 Equality handling: building "with I" is building over the diagonal
 expansion of the base structure, which interprets I on sequences exactly as
 comparability plus equal last elements.
+
+The branch layer (:func:`branch_tuples`, :func:`pull_back`) is the one scan of
+tuples over a branch: the builders, the morphism checks and the bisimulation
+spans all obtain their branch relations from it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,23 @@ class CoalgebraError(ValueError):
 
 class CoalgebraSizeError(CoalgebraError):
     """Requested cofree coalgebra beyond the configured carrier cap."""
+
+
+def _heights(nodes, parent: Mapping) -> dict:
+    """Distance to the root per node of a parent map; raises on a cycle."""
+    out: dict = {}
+    for e in nodes:
+        trail = []
+        while e not in out and parent.get(e) is not None:
+            trail.append(e)
+            if len(trail) > len(nodes):
+                raise CoalgebraError("parent map has a cycle")
+            e = parent[e]
+        h = out.setdefault(e, 0)
+        for x in reversed(trail):
+            h += 1
+            out[x] = h
+    return out
 
 
 DEFAULT_CARRIER_CAP = 100_000
@@ -72,27 +93,17 @@ class ForestCoalgebra:
     @cached_property
     def height(self) -> dict:
         """Distance to the root per element; raises on a parent cycle."""
-        out: dict = {}
-        for e in self.universe:
-            trail = []
-            while e not in out and self.parent.get(e) is not None:
-                trail.append(e)
-                if len(trail) > len(self.universe):
-                    raise CoalgebraError("parent map has a cycle")
-                e = self.parent[e]
-            h = out.setdefault(e, 0)
-            for x in reversed(trail):
-                h += 1
-                out[x] = h
-        return out
+        return _heights(self.universe, self.parent)
 
     def chain(self, x) -> tuple:
-        """The branch from the root down to ``x`` (inclusive)."""
+        """The branch from the root down to ``x`` (inclusive); raises on a parent cycle."""
         out = []
-        while x is not None:
+        for _ in range(len(self.universe) + 1):
+            if x is None:
+                return tuple(reversed(out))
             out.append(x)
             x = self.parent.get(x)
-        return tuple(reversed(out))
+        raise CoalgebraError("parent map has a cycle")
 
     def comparable(self, x, y) -> bool:
         return x in self.chain(y) or y in self.chain(x)
@@ -182,27 +193,48 @@ def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Branches
+
+def branch_tuples(chain, arity: int):
+    """The ``arity``-tuples over a root-first branch that use its last element.
+
+    Every tuple over a branch of a forest is found exactly once when the
+    branches of all elements are scanned: at its deepest component.
+    """
+    last = chain[-1]
+    return (t for t in itertools.product(chain, repeat=arity) if last in t)
+
+
+def pull_back(chains, image, target: Structure) -> dict:
+    """For each relation of ``target``, the branch tuples whose image is related there.
+
+    ``chains`` holds root-first branches and ``image`` maps their elements
+    into ``target``.  This is condition (E) of the cofree EF and pebbling
+    coalgebras, the relations of a positive-bisimulation span, and the
+    middle object of a pathwise-embedding factorization.
+    """
+    interp: dict = {}
+    for rel, arity in target.vocab.relations:
+        rel_set = target.interp[rel]
+        interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
+                                if tuple(image(c) for c in t) in rel_set)
+    return interp
+
+
+# ---------------------------------------------------------------------------
 # Builders
 
-def _ef_like_relations(base: Structure, universe: list, last, chains: dict,
-                       pebble_suffix_ok=None) -> dict:
-    """Interpretations induced by condition (E) (and (P) when supplied)."""
-    interp: dict = {}
-    for rel, arity in base.vocab.relations:
-        rel_set = base.interp[rel]
-        tuples = set()
-        for s in universe:
-            chain = chains[s]
-            for combo in itertools.product(chain, repeat=arity):
-                if not any(c is s or c == s for c in combo):
-                    continue
-                if tuple(last(t) for t in combo) not in rel_set:
-                    continue
-                if pebble_suffix_ok is not None and not pebble_suffix_ok(combo):
-                    continue
-                tuples.add(combo)
-        interp[rel] = frozenset(tuples)
-    return interp
+def _prefixes(s: tuple) -> tuple:
+    """The branch of a sequence in a cofree carrier: its nonempty prefixes."""
+    return tuple(s[:i] for i in range(1, len(s) + 1))
+
+
+#: The counit per kind: last element of a sequence, or endpoint of a path.
+_LAST = {
+    "ef": lambda s: s[-1],
+    "pebble": lambda s: s[-1][1],
+    "modal": lambda s: s[-1][1] if len(s) > 1 else s[0],
+}
 
 
 def build_ef(a: Structure, k: int, with_i: bool = False,
@@ -223,8 +255,7 @@ def build_ef(a: Structure, k: int, with_i: bool = False,
     for length in range(1, k + 1):
         universe.extend(itertools.product(a.universe, repeat=length))
     parent = {s: s[:-1] for s in universe if len(s) > 1}
-    chains = {s: [s[:i] for i in range(1, len(s) + 1)] for s in universe}
-    interp = _ef_like_relations(a, universe, lambda s: s[-1], chains)
+    interp = pull_back([_prefixes(s) for s in universe], _LAST["ef"], a)
     carrier = Structure(a.vocab, tuple(universe), interp, None, f"F{k}({a.name})")
     return ForestCoalgebra(carrier, parent, k, "ef")
 
@@ -242,7 +273,7 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
     for _ in range(k):
         new_frontier = []
         for s in frontier:
-            cur = s[-1][1] if len(s) > 1 else s[0]
+            cur = _LAST["modal"](s)
             for rel in a.vocab.binary:
                 for nxt in a.successors(rel, cur):
                     t = s + ((rel, nxt),)
@@ -252,13 +283,9 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
                         raise CoalgebraSizeError(f"unravelling exceeds cap {cap}")
         universe.extend(new_frontier)
         frontier = new_frontier
-
-    def last(s):
-        return s[-1][1] if len(s) > 1 else s[0]
-
     interp: dict = {}
     for rel in a.vocab.unary:
-        interp[rel] = frozenset((s,) for s in universe if (last(s),) in a.interp[rel])
+        interp[rel] = frozenset((s,) for s in universe if (_LAST["modal"](s),) in a.interp[rel])
     for rel in a.vocab.binary:
         interp[rel] = frozenset((parent[t], t) for t in parent if t[-1][0] == rel)
     carrier = Structure(a.vocab, tuple(universe), interp, root, f"M{k}({a.name})")
@@ -284,7 +311,6 @@ def build_pebble_truncated(a: Structure, k: int, n: int, with_i: bool = False,
     for length in range(1, n + 1):
         universe.extend(itertools.product(moves, repeat=length))
     parent = {s: s[:-1] for s in universe if len(s) > 1}
-    chains = {s: [s[:i] for i in range(1, len(s) + 1)] for s in universe}
 
     def suffix_ok(combo) -> bool:
         for u in combo:
@@ -295,7 +321,8 @@ def build_pebble_truncated(a: Structure, k: int, n: int, with_i: bool = False,
                         return False
         return True
 
-    interp = _ef_like_relations(a, universe, lambda s: s[-1][1], chains, suffix_ok)
+    pulled = pull_back([_prefixes(s) for s in universe], _LAST["pebble"], a)
+    interp = {rel: frozenset(filter(suffix_ok, tuples)) for rel, tuples in pulled.items()}
     carrier = Structure(a.vocab, tuple(universe), interp, None, f"P{k}@{n}({a.name})")
     pebble_fn = {s: s[-1][0] for s in universe}
     return ForestCoalgebra(carrier, parent, k, "pebble", pebble_fn)
@@ -327,11 +354,7 @@ def _require_built(c: ForestCoalgebra, s):
 def counit(c: ForestCoalgebra, s):
     """Last element of a sequence, or endpoint of a path."""
     _require_built(c, s)
-    if c.kind == "ef":
-        return s[-1]
-    if c.kind == "pebble":
-        return s[-1][1]
-    return s[-1][1] if len(s) > 1 else s[0]
+    return _LAST[c.kind](s)
 
 
 def counit_map(c: ForestCoalgebra) -> dict:
@@ -347,13 +370,8 @@ def coextend(c: ForestCoalgebra, f: Mapping, b: Structure) -> tuple[dict, Forest
     """
     if not is_homomorphism(f, c.carrier, b):
         raise CoalgebraError("coextension needs a homomorphism from the carrier")
-    if c.kind == "pebble":
-        depth = max(len(s) for s in c.universe)
-        target = build_pebble_truncated(b, c.k_bound, depth)
-    elif c.kind == "ef":
-        target = build_ef(b, c.k_bound)
-    else:
-        target = build_modal(b, c.k_bound)
+    depth = max(len(s) for s in c.universe) if c.kind == "pebble" else None
+    target = build_cofree(b, c.kind, c.k_bound, depth)
     out: dict = {}
     for s in c.universe:
         if c.kind == "ef":
@@ -431,14 +449,8 @@ class PathTree:
 
     @cached_property
     def height(self) -> dict:
-        out = {}
-        for n in self.nodes:
-            h, cur = 0, n
-            while cur in self.parent:
-                cur = self.parent[cur]
-                h += 1
-            out[n] = h
-        return out
+        """Distance to the synthetic root per node; raises on a parent cycle."""
+        return _heights(self.nodes, self.parent)
 
     @property
     def root(self):

@@ -15,6 +15,12 @@ Openness is normally decided through the cover-lifting route; the
 square-enumeration formulation of the lifting property is implemented
 independently in :func:`check_open_by_squares` so the two can be played
 against each other.
+
+Branch relations come from the branch layer of :mod:`fmgames.coalgebras`
+(``pull_back``).  :func:`chain_map_ok`, the test whether the map between two
+branches is a homomorphism or an embedding of induced substructures, is
+shared by the squares check and the back-and-forth engine of
+:mod:`fmgames.bisim`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .coalgebras import BOTTOM, CoalgebraError, ForestCoalgebra, node_chain
+from .coalgebras import (CoalgebraError, ForestCoalgebra, node_chain, path_tree,
+                         pull_back)
 from .structures import EQUALITY_SYMBOL, is_homomorphism
 
 MORPHISM_KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
@@ -90,28 +97,18 @@ def check_coalgebra_morphism(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra)
             + check_pebble_preserving(f, x, y))
 
 
-def _branch_tuples(x: ForestCoalgebra, e, arity: int):
-    chain = x.chain(e)
-    for combo in itertools.product(chain, repeat=arity):
-        if e in combo:
-            yield combo
-
-
 def check_pathwise(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) -> list[str]:
     """Reflection of relations on every branch (the path-embedding condition)."""
-    out = []
+    out, chains = [], []
     for e in x.universe:
         chain = x.chain(e)
-        images = [f[c] for c in chain]
-        if len(set(images)) != len(images):
+        if len({f[c] for c in chain}) != len(chain):
             out.append(f"branch of {e!r} not mapped injectively")
-            continue
-        for rel, arity in x.carrier.vocab.relations:
-            y_rel = y.carrier.interp[rel]
-            x_rel = x.carrier.interp[rel]
-            for combo in _branch_tuples(x, e, arity):
-                if tuple(f[c] for c in combo) in y_rel and combo not in x_rel:
-                    out.append(f"relation {rel} not reflected at {combo!r}")
+        else:
+            chains.append(chain)
+    for rel, pulled in pull_back(chains, f.__getitem__, y.carrier).items():
+        for combo in sorted(pulled - x.carrier.interp[rel], key=repr):
+            out.append(f"relation {rel} not reflected at {combo!r}")
     return out
 
 
@@ -129,24 +126,28 @@ def check_open_cover_lifting(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra)
     return out
 
 
-def _is_induced_embedding(pairs: list, x: ForestCoalgebra, y: ForestCoalgebra) -> bool:
-    """Is the chain map {x_i -> y_i} an embedding of induced substructures?
+def chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, cx: tuple, cy: tuple,
+                 iso: bool) -> bool:
+    """Is the map ``cx[i] -> cy[i]`` between two branches a homomorphism of the
+    induced substructures, or an embedding when ``iso``?
 
-    Injectivity, preservation, reflection; pebble kinds must also agree on
-    the pebbling function (embeddings are category morphisms).
+    Branches have distinct nodes, so the map is injective; pebble kinds must
+    also agree on the pebbling function (embeddings are category morphisms).
     """
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    if len(set(ys)) != len(ys):
+    if len(cx) != len(cy):
         return False
+    m = dict(zip(cx, cy))
     if x.kind == "pebble":
-        if any(x.pebble_fn[a] != y.pebble_fn[b] for a, b in pairs):
+        if any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
             return False
-    m = dict(pairs)
     for rel, arity in x.carrier.vocab.relations:
         x_rel, y_rel = x.carrier.interp[rel], y.carrier.interp[rel]
-        for combo in itertools.product(xs, repeat=arity):
-            if (combo in x_rel) != (tuple(m[c] for c in combo) in y_rel):
+        for combo in itertools.product(cx, repeat=arity):
+            holds = combo in x_rel
+            image_holds = tuple(m[c] for c in combo) in y_rel
+            if holds and not image_holds:
+                return False
+            if iso and image_holds and not holds:
                 return False
     return True
 
@@ -160,27 +161,23 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
     cover-lifting route on purpose.
     """
     out = []
-    x_nodes = (BOTTOM,) + x.universe
-    y_nodes = (BOTTOM,) + y.universe
-    y_chain = {n: node_chain(y, n) for n in y_nodes}
-    for xn in x_nodes:
-        cx = node_chain(x, xn)
+    x_chain = {n: node_chain(x, n) for n in path_tree(x).nodes}
+    y_chain = {n: node_chain(y, n) for n in path_tree(y).nodes}
+    for xn, cx in x_chain.items():
         image_chain = tuple(f[c] for c in cx)
-        for yn in y_nodes:
-            cy = y_chain[yn]
+        for yn, cy in y_chain.items():
             if len(cy) < len(cx) or cy[: len(cx)] != image_chain:
                 continue
             # the top square leg i must itself be an embedding of paths
-            if not _is_induced_embedding(list(zip(cx, cy[: len(cx)])), x, y):
+            if not chain_map_ok(x, y, cx, cy[: len(cx)], iso=True):
                 continue
             filler = False
-            for xn2 in x_nodes:
-                cx2 = node_chain(x, xn2)
+            for cx2 in x_chain.values():
                 if len(cx2) != len(cy) or cx2[: len(cx)] != cx:
                     continue
                 if tuple(f[c] for c in cx2) != cy:
                     continue
-                if _is_induced_embedding(list(zip(cy, cx2)), y, x):
+                if chain_map_ok(y, x, cy, cx2, iso=True):
                     filler = True
                     break
             if not filler:
@@ -226,11 +223,10 @@ def find_morphism(kind: str, x: ForestCoalgebra, y: ForestCoalgebra) -> Optional
     open_kind = kind == "open_pathwise_embedding"
 
     order = sorted(x.universe, key=lambda e: (x.height[e], x.carrier.index[e]))
-    vocab = x.carrier.vocab.relations
     # tuples checked once their deepest element is assigned; branch-compatible
     # coalgebras guarantee all other components are ancestors
     tuples_by_deepest: dict = {e: [] for e in x.universe}
-    for rel, _ in vocab:
+    for rel, _ in x.carrier.vocab.relations:
         for tup in x.carrier.interp[rel]:
             if not tup:
                 if tup not in y.carrier.interp[rel]:
@@ -258,15 +254,8 @@ def find_morphism(kind: str, x: ForestCoalgebra, y: ForestCoalgebra) -> Optional
             if tuple(assignment[c] for c in tup) not in y.carrier.interp[rel]:
                 return False
         if pathwise:
-            chain = x.chain(e)
-            img = assignment[e]
-            for rel, arity in vocab:
-                x_rel, y_rel = x.carrier.interp[rel], y.carrier.interp[rel]
-                for combo in itertools.product(chain, repeat=arity):
-                    if e not in combo:
-                        continue
-                    if tuple(assignment[c] for c in combo) in y_rel and combo not in x_rel:
-                        return False
+            pulled = pull_back([x.chain(e)], assignment.__getitem__, y.carrier)
+            return all(pulled[rel] <= x.carrier.interp[rel] for rel in pulled)
         return True
 
     def search(i: int) -> bool:
@@ -309,15 +298,7 @@ def factor_xo(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra
     reasons = check_coalgebra_morphism(f, x, y)
     if reasons:
         raise CoalgebraError(f"not a coalgebra morphism: {reasons[0]}")
-    interp: dict = {}
-    for rel, arity in x.carrier.vocab.relations:
-        y_rel = y.carrier.interp[rel]
-        tuples = set()
-        for e in x.universe:
-            for combo in _branch_tuples(x, e, arity):
-                if tuple(f[c] for c in combo) in y_rel:
-                    tuples.add(combo)
-        interp[rel] = frozenset(tuples)
+    interp = pull_back([x.chain(e) for e in x.universe], f.__getitem__, y.carrier)
     carrier = x.carrier
     x0_carrier = carrier.__class__(carrier.vocab, carrier.universe, interp,
                                    carrier.point, carrier.name + "°")

@@ -10,6 +10,8 @@ from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra
                      parse_coalgebra, path_tree, serialize_coalgebra,
                      validate_coalgebra)
 
+from fmgames.coalgebras import branch_tuples, node_chain, pull_back
+
 from conftest import kripke
 
 
@@ -221,3 +223,26 @@ def test_parse_coalgebra_with_parent_cycle_reports_it(text):
     assert [v.code for v in validate_coalgebra(c)] == ["forest-cycle"]
     with pytest.raises(CoalgebraError, match="cycle"):
         c.height
+
+
+@pytest.mark.parametrize("text", [
+    "vocab E/2\nstructure C\nelems a b\nforest\nparent a b\nparent b a\n",
+    "vocab E/2\nstructure C\nelems a\nforest\nparent a a\n",
+])
+def test_branch_walks_raise_on_parent_cycle(text):
+    c = parse_coalgebra(text)
+    for walk in (lambda: c.chain("a"), lambda: c.comparable("a", "a"),
+                 lambda: node_chain(c, "a"), lambda: path_tree(c).height):
+        with pytest.raises(CoalgebraError, match="cycle"):
+            walk()
+
+
+def test_branch_tuples_use_the_last_element():
+    assert list(branch_tuples(("r", "s"), 2)) == [("r", "s"), ("s", "r"), ("s", "s")]
+    assert list(branch_tuples(("r",), 0)) == []
+
+
+def test_pull_back_is_condition_e(edge):
+    c = build_ef(edge, 2)
+    chains = [c.chain(s) for s in c.universe]
+    assert pull_back(chains, lambda s: s[-1], edge) == c.carrier.interp

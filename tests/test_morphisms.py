@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from fmgames import (CoalgebraError, GameSpec, build_ef, build_modal,
+from fmgames import (CoalgebraError, GameSpec, Structure, build_ef, build_modal,
                      build_pebble_truncated, check_open_by_squares,
                      check_open_cover_lifting, factor_xo, find_morphism,
-                     path_tree, is_p_morphism, solve, validate_coalgebra,
-                     verify_morphism)
+                     is_embedding, is_homomorphism, path_tree, is_p_morphism,
+                     solve, validate_coalgebra, verify_morphism)
+from fmgames.coalgebras import node_chain
+from fmgames.corpus import (all_digraphs, all_pointed_kripke, edge_structure,
+                            loop_structure)
+from fmgames.morphisms import chain_map_ok
 
 from conftest import kripke, small_structures
 
@@ -133,3 +137,48 @@ def test_modal_morphisms_respect_points():
     assert w is not None
     ua = build_modal(a, 2)
     assert w.mapping[ua.carrier.point] == build_modal(b, 2).carrier.point
+
+
+def _induced(c, chain) -> Structure:
+    elems = set(chain)
+    return Structure.make(c.carrier.vocab, chain,
+                          {rel: [t for t in ts if set(t) <= elems]
+                           for rel, ts in c.carrier.interp.items()})
+
+
+def _chain_map_reference(x, y, xn, yn, iso: bool) -> bool:
+    """The chain map judged by the structure-level checkers on induced substructures."""
+    cx, cy = node_chain(x, xn), node_chain(y, yn)
+    m = dict(zip(cx, cy))
+    if x.kind == "pebble" and any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
+        return False
+    check = is_embedding if iso else is_homomorphism
+    return check(m, _induced(x, cx), _induced(y, cy))
+
+
+def _chain_map_agreement(coalgebras) -> set:
+    seen = set()
+    for x in coalgebras:
+        tx = path_tree(x)
+        for y in coalgebras:
+            ty = path_tree(y)
+            for xn in tx.nodes:
+                for yn in ty.nodes:
+                    if tx.height[xn] != ty.height[yn]:
+                        continue
+                    cx, cy = node_chain(x, xn), node_chain(y, yn)
+                    for iso in (False, True):
+                        got = chain_map_ok(x, y, cx, cy, iso)
+                        assert got == _chain_map_reference(x, y, xn, yn, iso), (xn, yn, iso)
+                        seen.add((iso, got))
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [build_ef(a, 2, with_i=True) for a in all_digraphs(2)],
+    lambda: [build_modal(a, 2) for a in all_pointed_kripke(2)],
+    lambda: [build_pebble_truncated(a, 2, 2) for a in (edge_structure(), loop_structure())],
+], ids=["ef_i", "modal", "pebble"])
+def test_chain_map_ok_matches_induced_substructure_checks(build):
+    seen = _chain_map_agreement(build())
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
