@@ -322,6 +322,7 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
             raise FormulaError("modal and first-order constructs mixed in one formula")
         if not a.vocab.modal_flag:
             raise FormulaError("modal formula on non-modal vocabulary")
+        _check_vocab(phi, a)
         if world is None:
             if len(assignment) == 1:
                 world = next(iter(assignment.values()))
@@ -332,10 +333,34 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
         if world not in a.index:
             raise StructureError(f"world {world!r} not in universe")
         return _check_modal(phi, a, world)
+    _check_vocab(phi, a)
     missing = free_vars(phi) - set(assignment)
     if missing:
         raise FormulaError(f"unbound free variable x{min(missing)}")
     return _check_fo(phi, a, assignment)
+
+
+def _check_vocab(phi: Formula, a: Structure):
+    """Raise FormulaError on an atom or proposition that does not fit ``a.vocab``."""
+    stack = [phi]
+    while stack:
+        match stack.pop():
+            case Atom(name, vs) | NegAtom(name, vs):
+                arity = len(vs)
+            case Prop(name) | NegProp(name):
+                arity = 1
+            case And(parts) | Or(parts):
+                stack.extend(parts)
+                continue
+            case Exists(_, body) | Forall(_, body) | Dia(_, body) | Box(_, body):
+                stack.append(body)
+                continue
+            case _:
+                continue
+        if name not in a.vocab.arities:
+            raise FormulaError(f"unknown relation {name!r}")
+        if a.vocab.arities[name] != arity:
+            raise FormulaError(f"{name} has arity {a.vocab.arities[name]}, used with {arity}")
 
 
 def is_modal_only(phi: Formula) -> bool:
@@ -357,8 +382,6 @@ def _check_modal(phi: Formula, a: Structure, w) -> bool:
         case FalseC():
             return False
         case Prop(name):
-            if a.vocab.arity(name) != 1:
-                raise FormulaError(f"{name} is not a unary relation")
             return (w,) in a.interp[name]
         case NegProp(name):
             return (w,) not in a.interp[name]

@@ -93,6 +93,20 @@ def test_modelcheck_and_bindings(files, capsys):
                  "--bind", "x1=w", "--bind", "x2=v"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["E x1. Q(x1)", "edge"],
+    ["!E(x1,x1,x1)", "edge", "--bind", "x1=v"],
+    ["!q", "modal_a"],
+    ["!R", "modal_a"],
+])
+def test_modelcheck_vocabulary_mismatch_exit_two(files, capsys, argv):
+    formula, name, *rest = argv
+    assert main(["modelcheck", formula, files[name], *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_build_validate_morphism_pipeline(files, tmp_path, capsys):
     fa = tmp_path / "edgeF.fmc"
     fb = tmp_path / "loopF.fmc"

@@ -109,6 +109,26 @@ def test_model_check_modal(chain_ab):
                     Structure.make(Vocabulary((("T", 3),)), ["a"], {}))
 
 
+@pytest.mark.parametrize("text, bind, match", [
+    ("E x1. Q(x1)", {}, "unknown relation 'Q'"),
+    ("!E(x1,x1,x1)", {1: "v"}, "E has arity 2, used with 3"),
+    ("A x1. (x1=x1 | E(x1))", {}, "E has arity 2, used with 1"),
+])
+def test_model_check_rejects_atoms_outside_the_vocabulary(edge, text, bind, match):
+    with pytest.raises(FormulaError, match=match):
+        model_check(parse_formula(text), edge, bind)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("!q", "unknown relation 'q'"),
+    ("!R", "R has arity 2, used with 1"),
+    ("<R> (P & [R] R)", "R has arity 2, used with 1"),
+])
+def test_model_check_rejects_propositions_outside_the_vocabulary(chain_ab, text, match):
+    with pytest.raises(FormulaError, match=match):
+        model_check(parse_formula(text), chain_ab)
+
+
 def test_standard_translation_shapes():
     assert standard_translation(parse_formula("P")) == Atom("P", (1,))
     assert standard_translation(parse_formula("<R> P")) == \

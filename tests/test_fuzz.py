@@ -1,0 +1,154 @@
+"""Seeded mutation fuzzing of the parsers and of ``modelcheck``.
+
+Valid inputs (the serialized calibration structures, built coalgebra files
+and a formula corpus) are mutated at random with the standard library only.
+Every input must end in a result or in a ``ValueError`` diagnostic, which the
+command line turns into exit 2; any other exception is a defect.  Whatever
+parses must survive its serialize -> parse round trip unchanged.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+
+import pytest
+
+from fmgames import (build_ef, build_modal, build_pebble_truncated,
+                     parse_coalgebra, parse_formula, parse_structure,
+                     serialize_coalgebra, serialize_formula,
+                     serialize_structure, validate_coalgebra)
+from fmgames.cli import main
+from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
+
+from conftest import kripke
+
+SEED = 20240607
+ROUNDS = 1500
+MODELCHECKS = 600
+SNIPPETS = ("(", ")", ",", ".", "!", "&", "|", "=", "<", ">", "[", "]", " ", "\n",
+            "#", "E", "R", "P", "I", "x1", "x0", "x9", "a", "b", "u", "1", "2", "/",
+            "vocab ", "elems ", "rel ", "point ", "root ", "parent ", "pebble ",
+            "forest", "E x1. ", "A x2. ", "<R> ", "[R] ", "true", "false")
+
+FORMULAS = (
+    "true", "false", "E x1. E(x1,x1)", "A x1. E x2. E(x1,x2)",
+    "E x1. E x2. (E(x1,x2) & !(x1=x2))", "A x1. (!E(x1,x1) | x1=x1)",
+    "E x1. A x2. (L(x1,x2) | x1=x2)", "E x1. E x2. E x3. (E(x1,x2) & E(x2,x3))",
+    "P", "!P", "<R> P", "[R] !P", "(<R> [R] P | P)", "<R> (P & [R] false)",
+)
+
+
+def _structures():
+    modal = kripke(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")], ["c"], "a", "MC")
+    return [edge_structure(), loop_structure(), linear_order(3), clique(3), modal]
+
+
+def _coalgebra_texts():
+    edge, modal = edge_structure(), _structures()[-1]
+    return [serialize_coalgebra(c) for c in
+            (build_ef(edge, 2, with_i=True), build_modal(modal, 2),
+             build_pebble_truncated(edge, 2, 2))]
+
+
+def _mutate(rnd: random.Random, text: str) -> str:
+    for _ in range(rnd.randint(1, 3)):
+        i = rnd.randrange(len(text) + 1)
+        j = min(len(text), i + rnd.randint(1, 4))
+        lines = text.split("\n")
+        op = rnd.randrange(6)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rnd.choice(SNIPPETS) + text[i:]
+        elif op == 2:
+            text = text[:i] + rnd.choice(SNIPPETS) + text[j:]
+        elif op == 3:
+            text = text[:i]
+        elif op == 4:
+            k = rnd.randrange(len(lines))
+            lines.insert(rnd.randrange(len(lines) + 1), lines[k])
+            text = "\n".join(lines)
+        else:
+            rnd.shuffle(lines)
+            text = "\n".join(lines)
+    return text
+
+
+def _parse_or_diagnose(parse, text):
+    """The parsed value, or None when ``parse`` rejects ``text`` with a diagnostic."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        assert str(exc), f"empty diagnostic for {text!r}"
+        return None
+
+
+def test_structure_parser_fuzz():
+    rnd = random.Random(SEED)
+    seeds = [serialize_structure(s) for s in _structures()]
+    parsed = 0
+    for _ in range(ROUNDS):
+        a = _parse_or_diagnose(parse_structure, _mutate(rnd, rnd.choice(seeds)))
+        if a is not None:
+            parsed += 1
+            assert parse_structure(serialize_structure(a)) == a
+    assert 0 < parsed < ROUNDS
+
+
+def test_coalgebra_parser_fuzz():
+    rnd = random.Random(SEED + 1)
+    seeds = _coalgebra_texts()
+    parsed = 0
+    for _ in range(ROUNDS):
+        c = _parse_or_diagnose(parse_coalgebra, _mutate(rnd, rnd.choice(seeds)))
+        if c is None:
+            continue
+        parsed += 1
+        if not validate_coalgebra(c):
+            back = parse_coalgebra(serialize_coalgebra(c))
+            assert back.carrier == c.carrier and dict(back.parent) == dict(c.parent)
+            assert back.kind == c.kind and back.pebble_fn == c.pebble_fn
+    assert 0 < parsed < ROUNDS
+
+
+def test_formula_parser_fuzz():
+    rnd = random.Random(SEED + 2)
+    parsed = 0
+    for _ in range(ROUNDS):
+        phi = _parse_or_diagnose(parse_formula, _mutate(rnd, rnd.choice(FORMULAS)))
+        if phi is not None:
+            parsed += 1
+            assert parse_formula(serialize_formula(phi)) == phi
+    assert 0 < parsed < ROUNDS
+
+
+@pytest.fixture
+def structure_files(tmp_path):
+    paths = []
+    for a in _structures():
+        path = tmp_path / f"{a.name}.fms"
+        path.write_text(serialize_structure(a))
+        paths.append(str(path))
+    return paths
+
+
+def test_modelcheck_fuzz_keeps_the_exit_code_contract(structure_files):
+    rnd = random.Random(SEED + 3)
+    codes = set()
+    for _ in range(MODELCHECKS):
+        formula = rnd.choice(FORMULAS)
+        if rnd.random() < 0.8:
+            formula = _mutate(rnd, formula)
+        argv = ["modelcheck", "--", formula, rnd.choice(structure_files)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: "), argv
+        else:
+            assert out.getvalue() == ("true\n" if code == 0 else "false\n"), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
