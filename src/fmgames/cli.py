@@ -311,7 +311,7 @@ def cmd_play(args) -> int:
     human_spoiler = args.as_side == "spoiler"
     print(f"playing {spec.family}/{spec.mode} k={spec.k}; you are {args.as_side}; "
           f"engine {'Duplicator' if human_spoiler else 'Spoiler'}"
-          f" ({'winning' if verdict.duplicator_wins != human_spoiler else 'losing'} position)")
+          f" ({'winning' if verdict.duplicator_wins == human_spoiler else 'losing'} position)")
     history = verdict.initial_history()
     if not verdict.condition_holds(history):
         print("initial position violates the winning condition: Spoiler wins")
