@@ -37,6 +37,9 @@ class CoalgebraSizeError(CoalgebraError):
     """Requested cofree coalgebra beyond the configured carrier cap."""
 
 
+DEFAULT_CARRIER_CAP = 100_000
+
+
 def _heights(nodes, parent: Mapping) -> dict:
     """Distance to the root per node of a parent map; raises on a cycle."""
     out: dict = {}
@@ -52,9 +55,6 @@ def _heights(nodes, parent: Mapping) -> dict:
             h += 1
             out[x] = h
     return out
-
-
-DEFAULT_CARRIER_CAP = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +95,18 @@ class ForestCoalgebra:
         """Distance to the root per element; raises on a parent cycle."""
         return _heights(self.universe, self.parent)
 
+    @cached_property
+    def _branches(self) -> dict:
+        """The branch of each element, root first, built once per coalgebra."""
+        out: dict = {}
+        for e in sorted(self.universe, key=self.height.__getitem__):
+            p = self.parent.get(e)
+            out[e] = (e,) if p is None else out[p] + (e,)
+        return out
+
     def chain(self, x) -> tuple:
         """The branch from the root down to ``x`` (inclusive); raises on a parent cycle."""
-        out = []
-        for _ in range(len(self.universe) + 1):
-            if x is None:
-                return tuple(reversed(out))
-            out.append(x)
-            x = self.parent.get(x)
-        raise CoalgebraError("parent map has a cycle")
+        return self._branches[x]
 
     def comparable(self, x, y) -> bool:
         return x in self.chain(y) or y in self.chain(x)
@@ -202,7 +205,7 @@ def branch_tuples(chain, arity: int):
     branches of all elements are scanned: at its deepest component.
     """
     last = chain[-1]
-    return (t for t in itertools.product(chain, repeat=arity) if last in t)
+    return [t for t in itertools.product(chain, repeat=arity) if last in t]
 
 
 def pull_back(chains, image, target: Structure) -> dict:
@@ -217,7 +220,7 @@ def pull_back(chains, image, target: Structure) -> dict:
     for rel, arity in target.vocab.relations:
         rel_set = target.interp[rel]
         interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
-                                if tuple(image(c) for c in t) in rel_set)
+                                if tuple(map(image, t)) in rel_set)
     return interp
 
 
