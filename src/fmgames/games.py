@@ -11,8 +11,10 @@ pebble) are solved by memoized backward induction over
 ``(state, remaining)`` keys with the maintain-condition formulation; this is
 sound because both winning conditions are hereditary (every sub-relation of
 a partial isomorphism or partial homomorphism is again one).  The unbounded
-pebble game is solved by a greatest fixpoint over the finite placement
-space; the iteration at which a placement is pruned is its death stage.
+pebble game is a safety game on the finite placement space, solved as a
+backward attractor on integer placement ids: Spoiler's winning region grows
+layer by layer from the placements that violate the condition, and the layer
+at which a placement joins it is its death stage.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -23,6 +25,8 @@ modal family requires them.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -60,7 +64,7 @@ class GameSpec:
 
     ``k`` counts rounds for EF/modal and pebbles for the pebble family.  The
     optional ``rounds`` selects the bounded-round pebble variant; without it
-    the pebble game is the unbounded one, solved by greatest fixpoint.
+    the pebble game is the unbounded one, solved as an attractor.
     """
 
     family: str
@@ -146,6 +150,9 @@ class _Rules:
             res = self._cond[state] = self._holds(state)
         return res
 
+    def _holds(self, pairs) -> bool:
+        return pairs_condition(pairs, self.a, self.b, self.iso)
+
     def moves(self, state) -> list:
         return self._moves
 
@@ -175,9 +182,6 @@ class _EFRules(_Rules):
         self.root = (frozenset(), spec.k)
         self.initial = ((), ())
         self._moves = self._universe_moves([()])
-
-    def _holds(self, state) -> bool:
-        return pairs_condition(state, self.a, self.b, self.iso)
 
     def step(self, state, move, response):
         side, e = move
@@ -267,7 +271,8 @@ class _ModalRules(_Rules):
 
 class _PebbleRules(_Rules):
     """Pebble: the state is the placement, a frozenset of ``(pebble, (a, b))``;
-    histories are tuples of ``(pebble, a, b)`` triples."""
+    histories are tuples of ``(pebble, a, b)`` triples.  The condition is
+    memoized on the set of placed pairs, which placements share."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         super().__init__(spec, a, b)
@@ -276,8 +281,10 @@ class _PebbleRules(_Rules):
         self.initial = ()
         self._moves = self._universe_moves([(p,) for p in range(1, spec.k + 1)])
 
-    def _holds(self, state) -> bool:
-        return pairs_condition(frozenset(pair for _, pair in state), self.a, self.b, self.iso)
+    pairs_cond = _Rules.cond
+
+    def cond(self, state) -> bool:
+        return self.pairs_cond(frozenset(pair for _, pair in state))
 
     def step(self, state, move, response):
         p, side, e = move
@@ -317,7 +324,7 @@ class Verdict:
         self.b = b
         self.rules = _RULES[spec.family](spec, a, b)
         self.duplicator_wins: bool = False
-        self.stage: dict | None = None
+        self.stage: Mapping | None = None
         self._alive = None
 
     # -- histories ------------------------------------------------------------
@@ -410,7 +417,7 @@ def solve(spec: GameSpec, a: Structure, b: Structure,
         raise StructureError("vocabulary mismatch between the two structures")
     verdict = Verdict(spec, a, b)
     if verdict.rules.root[1] is None:
-        _solve_fixpoint(verdict, placement_cap)
+        _solve_attractor(verdict, placement_cap)
     else:
         _solve_backward(verdict)
     return verdict
@@ -442,48 +449,134 @@ def _solve_backward(v: Verdict):
     v.duplicator_wins = alive(rules.root)
 
 
-def _enumerate_placements(a: Structure, b: Structure, k: int, cap: int):
-    pairs = [(x, y) for x in a.universe for y in b.universe]
-    total = (len(pairs) + 1) ** k
+class _StageTable(Mapping):
+    """Death stages of the dead placements, read-only, keyed by frozenset
+    placements and stored as one array over placement ids (-1 while alive).
+
+    Placement ``{(p, pairs[d - 1]), ...}`` has id ``sum(d * n ** (p - 1))``
+    with ``n = len(pairs) + 1``: digit p is 0 while pebble p is off the
+    board.  Keys are encoded on lookup and decoded on iteration.
+    """
+
+    def __init__(self, stages: array, pairs: list, k: int):
+        self._stages = stages
+        self._pairs = pairs
+        self._digit = {pair: d for d, pair in enumerate(pairs, start=1)}
+        self._n = n = len(pairs) + 1
+        self._pw = [n ** p for p in range(k)]
+        self._len = len(stages) - stages.count(-1)
+
+    def encode(self, placement) -> int:
+        x = 0
+        for p, pair in placement:
+            if not 1 <= p <= len(self._pw) or x // self._pw[p - 1] % self._n:
+                raise KeyError(placement)
+            x += self._digit[pair] * self._pw[p - 1]
+        return x
+
+    def decode(self, x: int) -> frozenset:
+        out = []
+        for p in range(1, len(self._pw) + 1):
+            x, d = divmod(x, self._n)
+            if d:
+                out.append((p, self._pairs[d - 1]))
+        return frozenset(out)
+
+    def alive(self, placement) -> bool:
+        return self._stages[self.encode(placement)] < 0
+
+    def __getitem__(self, placement) -> int:
+        s = self._stages[self.encode(placement)]
+        if s < 0:
+            raise KeyError(placement)
+        return s
+
+    def __iter__(self):
+        return (self.decode(x) for x, s in enumerate(self._stages) if s >= 0)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+def _solve_attractor(v: Verdict, cap: int):
+    """Spoiler's attractor to the condition-violating placements.
+
+    A move on pebble p replaces slot p, so placements that differ only in
+    slot p share their moves and responses.  One counter row per ``base``
+    (a placement id with slot p cleared) and p holds, per element of A (and
+    of B when Spoiler may play there), how many responses to that move are
+    alive.  Rows are filled from the placements that satisfy the condition;
+    a placement with an empty entry in one of its rows dies at stage 1.
+    Later deaths are processed layer by layer: each decrements the entries
+    it answers in the rows of its pebbles, and an entry reaching 0 kills the
+    alive placements over that row's base in the next layer.  So a
+    placement's layer is its death stage, every stage-s death sees only
+    stage-<s deaths, death stages decrease strictly along Spoiler's
+    strategy, and synthesized formulas stay within rank = death stage.
+    """
+    rules, k = v.rules, v.spec.k
+    na, nb = len(v.a.universe), len(v.b.universe)
+    pairs = [(x, y) for x in v.a.universe for y in v.b.universe]
+    n = len(pairs) + 1
+    total = n ** k
     if total > cap:
         raise GameResourceError(f"pebble placement space {total} exceeds cap {cap}")
-    slots = [[None] + pairs for _ in range(k)]
-    out = []
-    for combo in itertools.product(*slots):
-        out.append(frozenset((p + 1, pair) for p, pair in enumerate(combo) if pair is not None))
-    return sorted(set(out), key=lambda s: sorted(map(repr, s)))
+    stages = array("i", bytes(4 * total))
+    alive = []
+    conds: dict = {}
+    # the last digit varies fastest, so x counts up with digits in slot order k..1
+    for x, digits in enumerate(itertools.product(range(n), repeat=k)):
+        key = frozenset(digits)
+        ok = conds.get(key)
+        if ok is None:
+            ok = conds[key] = rules.pairs_cond(frozenset(pairs[d - 1] for d in key if d))
+        if ok:
+            stages[x] = -1
+            alive.append(x)
+    back = "B" in rules.sides
+    pw = [n ** p for p in range(k)]
+    rows = total // n
+    width = na + nb if back else na
+    counts = array("i", bytes(4 * k * rows * width))
+    # the entries pair digit d answers in a row: its A-element's, then its B-element's
+    entries = [()] + [(i, na + j) if back else (i,) for i in range(na) for j in range(nb)]
 
+    def rows_of(x):
+        """``(d, step, row offset)`` per slot of x; q * step + low squeezes the slot out."""
+        q, low = x, 0
+        for p, step in enumerate(pw):
+            q, d = divmod(q, n)
+            yield d, step, (p * rows + q * step + low) * width
+            low += d * step
 
-def _solve_fixpoint(v: Verdict, cap: int):
-    """Greatest fixpoint over the placement space; death stages per placement."""
-    rules = v.rules
-    moves, responses, step = rules.moves, rules.responses, rules.step
-    placements = _enumerate_placements(v.a, v.b, v.spec.k, cap)
-    alive = {pl: rules.cond(pl) for pl in placements}
-    stage = {pl: 0 for pl in placements if not alive[pl]}
-    iteration = 0
-    changed = True
-    while changed:
-        # synchronized sweeps: every stage-s death sees only stage-<s deaths,
-        # which keeps death stages strictly decreasing along Spoiler's
-        # strategy and bounds synthesized formulas by rank = death stage
-        changed = False
-        iteration += 1
-        killed = []
-        for pl in placements:
-            if not alive[pl]:
-                continue
-            for move in moves(pl):
-                if not any(alive[step(pl, move, r)] for r in responses(pl, move)):
-                    killed.append(pl)
-                    changed = True
-                    break
-        for pl in killed:
-            alive[pl] = False
-            stage[pl] = iteration
-    v._alive = lambda key: alive[key[0]]
-    v.stage = stage
-    v.duplicator_wins = alive[frozenset()]
+    for x in alive:
+        for d, _, row in rows_of(x):
+            for e in entries[d]:
+                counts[row + e] += 1
+    layer = []
+    if width:
+        empty = [0 in counts[r:r + width] for r in range(0, len(counts), width)]
+        layer = [x for x in alive if any(empty[row // width] for _, _, row in rows_of(x))]
+    for x in layer:
+        stages[x] = 1
+    s = 1
+    while layer:
+        s += 1
+        nxt = []
+        for x in layer:
+            for d, step, row in rows_of(x):
+                for e in entries[d]:
+                    counts[row + e] -= 1
+                    if not counts[row + e]:
+                        for y in range(x - d * step, x + (n - d) * step, step):
+                            if stages[y] < 0:
+                                stages[y] = s
+                                nxt.append(y)
+        layer = nxt
+    table = _StageTable(stages, pairs, k)
+    v._alive = lambda key: table.alive(key[0])
+    v.stage = table
+    v.duplicator_wins = stages[0] < 0
 
 
 # ---------------------------------------------------------------------------

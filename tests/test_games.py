@@ -4,7 +4,10 @@ import random
 import pytest
 
 from fmgames import (GameSpec, IllegalMoveError, StructureError, Structure,
-                     Vocabulary, pairs_condition, replay, solve)
+                     Vocabulary, distinguish, pairs_condition, replay, solve)
+from fmgames.corpus import all_digraphs, clique
+from fmgames.formulas import serialize_formula
+from fmgames.games import Verdict
 from conftest import brute_force_game, kripke, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
@@ -223,3 +226,102 @@ def test_pebble_placement_cap(cliques):
     from fmgames import GameResourceError
     with pytest.raises(GameResourceError):
         solve(GameSpec("pebble", "full", 9), cliques[3], cliques[3], placement_cap=1000)
+
+
+# ---------------------------------------------------------------------------
+# Unbounded pebble game: the attractor against a plain synchronous sweep
+
+def reference_pebble(spec, a, b):
+    """Death stage of every dead frozenset placement, by re-sweeping the whole
+    placement space until nothing changes (one sweep per stage)."""
+    pairs = [(x, y) for x in a.universe for y in b.universe]
+    placements = {frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair)
+                  for combo in itertools.product([None, *pairs], repeat=spec.k)}
+    sides = ("A",) if spec.forth_only else ("A", "B")
+    moves = [(p, side, e) for p in range(1, spec.k + 1) for side in sides
+             for e in (a if side == "A" else b).universe]
+
+    def children(pl, move):
+        p, side, e = move
+        rest = frozenset(item for item in pl if item[0] != p)
+        if side == "A":
+            return [rest | {(p, (e, y))} for y in b.universe]
+        return [rest | {(p, (x, e))} for x in a.universe]
+
+    stage = {pl: 0 for pl in placements
+             if not pairs_condition({pair for _, pair in pl}, a, b, spec.iso_condition)}
+    for s in itertools.count(1):
+        killed = [pl for pl in placements if pl not in stage
+                  and any(all(c in stage for c in children(pl, m)) for m in moves)]
+        if not killed:
+            return stage
+        stage.update(dict.fromkeys(killed, s))
+
+
+def assert_matches_reference(spec, a, b):
+    v = solve(spec, a, b)
+    stage = reference_pebble(spec, a, b)
+    assert v.duplicator_wins == (frozenset() not in stage)
+    assert dict(v.stage.items()) == stage
+    if not v.duplicator_wins:
+        ref = Verdict(spec, a, b)
+        ref.stage, ref.duplicator_wins = stage, False
+        ref._alive = lambda key: key[0] not in stage
+        assert serialize_formula(distinguish(spec, a, b, v)) == \
+            serialize_formula(distinguish(spec, a, b, ref))
+    return v
+
+
+def test_pebble_attractor_matches_sweep_on_small_digraphs():
+    graphs = all_digraphs(2)
+    for a, b in itertools.product(graphs, graphs):
+        for mode in MODES:
+            for k in (1, 2, 3):
+                assert_matches_reference(GameSpec("pebble", mode, k), a, b)
+
+
+def test_pebble_attractor_matches_sweep_on_size_three_sample():
+    graphs = [g for g in all_digraphs(3) if g.size == 3]
+    rnd = random.Random(41)
+    for _ in range(30):
+        a, b = rnd.choice(graphs), rnd.choice(graphs)
+        spec = GameSpec("pebble", rnd.choice(MODES), rnd.choice((1, 2, 3)))
+        assert_matches_reference(spec, a, b)
+
+
+def test_pebble_attractor_empty_universes(edge):
+    empty = Structure.make(edge.vocab, [], {})
+    for mode in MODES:
+        for k in (1, 2):
+            spec = GameSpec("pebble", mode, k)
+            # Spoiler pebbles an element of A that has no answer in B
+            assert assert_matches_reference(spec, edge, empty).stage[frozenset()] == 1
+            assert assert_matches_reference(spec, empty, empty).duplicator_wins
+            v = assert_matches_reference(spec, empty, edge)
+            if spec.forth_only:
+                # Spoiler has no move at all
+                assert v.duplicator_wins and not v.stage
+            else:
+                assert v.stage[frozenset()] == 1
+
+
+def test_pebble_stage_table_is_a_read_only_mapping(cliques):
+    v = solve(GameSpec("pebble", "full", 2), cliques[2], cliques[3])
+    assert v.duplicator_wins and v.stage
+    stage = dict(v.stage.items())
+    assert len(v.stage) == len(stage) == len(list(v.stage.values()))
+    alive = frozenset({(1, ("c0", "c1"))})
+    dead = frozenset({(1, ("c0", "c1")), (2, ("c1", "c1"))})
+    assert alive not in v.stage and v.stage.get(alive, -1) == -1
+    assert v.stage[dead] == 0 and dead in stage
+    for bad in (frozenset({(3, ("c0", "c1"))}), frozenset({(1, ("c0", "c9"))})):
+        assert bad not in v.stage
+        with pytest.raises(KeyError):
+            v.stage[bad]
+
+
+def test_pebble_clique_calibration_at_four_pebbles():
+    assert solve(GameSpec("pebble", "full", 4), clique(4), clique(5)).duplicator_wins
+    v = solve(GameSpec("pebble", "full", 4), clique(3), clique(4))
+    assert not v.duplicator_wins
+    assert v.stage[frozenset()] >= 1
