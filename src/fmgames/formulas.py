@@ -317,12 +317,14 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
     the structure.
     """
     assignment = dict(assignment or {})
-    if is_modal(phi):
-        if not is_modal_only(phi):
+    modal, first_order, free, vocab_error = _scan(phi, a)
+    if modal:
+        if first_order:
             raise FormulaError("modal and first-order constructs mixed in one formula")
         if not a.vocab.modal_flag:
             raise FormulaError("modal formula on non-modal vocabulary")
-        _check_vocab(phi, a)
+        if vocab_error:
+            raise FormulaError(vocab_error)
         if world is None:
             if len(assignment) == 1:
                 world = next(iter(assignment.values()))
@@ -333,34 +335,58 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
         if world not in a.index:
             raise StructureError(f"world {world!r} not in universe")
         return _check_modal(phi, a, world)
-    _check_vocab(phi, a)
-    missing = free_vars(phi) - set(assignment)
+    if vocab_error:
+        raise FormulaError(vocab_error)
+    missing = free - set(assignment)
     if missing:
         raise FormulaError(f"unbound free variable x{min(missing)}")
     return _check_fo(phi, a, assignment)
 
 
-def _check_vocab(phi: Formula, a: Structure):
-    """Raise FormulaError on an atom or proposition that does not fit ``a.vocab``."""
-    stack = [phi]
+def _scan(phi: Formula, a: Structure) -> tuple:
+    """One walk over ``phi``: whether it has modal nodes, whether it has nodes
+    outside modal logic, its free variables, and the first atom or
+    proposition that does not fit ``a.vocab`` (a message, or None)."""
+    modal = first_order = False
+    free: set = set()
+    error = None
+    stack = [(phi, frozenset())]
     while stack:
-        match stack.pop():
+        f, bound = stack.pop()
+        match f:
+            case And(parts) | Or(parts):
+                stack.extend((p, bound) for p in parts)
+                continue
+            case Dia(_, body) | Box(_, body):
+                modal = True
+                stack.append((body, bound))
+                continue
+            case Exists(v, body) | Forall(v, body):
+                first_order = True
+                stack.append((body, bound | {v}))
+                continue
+            case Eq(l, r) | NegEq(l, r):
+                first_order = True
+                free.update({l, r} - bound)
+                continue
             case Atom(name, vs) | NegAtom(name, vs):
+                first_order = True
+                free.update(set(vs) - bound)
                 arity = len(vs)
             case Prop(name) | NegProp(name):
+                modal = True
                 arity = 1
-            case And(parts) | Or(parts):
-                stack.extend(parts)
-                continue
-            case Exists(_, body) | Forall(_, body) | Dia(_, body) | Box(_, body):
-                stack.append(body)
+            case TrueC() | FalseC():
                 continue
             case _:
+                first_order = True
                 continue
-        if name not in a.vocab.arities:
-            raise FormulaError(f"unknown relation {name!r}")
-        if a.vocab.arities[name] != arity:
-            raise FormulaError(f"{name} has arity {a.vocab.arities[name]}, used with {arity}")
+        if error is None:
+            if name not in a.vocab.arities:
+                error = f"unknown relation {name!r}"
+            elif a.vocab.arities[name] != arity:
+                error = f"{name} has arity {a.vocab.arities[name]}, used with {arity}"
+    return modal, first_order, free, error
 
 
 def is_modal_only(phi: Formula) -> bool:
