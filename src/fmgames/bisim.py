@@ -171,14 +171,15 @@ def _winning_plays(verdict: Verdict) -> list:
     return order if verdict.spec.family == "modal" else order[1:]
 
 
-def _build_span_coalgebra(plays: list, cofree: ForestCoalgebra, which: int, name: str
-                          ) -> ForestCoalgebra:
-    """Z1 (``which`` 0) or Z2 (``which`` 1): the plays ordered by prefix pairs,
-    a tuple of plays on one branch related when its projections to ``cofree``
-    are related there.
+def _build_spans(plays: list, x: ForestCoalgebra, y: ForestCoalgebra, names: tuple
+                 ) -> tuple[ForestCoalgebra, ForestCoalgebra]:
+    """Z1 and Z2: the plays ordered by prefix pairs, a tuple of plays on one
+    branch related when its projection to ``x`` (for Z1) or ``y`` (for Z2)
+    is related there.
 
     Tuples of comparable play pairs all lie on one branch of W, so the
-    relations are the pull back of ``cofree`` along the branches of W.
+    relations are the pull back of the cofree coalgebras along the branches
+    of W, which are built once and pulled back once per projection.
     """
     parent: dict = {}
     chains: dict = {}
@@ -189,15 +190,18 @@ def _build_span_coalgebra(plays: list, cofree: ForestCoalgebra, which: int, name
             chains[w] = chains[pw] + (w,)
         else:
             chains[w] = (w,)
-    interp = pull_back(chains.values(), lambda w: w[which], cofree.carrier)
     point = None
-    if cofree.kind == "modal":
+    if x.kind == "modal":
         roots = [w for w in plays if w not in parent]
         if len(roots) != 1:
             raise BisimVerificationError(f"modal span has {len(roots)} roots (bug sentinel)")
         point = roots[0]
-    carrier = Structure(cofree.carrier.vocab, tuple(plays), interp, point, name)
-    return ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind)
+    spans = []
+    for which, cofree, name in ((0, x, names[0]), (1, y, names[1])):
+        interp = pull_back(chains.values(), lambda w: w[which], cofree.carrier)
+        carrier = Structure(cofree.carrier.vocab, tuple(plays), interp, point, name)
+        spans.append(ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind))
+    return spans[0], spans[1]
 
 
 def _cofree_pair(a: Structure, b: Structure, family: str, k: int):
@@ -225,8 +229,7 @@ def build_positive_bisim(a: Structure, b: Structure, family: str, k: int,
         return None
     x, y = _cofree_pair(a, b, family, k)
     plays = _winning_plays(verdict)
-    z1 = _build_span_coalgebra(plays, x, 0, f"Z1({a.name},{b.name})")
-    z2 = _build_span_coalgebra(plays, y, 1, f"Z2({a.name},{b.name})")
+    z1, z2 = _build_spans(plays, x, y, (f"Z1({a.name},{b.name})", f"Z2({a.name},{b.name})"))
     h = {w: w for w in plays}
     p = {w: w[0] for w in plays}
     q = {w: w[1] for w in plays}
@@ -261,8 +264,7 @@ def build_bisim(a: Structure, b: Structure, family: str, k: int,
         return None
     x, y = _cofree_pair(a, b, family, k)
     plays = _winning_plays(verdict)
-    z1 = _build_span_coalgebra(plays, x, 0, f"Z({a.name},{b.name})")
-    z2 = _build_span_coalgebra(plays, y, 1, f"Z({a.name},{b.name})")
+    z1, z2 = _build_spans(plays, x, y, (f"Z({a.name},{b.name})",) * 2)
     if z1.carrier.interp != z2.carrier.interp:
         raise BisimVerificationError("full-game span is not symmetric (bug sentinel)")
     witness = BisimWitness(z1, {w: w[0] for w in plays}, {w: w[1] for w in plays})
