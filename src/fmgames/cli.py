@@ -325,6 +325,9 @@ def cmd_play(args) -> int:
             return 0
         if not human_spoiler:
             move = verdict.spoiler_move(history)
+            if move is None and limit is None:
+                print("Spoiler has no winning move: Duplicator wins the unbounded game")
+                return 0
             if move is None:
                 move = next(iter(verdict.legal_moves(history)), None)
             if move is None:
