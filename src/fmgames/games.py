@@ -521,7 +521,7 @@ def _solve_attractor(v: Verdict, cap: int):
     total = n ** k
     if total > cap:
         raise GameResourceError(f"pebble placement space {total} exceeds cap {cap}")
-    stages = array("i", bytes(4 * total))
+    stages = array("i", [0]) * total
     alive = []
     conds: dict = {}
     # the last digit varies fastest, so x counts up with digits in slot order k..1
@@ -533,11 +533,11 @@ def _solve_attractor(v: Verdict, cap: int):
         if ok:
             stages[x] = -1
             alive.append(x)
-    back = "B" in rules.sides
+    back = not v.spec.forth_only
     pw = [n ** p for p in range(k)]
     rows = total // n
     width = na + nb if back else na
-    counts = array("i", bytes(4 * k * rows * width))
+    counts = array("i", [0]) * (k * rows * width)
     # the entries pair digit d answers in a row: its A-element's, then its B-element's
     entries = [()] + [(i, na + j) if back else (i,) for i in range(na) for j in range(nb)]
 
