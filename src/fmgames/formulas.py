@@ -389,18 +389,6 @@ def _scan(phi: Formula, a: Structure) -> tuple:
     return modal, first_order, free, error
 
 
-def is_modal_only(phi: Formula) -> bool:
-    match phi:
-        case TrueC() | FalseC() | Prop(_) | NegProp(_):
-            return True
-        case Dia(_, body) | Box(_, body):
-            return is_modal_only(body)
-        case And(parts) | Or(parts):
-            return all(is_modal_only(p) for p in parts)
-        case _:
-            return False
-
-
 def _check_modal(phi: Formula, a: Structure, w) -> bool:
     match phi:
         case TrueC():
@@ -472,8 +460,6 @@ def standard_translation(phi: Formula, var: int = 1) -> Formula:
 
     Boxes are emitted in NNF as  A y. (!R(x,y) | tr(f)_y).
     """
-    if not is_modal_only(phi):
-        raise FormulaError("standard translation expects a purely modal formula")
 
     def tr(f: Formula, x: int) -> Formula:
         y = x + 1
@@ -492,7 +478,7 @@ def standard_translation(phi: Formula, var: int = 1) -> Formula:
                 return Exists(y, and_([Atom(rel, (x, y)), tr(body, y)]))
             case Box(rel, body):
                 return Forall(y, or_([NegAtom(rel, (x, y)), tr(body, y)]))
-        raise FormulaError(f"unexpected node {f!r}")
+        raise FormulaError("standard translation expects a purely modal formula")
 
     return tr(phi, var)
 
