@@ -394,7 +394,7 @@ class Verdict:
                 continue
             if self.stage is None:
                 return move
-            worst = max((self.stage.get(state, 0) for state, _ in children), default=0)
+            worst = max((self.stage[state] for state, _ in children), default=0)
             if best is None or worst < best_stage:
                 best, best_stage = move, worst
         return best
@@ -455,35 +455,37 @@ class _StageTable(Mapping):
 
     Placement ``{(p, pairs[d - 1]), ...}`` has id ``sum(d * n ** (p - 1))``
     with ``n = len(pairs) + 1``: digit p is 0 while pebble p is off the
-    board.  Keys are encoded on lookup and decoded on iteration.
+    board.  Keys are decoded on iteration and encoded on lookup; ids are
+    memoized per placement because strategy extraction asks for the same
+    placements again and again.
     """
 
     def __init__(self, stages: array, pairs: list, k: int):
         self._stages = stages
         self._pairs = pairs
-        self._digit = {pair: d for d, pair in enumerate(pairs, start=1)}
         self._n = n = len(pairs) + 1
-        self._pw = [n ** p for p in range(k)]
+        self._k = k
+        # what each (pebble, pair) item adds to a placement id
+        self._code = {(p, pair): d * n ** (p - 1) for p in range(1, k + 1)
+                      for d, pair in enumerate(pairs, start=1)}
         self._len = len(stages) - stages.count(-1)
+        self._ids: dict = {}
 
     def encode(self, placement) -> int:
-        x = 0
-        for p, pair in placement:
-            if not 1 <= p <= len(self._pw) or x // self._pw[p - 1] % self._n:
-                raise KeyError(placement)
-            x += self._digit[pair] * self._pw[p - 1]
+        x = self._ids.get(placement)
+        if x is None:
+            if len(dict(placement)) != len(placement):
+                raise KeyError(placement)  # two positions for one pebble
+            x = self._ids[placement] = sum(map(self._code.__getitem__, placement))
         return x
 
     def decode(self, x: int) -> frozenset:
         out = []
-        for p in range(1, len(self._pw) + 1):
+        for p in range(1, self._k + 1):
             x, d = divmod(x, self._n)
             if d:
                 out.append((p, self._pairs[d - 1]))
         return frozenset(out)
-
-    def alive(self, placement) -> bool:
-        return self._stages[self.encode(placement)] < 0
 
     def __getitem__(self, placement) -> int:
         s = self._stages[self.encode(placement)]
@@ -574,7 +576,7 @@ def _solve_attractor(v: Verdict, cap: int):
                                 nxt.append(y)
         layer = nxt
     table = _StageTable(stages, pairs, k)
-    v._alive = lambda key: table.alive(key[0])
+    v._alive = lambda key: stages[table.encode(key[0])] < 0
     v.stage = table
     v.duplicator_wins = stages[0] < 0
 
