@@ -314,6 +314,8 @@ def test_pebble_stage_table_is_a_read_only_mapping(cliques):
     dead = frozenset({(1, ("c0", "c1")), (2, ("c1", "c1"))})
     assert alive not in v.stage and v.stage.get(alive, -1) == -1
     assert v.stage[dead] == 0 and dead in stage
+    with pytest.raises(TypeError):
+        v.stage[dead] = 1
     for bad in (frozenset({(3, ("c0", "c1"))}), frozenset({(1, ("c0", "c9"))}),
                 frozenset({(1, ("c0", "c1")), (1, ("c1", "c0"))})):
         assert bad not in v.stage
