@@ -1,33 +1,60 @@
-"""Exact signature-closure oracle for fragment preservation.
+"""Preorder-refinement oracle for fragment preservation.
 
-A signature is the pair of truth tables of a formula over all total
-assignments of x_1..x_k into the two fixed structures, together with the
-free-variable set of a generating formula.  Only finitely many signatures
-exist, so closing a set of them under binary meet/join to a fixpoint
-realizes arbitrary (even infinitary) conjunction and disjunction exactly.
+Fix a layer (a quantifier rank, a modal depth, or "any number of rounds")
+and a set of points: the assignments of some variables into A and into B,
+or the worlds of A and B.  The sets of points a fragment defines there are
+closed under arbitrary conjunction and disjunction and contain the empty
+set (false) and every point (true).  By Birkhoff's representation theorem
+such a family is exactly the family of up-sets of one preorder on the
+points: x <= y iff every defined set that holds x holds y.  The preorder is
+fixed by any generating family G, and two sets per point describe it:
 
-The closure is kept in disjunctive-normal-form bases: every element of the
-lattice generated by a set G of signatures is a join of meets of members of
-G, existential quantification distributes over joins, and universal
-quantification over meets.  It therefore suffices to maintain the
-meet-closure M and (for modes with universal constructs) the join-closure
-J, feeding ``E xj m`` for m in M and ``A xj u`` for u in J to the next rank
-layer as fresh generators.  A violating sentence is a join of sentence
-meets, hence is witnessed by a single meet whose A-table is constant true
-and whose B-table is constant false; that meet has one fixed packed
-encoding, so the violation test is a set-membership check.
+    up(x)   = the AND of the generators that contain x   (the least up-set at x)
+    coup(x) = the OR of the generators that miss x        (the greatest one without x)
 
-Each signature is packed into one integer  (tableA | tableB | freeVars) so
-meets and joins are a couple of machine operations; generating formulas are
-reconstructed on demand from construction back-pointers.  For rank-layered
-runs, entries whose free-variable set is larger than the number of
-remaining quantifier layers can never reach a sentence (meets and joins
-only grow free-variable sets) and are discarded, which is what keeps the
-closure small.
+Every defined set is a union of up(x)'s and an intersection of coup(x)'s.
+Existential quantification (E, <R>) distributes over unions and universal
+quantification (A, [R]) over intersections, so the generators of the next
+layer are the literals plus E up(x) and A coup(x) along every quantifier
+edge; nothing else is needed.  A quantifier edge is an extension map:
+ext[p] is the bitmask of body points that extend p, E keeps p iff ext[p]
+meets the body, A keeps p iff ext[p] lies inside it.  Sentences live on
+the key with no free variables, and preservation fails iff B's point is
+not in up(A's point) there.  Full mode is closed under complement, so its
+preorder is an equivalence and the run is colour refinement
+(Cai-Fuerer-Immerman); the one-sided modes give the existential k-pebble
+preorder of Kolaitis-Vardi.
 
-A structure with an empty universe is handled by a one-bit table holding
-the value a sentence context would take there: literals are false,
-existential steps yield constant false and universal steps constant true.
+The three families are data for one engine:
+
+* ``ml_depth``: one key, the worlds of A then B; an edge per binary
+  relation maps a world to its successors; depth layers 0..k.
+* ``fo_rank``: a key per free-variable set S of x1..xk, its points the
+  S-assignments into A then into B; for every j an edge from S u {j} to S
+  maps an S-assignment to its extensions (j in S re-binds x_j).  A formula
+  of rank r inside a sentence of rank <= k sits under at most k - r
+  quantifiers, each binding one variable, so every free variable set it
+  can have has at most k - r members: layer r keeps only the keys with
+  |S| <= k - r.
+* ``l_vars``: every S, rounds repeated until no preorder changes.
+
+The key with S empty has one point per structure, the empty assignment,
+even when the universe is empty; there every ext is empty, so E-steps are
+false and A-steps true, which is the semantics of an empty structure
+without any special case.
+
+Witnesses are read off the generators' back-pointers by a greedy
+minimizer that carries a pair (must hold C, must miss E) down the formula.
+At a conjunction it picks generators that contain C until E is covered,
+literals first; at a disjunction it picks generators that miss E until C
+is covered.  Below E it keeps one extension in the body per point of C and
+all extensions of the points of E; below A, all extensions of C and one
+extension outside the body per point of E.  It only leaves nodes out, so
+the rank, variable count, modal depth and mode of the witness stay those
+of its layer.
+
+``cap`` bounds the points of a key and the distinct generators of a key in
+one round; exceeding it raises ``OracleResourceError``.
 """
 
 from __future__ import annotations
@@ -53,8 +80,8 @@ DEFAULT_SIGNATURE_CAP = 2 ** 20
 
 
 class OracleResourceError(RuntimeError):
-    """Signature count exceeded the configured cap; reported distinctly
-    from a verdict, never silently approximated."""
+    """A key's points or generators exceeded the configured cap; reported
+    distinctly from a verdict, never silently approximated."""
 
 
 @dataclass(frozen=True)
@@ -89,437 +116,244 @@ def _universals_allowed(mode: str) -> bool:
     return mode in ("full", "positive")
 
 
-class _FoSide:
-    """Assignment tables for one structure: one bit per total assignment."""
-
-    def __init__(self, struct: Structure, k: int):
-        self.struct = struct
-        self.k = k
-        self.empty = struct.size == 0
-        if self.empty:
-            self.width = 1
-            self.full = 1
-            self.groups = {j: [] for j in range(1, k + 1)}
-            self.assignments = []
-            return
-        self.assignments = list(itertools.product(struct.universe, repeat=k))
-        self.width = len(self.assignments)
-        self.full = (1 << self.width) - 1
-        n = struct.size
-        self.groups = {}
-        for j in range(1, k + 1):
-            stride = n ** (k - j)
-            buckets: dict = {}
-            for idx in range(self.width):
-                digit = (idx // stride) % n
-                buckets.setdefault(idx - digit * stride, 0)
-            for base in buckets:
-                mask = 0
-                for t in range(n):
-                    mask |= 1 << (base + t * stride)
-                buckets[base] = mask
-            self.groups[j] = list(buckets.values())
-
-    def literal(self, rel: str, vars_: tuple[int, ...], *, negated: bool) -> int:
-        if self.empty:
-            return 0
-        rel_set = self.struct.interp[rel]
-        mask = 0
-        for idx, alpha in enumerate(self.assignments):
-            inside = tuple(alpha[v - 1] for v in vars_) in rel_set
-            if inside != negated:
-                mask |= 1 << idx
-        return mask
-
-    def equality(self, i: int, j: int, *, negated: bool) -> int:
-        if self.empty:
-            return 0
-        mask = 0
-        for idx, alpha in enumerate(self.assignments):
-            if (alpha[i - 1] == alpha[j - 1]) != negated:
-                mask |= 1 << idx
-        return mask
-
-    def exists(self, mask: int, j: int) -> int:
-        if self.empty:
-            return 0
-        out = 0
-        for g in self.groups[j]:
-            if mask & g:
-                out |= g
-        return out
-
-    def forall(self, mask: int, j: int) -> int:
-        if self.empty:
-            return 1
-        out = 0
-        for g in self.groups[j]:
-            if mask & g == g:
-                out |= g
-        return out
+def _preorder(gens, n: int, full: int, with_co: bool):
+    """up(x) and coup(x) (None without universals) for the n points."""
+    gl = list(gens)
+    ups = []
+    cos = [] if with_co else None
+    for x in range(n):
+        bit = 1 << x
+        u = full
+        c = 0
+        for g in gl:
+            if g & bit:
+                u &= g
+            else:
+                c |= g
+        ups.append(u)
+        if with_co:
+            cos.append(c)
+    return ups, cos
 
 
-class _Basis:
-    """Insertion-ordered closure of packed signatures under meet or join.
+def _pick(pairs, points: int, inside: int) -> int:
+    """One extension inside ``inside`` for every point of ``points``."""
+    out = 0
+    for ext, dst in pairs:
+        if dst & points and not ext & inside & out:
+            m = ext & inside
+            out |= m & -m
+    return out
 
-    A packed signature is  (tableA << (widthB + k)) | (tableB << k) | fv,
-    with fv a bitmask of free variables.  For meets the table parts combine
-    by AND and the fv part by OR; joins are a plain OR.  Construction
-    back-pointers (``hows``) allow lazy formula reconstruction.
+
+def _spread(pairs, points: int) -> int:
+    """Every extension of every point of ``points``."""
+    out = 0
+    for ext, dst in pairs:
+        if dst & points:
+            out |= ext
+    return out
+
+
+class _Refinement:
+    """Keys with their points, literals and incoming quantifier edges.
+
+    ``keys[key] = (n, literals, edges)``: n points numbered A first,
+    ``literals`` a dict mask -> Formula, ``edges`` a list of
+    ``(source key, label, pairs)`` where pairs groups the points of this
+    key by extension map, ``(ext over the source's points, points)``.
+    Each round stores, per key, its generators (mask -> literal Formula or
+    ``(universal, label, source, body mask, pairs)``) and up/coup.
     """
 
-    def __init__(self, meet: bool, k: int, hi_mask: int, cap: int):
-        self.meet = meet
-        self.k = k
-        self.fv_mask = (1 << k) - 1
-        self.hi_mask = hi_mask << k
+    def __init__(self, quantifiers, mode: str, cap: int, root: tuple[int, int, int]):
+        self.exists, self.forall = quantifiers
+        self.universals = _universals_allowed(mode)
         self.cap = cap
-        self.keys: list[int] = []
-        self.hows: list = []
-        self.index: dict[int, int] = {}
-        self.fv_limit: Optional[int] = None
-        self._popcnt = [bin(m).count("1") for m in range(1 << k)]
+        self.root = root   # (key, A's point, B's point) of the sentences
+        self.keys: dict = {}
+        self.rounds: list = []
 
-    def add(self, packed: int, how) -> int:
-        """Insert if new; returns the entry index or -1 when not inserted."""
-        pos = self.index.get(packed)
-        if pos is not None:
-            return -1
-        if self.fv_limit is not None and self._popcnt[packed & self.fv_mask] > self.fv_limit:
-            return -1
-        if len(self.keys) >= self.cap:
-            raise OracleResourceError(f"signature cap {self.cap} exceeded")
-        pos = len(self.keys)
-        self.index[packed] = pos
-        self.keys.append(packed)
-        self.hows.append(how)
-        return pos
+    def round(self, keys) -> None:
+        prev = self.rounds[-1] if self.rounds else None
+        cur = {}
+        for key in keys:
+            n, literals, edges = self.keys[key]
+            gens = dict(literals)
+            for src, label, pairs in (edges if prev else ()):
+                ups, cos = prev[src][1:]
+                for body in dict.fromkeys(ups):
+                    m = 0
+                    for ext, dst in pairs:
+                        if ext & body:
+                            m |= dst
+                    gens.setdefault(m, (False, label, src, body, pairs))
+                for body in dict.fromkeys(cos or ()):
+                    m = 0
+                    for ext, dst in pairs:
+                        if ext & body == ext:
+                            m |= dst
+                    gens.setdefault(m, (True, label, src, body, pairs))
+            if len(gens) > self.cap:
+                raise OracleResourceError(f"signature cap {self.cap} exceeded")
+            cur[key] = (gens, *_preorder(gens, n, (1 << n) - 1, self.universals))
+        self.rounds.append(cur)
 
-    def close(self, start: int):
-        keys = self.keys
-        hows = self.hows
-        index = self.index
-        fv_mask = self.fv_mask
-        hi_mask = self.hi_mask
-        cap = self.cap
-        limit = self.fv_limit
-        popcnt = self._popcnt
-        meet = self.meet
-        tag = "and" if meet else "or"
-        i = start
-        while i < len(keys):
-            x = keys[i]
-            for j in range(i):
-                y = keys[j]
-                if meet:
-                    z = (x & y & hi_mask) | ((x | y) & fv_mask)
-                else:
-                    z = x | y
-                if z in index:
-                    continue
-                if limit is not None and popcnt[z & fv_mask] > limit:
-                    continue
-                if len(keys) >= cap:
-                    raise OracleResourceError(f"signature cap {cap} exceeded")
-                index[z] = len(keys)
-                keys.append(z)
-                hows.append((tag, i, j))
-            i += 1
+    def witness(self) -> Optional[Formula]:
+        """A sentence of the last round true in A and false in B, if any."""
+        key, pa, pb = self.root
+        if self.rounds[-1][key][1][pa] >> pb & 1:
+            return None
+        return self._explain(len(self.rounds) - 1, key, True, 1 << pa, 1 << pb)
 
+    def _explain(self, r: int, key, conj: bool, must: int, avoid: int) -> Formula:
+        gens = self.rounds[r][key][0]
+        if conj:
+            cands = [(g, how) for g, how in gens.items() if g & must == must and avoid & ~g]
+            need = avoid
+        else:
+            cands = [(g, how) for g, how in gens.items() if g & must and not g & avoid]
+            need = must
 
-class _FoOracle:
-    """Shared engine for the rank-layered and variable-fixpoint closures."""
+        def hits(g: int) -> int:
+            return need & ~g if conj else need & g
 
-    def __init__(self, a: Structure, b: Structure, k: int, mode: str, cap: int):
-        self.mode = mode
-        self.k = k
-        self.side_a = _FoSide(a, k)
-        self.side_b = _FoSide(b, k)
-        self.shift_b = k
-        self.shift_a = k + self.side_b.width
-        hi_mask = (self.side_a.full << self.side_b.width) | self.side_b.full
-        self.meets = _Basis(True, k, hi_mask, cap)
-        self.joins = _Basis(False, k, hi_mask, cap) if _universals_allowed(mode) else None
-        #: the unique packed value of a violating sentence signature
-        self.violation_key = self.side_a.full << self.shift_a
-        self.violation: Optional[int] = None  # index into meets
-        self._literals(a)
+        parts = []
+        while need:
+            g, how = max(cands, key=lambda c: (hits(c[0]) != 0 and isinstance(c[1], Formula),
+                                               hits(c[0]).bit_count()))
+            hit = hits(g)
+            if not hit:
+                raise RuntimeError("internal error: oracle generators do not cover")
+            need &= ~hit
+            if isinstance(how, Formula):
+                parts.append(how)
+                continue
+            universal, label, src, body, pairs = how
+            sub_must, sub_avoid = (must, hit) if conj else (hit, avoid)
+            if universal:
+                part = self.forall(label, self._explain(
+                    r - 1, src, False, _spread(pairs, sub_must), _pick(pairs, sub_avoid, ~body)))
+            else:
+                part = self.exists(label, self._explain(
+                    r - 1, src, True, _pick(pairs, sub_must, body), _spread(pairs, sub_avoid)))
+            parts.append(part)
+        return and_(parts) if conj else or_(parts)
 
-    def _pack(self, ma: int, mb: int, fv: int) -> int:
-        return (ma << self.shift_a) | (mb << self.shift_b) | fv
+    def profile(self, k: int, keys_of) -> list[OracleResult]:
+        """Rounds 0..k; a violation, once found, holds for every later layer."""
+        for r in range(k + 1):
+            self.round(keys_of(r))
+            phi = self.witness()
+            if phi is not None:
+                return [OracleResult(True)] * r + [OracleResult(False, phi)] * (k + 1 - r)
+        return [OracleResult(True)] * (k + 1)
 
-    def _gen(self, ma: int, mb: int, fv: int, how) -> bool:
-        packed = self._pack(ma, mb, fv)
-        pos = self.meets.add(packed, how)
-        if self.joins is not None:
-            self.joins.add(packed, how)
-        if pos >= 0 and packed == self.violation_key and self.violation is None:
-            self.violation = pos
-        return pos >= 0
-
-    def _literals(self, a: Structure):
-        k, sa, sb = self.k, self.side_a, self.side_b
-        self._gen(sa.full, sb.full, 0, ("lit", TRUE))
-        self._gen(0, 0, 0, ("lit", FALSE))
-        for rel, arity in a.vocab.relations:
-            for vars_ in itertools.product(range(1, k + 1), repeat=arity):
-                fv = 0
-                for v in vars_:
-                    fv |= 1 << (v - 1)
-                self._gen(sa.literal(rel, vars_, negated=False),
-                          sb.literal(rel, vars_, negated=False),
-                          fv, ("lit", Atom(rel, vars_)))
-                if _negations_allowed(self.mode):
-                    self._gen(sa.literal(rel, vars_, negated=True),
-                              sb.literal(rel, vars_, negated=True),
-                              fv, ("lit", NegAtom(rel, vars_)))
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                fv = (1 << (i - 1)) | (1 << (j - 1))
-                self._gen(sa.equality(i, j, negated=False),
-                          sb.equality(i, j, negated=False), fv, ("lit", Eq(i, j)))
-                if _negations_allowed(self.mode):
-                    self._gen(sa.equality(i, j, negated=True),
-                              sb.equality(i, j, negated=True), fv, ("lit", NegEq(i, j)))
-
-    def _unpack(self, packed: int) -> tuple[int, int, int]:
-        return (packed >> self.shift_a,
-                (packed >> self.shift_b) & self.side_b.full,
-                packed & self.meets.fv_mask)
-
-    def _quantifier_gens(self, budget: Optional[int]) -> list:
-        out = []
-        sa, sb = self.side_a, self.side_b
-        for idx in range(len(self.meets.keys)):
-            ma, mb, fv = self._unpack(self.meets.keys[idx])
-            for j in range(1, self.k + 1):
-                nfv = fv & ~(1 << (j - 1))
-                if budget is not None and bin(nfv).count("1") > budget:
-                    continue
-                out.append((sa.exists(ma, j), sb.exists(mb, j), nfv, ("E", j, "M", idx)))
-        if self.joins is not None:
-            for idx in range(len(self.joins.keys)):
-                ma, mb, fv = self._unpack(self.joins.keys[idx])
-                for j in range(1, self.k + 1):
-                    nfv = fv & ~(1 << (j - 1))
-                    if budget is not None and bin(nfv).count("1") > budget:
-                        continue
-                    out.append((sa.forall(ma, j), sb.forall(mb, j), nfv, ("A", j, "J", idx)))
-        return out
-
-    def _set_limits(self, limit: Optional[int]):
-        self.meets.fv_limit = limit
-        if self.joins is not None:
-            self.joins.fv_limit = limit
-
-    def _close_all(self, m_mark: int, j_mark: int):
-        self.meets.close(m_mark)
-        if self.joins is not None:
-            self.joins.close(j_mark)
-        if self.violation is None:
-            self.violation = self.meets.index.get(self.violation_key)
-
-    def run_rank_layers(self) -> list[Optional[Formula]]:
-        """Close layer by layer; entry i of the result is a violating
-        sentence of rank <= i when one exists, else None."""
-        per_layer: list[Optional[Formula]] = []
-        m_mark = j_mark = 0
-        for layer in range(self.k + 1):
-            self._set_limits(self.k - layer)
-            if layer > 0:
-                gens = self._quantifier_gens(self.k - layer)
-                m_mark = len(self.meets.keys)
-                j_mark = len(self.joins.keys) if self.joins is not None else 0
-                for ma, mb, fv, how in gens:
-                    self._gen(ma, mb, fv, how)
-            self._close_all(m_mark, j_mark)
-            per_layer.append(self.witness_formula())
-        return per_layer
-
-    def run_variable_fixpoint(self) -> Optional[Formula]:
-        """Iterate quantification and closure to a fixpoint (no rank bound)."""
-        self._set_limits(None)
-        m_mark = j_mark = 0
+    def fixpoint(self) -> OracleResult:
+        """Rounds over every key until a violation or no preorder changes."""
         while True:
-            self._close_all(m_mark, j_mark)
-            if self.violation is not None:
-                # monotone: once a violating sentence exists it stays
-                return self.witness_formula()
-            gens = self._quantifier_gens(None)
-            m_mark = len(self.meets.keys)
-            j_mark = len(self.joins.keys) if self.joins is not None else 0
-            added = False
-            for ma, mb, fv, how in gens:
-                added |= self._gen(ma, mb, fv, how)
-            if not added:
-                return None
-
-    def realize(self, basis_tag: str, idx: int, memo: dict) -> Formula:
-        key = (basis_tag, idx)
-        if key in memo:
-            return memo[key]
-        basis = self.meets if basis_tag == "M" else self.joins
-        how = basis.hows[idx]
-        if how[0] == "lit":
-            out = how[1]
-        elif how[0] == "and":
-            out = and_([self.realize(basis_tag, how[1], memo),
-                        self.realize(basis_tag, how[2], memo)])
-        elif how[0] == "or":
-            out = or_([self.realize(basis_tag, how[1], memo),
-                       self.realize(basis_tag, how[2], memo)])
-        elif how[0] == "E":
-            out = Exists(how[1], self.realize(how[2], how[3], memo))
-        else:
-            out = Forall(how[1], self.realize(how[2], how[3], memo))
-        memo[key] = out
-        return out
-
-    def witness_formula(self) -> Optional[Formula]:
-        if self.violation is None:
-            return None
-        return self.realize("M", self.violation, {})
+            self.round(self.keys)
+            phi = self.witness()
+            if phi is not None:
+                return OracleResult(False, phi)
+            if len(self.rounds) > 1 and all(
+                    self.rounds[-1][key][1] == self.rounds[-2][key][1] for key in self.keys):
+                return OracleResult(True)
 
 
-class _ModalOracle:
-    """Depth-layered closure over world tables; diamonds from the meet
-    basis, boxes from the join basis, no free variables to track."""
+def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
+    """Keys are the bitmasks S of free variables x1..xk.  Literals and edges
+    are built from coordinate masks: the points with element e at position p."""
+    eng = _Refinement((Exists, Forall), mode, cap, (0, 0, 1))
+    negations = _negations_allowed(mode)
+    layout = {}
+    for s in range(1 << k):
+        vs = tuple(v for v in range(1, k + 1) if s >> (v - 1) & 1)
+        n_a = a.size ** len(vs)
+        if n_a + b.size ** len(vs) > cap:
+            raise OracleResourceError(f"signature cap {cap} exceeded")
+        sides = []
+        for st, shift in ((a, 0), (b, n_a)):
+            tuples = list(itertools.product(st.universe, repeat=len(vs)))
+            coord = [dict.fromkeys(st.universe, 0) for _ in vs]
+            for i, t in enumerate(tuples):
+                for c, e in zip(coord, t):
+                    c[e] |= 1 << (i + shift)
+            sides.append((st, tuples, shift, ((1 << len(tuples)) - 1) << shift, coord))
+        layout[s] = ({v: i for i, v in enumerate(vs)}, sides)
+    for s, (pos, sides) in layout.items():
+        full = sides[0][3] | sides[1][3]
+        literals = {full: TRUE}
+        literals.setdefault(0, FALSE)
 
-    def __init__(self, a: Structure, b: Structure, k: int, mode: str, cap: int):
-        self.a, self.b, self.k, self.mode = a, b, k, mode
-        self.width_b = b.size
-        hi_mask = (((1 << a.size) - 1) << b.size) | ((1 << b.size) - 1)
-        self.meets = _Basis(True, 0, hi_mask, cap)
-        self.joins = _Basis(False, 0, hi_mask, cap) if _universals_allowed(mode) else None
-        self.full_a = (1 << a.size) - 1
-        self.full_b = (1 << b.size) - 1
-        self.point_bit_a = 1 << (a.index[a.point] + b.size)
-        self.point_bit_b = 1 << b.index[b.point]
-        self.succ_a = self._succ_masks(a)
-        self.succ_b = self._succ_masks(b)
-        self.violation: Optional[int] = None
-        self._literals()
+        def add(mask, positive, negative):
+            literals.setdefault(mask, positive)
+            if negations:
+                literals.setdefault(full & ~mask, negative)
 
-    @staticmethod
-    def _succ_masks(s: Structure) -> dict:
-        out = {}
-        for rel in s.vocab.binary:
-            masks = [0] * s.size
-            for x, y in s.interp[rel]:
-                masks[s.index[x]] |= 1 << s.index[y]
-            out[rel] = masks
-        return out
+        for rel, arity in a.vocab.relations:
+            for vars_ in itertools.product(pos, repeat=arity):
+                mask = 0
+                for st, _, _, side_full, coord in sides:
+                    for t in st.interp[rel]:
+                        m = side_full
+                        for v, e in zip(vars_, t):
+                            m &= coord[pos[v]][e]
+                        mask |= m
+                add(mask, Atom(rel, vars_), NegAtom(rel, vars_))
+        for i, j in itertools.combinations(pos, 2):
+            mask = 0
+            for st, _, _, _, coord in sides:
+                for e in st.universe:
+                    mask |= coord[pos[i]][e] & coord[pos[j]][e]
+            add(mask, Eq(i, j), NegEq(i, j))
+        edges = []
+        for j in range(1, k + 1):
+            src = s | 1 << (j - 1)
+            src_pos, src_sides = layout[src]
+            common = [(pos[v], src_pos[v]) for v in pos if v != j]
+            group: dict = {}
+            for (_, tuples, shift, _, _), (_, _, _, ext_full, ext_coord) in zip(sides, src_sides):
+                for i, t in enumerate(tuples):
+                    ext = ext_full
+                    for p, q in common:
+                        ext &= ext_coord[q][t[p]]
+                    group[ext] = group.get(ext, 0) | 1 << (i + shift)
+            edges.append((src, j, list(group.items())))
+        eng.keys[s] = (full.bit_length(), literals, edges)
+    return eng
 
-    @staticmethod
-    def _prop_mask(s: Structure, rel: str) -> int:
-        mask = 0
-        for (x,) in s.interp[rel]:
-            mask |= 1 << s.index[x]
-        return mask
 
-    def _gen(self, ma: int, mb: int, how) -> bool:
-        packed = (ma << self.width_b) | mb
-        pos = self.meets.add(packed, how)
-        if self.joins is not None:
-            self.joins.add(packed, how)
-        return pos >= 0
+def _modal_engine(a: Structure, b: Structure, mode: str, cap: int) -> _Refinement:
+    """One key: the worlds of A, then of B."""
+    offset = a.size
+    full = (1 << (a.size + b.size)) - 1
+    eng = _Refinement((Dia, Box), mode, cap,
+                      (0, a.index[a.point], offset + b.index[b.point]))
 
-    def _literals(self):
-        self._gen(self.full_a, self.full_b, ("lit", TRUE))
-        self._gen(0, 0, ("lit", FALSE))
-        for rel in self.a.vocab.unary:
-            pa, pb = self._prop_mask(self.a, rel), self._prop_mask(self.b, rel)
-            self._gen(pa, pb, ("lit", Prop(rel)))
-            if _negations_allowed(self.mode):
-                self._gen(self.full_a & ~pa, self.full_b & ~pb, ("lit", NegProp(rel)))
-
-    def _dia(self, succ, size, mask):
+    def mask(s: Structure, shift: int, tuples) -> int:
         out = 0
-        for w in range(size):
-            if succ[w] & mask:
-                out |= 1 << w
+        for t in tuples:
+            out |= 1 << (s.index[t[-1]] + shift)
         return out
 
-    def _box(self, succ, size, mask):
-        out = 0
-        for w in range(size):
-            if succ[w] & ~mask == 0:
-                out |= 1 << w
-        return out
-
-    def _scan_violation(self, start: int) -> Optional[int]:
-        if self.violation is not None:
-            return self.violation
-        pa, pb = self.point_bit_a, self.point_bit_b
-        for idx in range(start, len(self.meets.keys)):
-            key = self.meets.keys[idx]
-            if key & pa and not key & pb:
-                self.violation = idx
-                return idx
-        return None
-
-    def run_depth_layers(self) -> list[Optional[Formula]]:
-        per_layer: list[Optional[Formula]] = []
-        m_mark = j_mark = v_mark = 0
-        for layer in range(self.k + 1):
-            if layer > 0:
-                gens = []
-                for rel in self.a.vocab.binary:
-                    sa, sb = self.succ_a[rel], self.succ_b[rel]
-                    for idx in range(len(self.meets.keys)):
-                        key = self.meets.keys[idx]
-                        ma, mb = key >> self.width_b, key & self.full_b
-                        gens.append((self._dia(sa, self.a.size, ma),
-                                     self._dia(sb, self.b.size, mb),
-                                     ("dia", rel, "M", idx)))
-                    if self.joins is not None:
-                        for idx in range(len(self.joins.keys)):
-                            key = self.joins.keys[idx]
-                            ma, mb = key >> self.width_b, key & self.full_b
-                            gens.append((self._box(sa, self.a.size, ma),
-                                         self._box(sb, self.b.size, mb),
-                                         ("box", rel, "J", idx)))
-                m_mark = len(self.meets.keys)
-                j_mark = len(self.joins.keys) if self.joins is not None else 0
-                for ma, mb, how in gens:
-                    self._gen(ma, mb, how)
-            self.meets.close(m_mark)
-            if self.joins is not None:
-                self.joins.close(j_mark)
-            self._scan_violation(v_mark)
-            v_mark = len(self.meets.keys)
-            per_layer.append(self.witness_formula())
-        return per_layer
-
-    def realize(self, basis_tag: str, idx: int, memo: dict) -> Formula:
-        key = (basis_tag, idx)
-        if key in memo:
-            return memo[key]
-        basis = self.meets if basis_tag == "M" else self.joins
-        how = basis.hows[idx]
-        if how[0] == "lit":
-            out = how[1]
-        elif how[0] == "and":
-            out = and_([self.realize(basis_tag, how[1], memo),
-                        self.realize(basis_tag, how[2], memo)])
-        elif how[0] == "or":
-            out = or_([self.realize(basis_tag, how[1], memo),
-                       self.realize(basis_tag, how[2], memo)])
-        elif how[0] == "dia":
-            out = Dia(how[1], self.realize(how[2], how[3], memo))
-        else:
-            out = Box(how[1], self.realize(how[2], how[3], memo))
-        memo[key] = out
-        return out
-
-    def witness_formula(self) -> Optional[Formula]:
-        if self.violation is None:
-            return None
-        return self.realize("M", self.violation, {})
-
-
-def _fresh_result(witness: Optional[Formula]) -> OracleResult:
-    return OracleResult(witness is None, witness)
+    literals = {full: TRUE}
+    literals.setdefault(0, FALSE)
+    for rel in a.vocab.unary:
+        m = mask(a, 0, a.interp[rel]) | mask(b, offset, b.interp[rel])
+        literals.setdefault(m, Prop(rel))
+        if _negations_allowed(mode):
+            literals.setdefault(full & ~m, NegProp(rel))
+    edges = []
+    for rel in a.vocab.binary:
+        group: dict = {}
+        for s, shift in ((a, 0), (b, offset)):
+            for x in s.universe:
+                ext = mask(s, shift, [t for t in s.interp[rel] if t[0] == x])
+                group[ext] = group.get(ext, 0) | 1 << (s.index[x] + shift)
+        edges.append((0, rel, list(group.items())))
+    eng.keys[0] = (a.size + b.size, literals, edges)
+    return eng
 
 
 def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
@@ -527,8 +361,8 @@ def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
     """Preservation verdicts for every rank 0..k in a single layered run."""
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
-    engine = _FoOracle(a, b, k, canonical_mode(mode), cap)
-    return [_fresh_result(w) for w in engine.run_rank_layers()]
+    eng = _fo_engine(a, b, k, canonical_mode(mode), cap)
+    return eng.profile(k, lambda r: [s for s in eng.keys if s.bit_count() <= k - r])
 
 
 def ml_depth_profile(a: Structure, b: Structure, k: int, mode: str,
@@ -539,17 +373,18 @@ def ml_depth_profile(a: Structure, b: Structure, k: int, mode: str,
         raise StructureError("modal fragment needs a modal vocabulary")
     if a.point is None or b.point is None:
         raise StructureError("modal fragment needs pointed structures")
-    engine = _ModalOracle(a, b, k, canonical_mode(mode), cap)
-    return [_fresh_result(w) for w in engine.run_depth_layers()]
+    eng = _modal_engine(a, b, canonical_mode(mode), cap)
+    return eng.profile(k, lambda r: (0,))
 
 
 def oracle_preserves(frag: FragmentSpec, a: Structure, b: Structure,
                      cap: int = DEFAULT_SIGNATURE_CAP) -> OracleResult:
     """Decide whether every sentence of the fragment true in a is true in b.
 
-    The witness, when preservation fails, realizes the first violating
-    sentence signature; soundness (true in a, false in b, in-fragment,
-    within bounds) is part of the contract and exercised by the test suite.
+    The witness, when preservation fails, is a sentence of the fragment
+    true in a and false in b; soundness (true in a, false in b,
+    in-fragment, within bounds) is part of the contract and exercised by
+    the test suite.
     """
     if frag.family == "fo_rank":
         return fo_rank_profile(a, b, frag.k, frag.mode, cap)[frag.k]
@@ -557,5 +392,4 @@ def oracle_preserves(frag: FragmentSpec, a: Structure, b: Structure,
         return ml_depth_profile(a, b, frag.k, frag.mode, cap)[frag.k]
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
-    engine = _FoOracle(a, b, frag.k, frag.mode, cap)
-    return _fresh_result(engine.run_variable_fixpoint())
+    return _fo_engine(a, b, frag.k, frag.mode, cap).fixpoint()

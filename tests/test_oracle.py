@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from fmgames import (FragmentSpec, OracleResourceError, Structure, StructureError,
                      classify, model_check, oracle_preserves)
-from fmgames.oracle import fo_rank_profile
+from fmgames.corpus import (all_digraphs, all_pointed_kripke, clique, edge_structure,
+                            linear_order, loop_structure)
+from fmgames.formulas import serialize_formula
+from fmgames.oracle import fo_rank_profile, ml_depth_profile
 
 from conftest import kripke, small_structures
 
@@ -79,6 +83,15 @@ def test_transitivity_sampled():
                 assert oracle_preserves(frag, a, c).preserved
 
 
+def _sound(res, a, b, mode):
+    """The classification of a witness true in a and false in b, in mode."""
+    assert model_check(res.witness, a)
+    assert not model_check(res.witness, b)
+    c = classify(res.witness)
+    assert c.in_mode[mode]
+    return c
+
+
 def test_witness_soundness_sweep():
     pool = small_structures(2)
     rnd = random.Random(31)
@@ -86,13 +99,19 @@ def test_witness_soundness_sweep():
         a, b = rnd.choice(pool), rnd.choice(pool)
         for mode in MODES:
             for k, res in enumerate(fo_rank_profile(a, b, 2, mode)):
-                if res.witness is None:
-                    continue
-                assert model_check(res.witness, a)
-                assert not model_check(res.witness, b)
-                c = classify(res.witness)
-                assert c.rank <= k
-                assert c.in_mode[mode]
+                if res.witness is not None:
+                    assert _sound(res, a, b, mode).rank <= k
+            for k in (1, 2):
+                res = oracle_preserves(FragmentSpec("l_vars", k, mode), a, b)
+                if res.witness is not None:
+                    assert _sound(res, a, b, mode).var_count <= k
+    models = all_pointed_kripke(2)
+    for _ in range(200):
+        a, b = rnd.choice(models), rnd.choice(models)
+        for mode in MODES:
+            for depth, res in enumerate(ml_depth_profile(a, b, 3, mode)):
+                if res.witness is not None:
+                    assert _sound(res, a, b, mode).modal_depth <= depth
 
 
 def test_lvars_witness_uses_k_variables(cliques):
@@ -101,6 +120,24 @@ def test_lvars_witness_uses_k_variables(cliques):
     c = classify(res.witness)
     assert c.var_count <= 3
     assert model_check(res.witness, cliques[2]) and not model_check(res.witness, cliques[3])
+
+
+@pytest.mark.parametrize("family, k, mode, a, b, chars", [
+    ("l_vars", 3, "full", "K2", "K3", 41),
+    ("l_vars", 3, "positive", "K2", "K3", 33),
+    ("l_vars", 2, "full", "L3", "L2", 39),
+    ("l_vars", 2, "existential", "L3", "L2", 39),
+    ("l_vars", 2, "full", "loop", "edge", 14),
+    ("fo_rank", 3, "full", "L3", "L4", 57),
+])
+def test_witness_size_regression(family, k, mode, a, b, chars):
+    # chars: the length the signature-closure oracle printed for this case
+    named = {"K2": clique(2), "K3": clique(3), "L2": linear_order(2), "L3": linear_order(3),
+             "L4": linear_order(4), "loop": loop_structure(), "edge": edge_structure()}
+    a, b = named[a], named[b]
+    res = oracle_preserves(FragmentSpec(family, k, mode), a, b)
+    _sound(res, a, b, mode)
+    assert len(serialize_formula(res.witness)) <= 3 * chars
 
 
 def test_lvars_clique_thresholds(cliques):
@@ -146,21 +183,170 @@ def test_resource_cap_is_an_error_not_a_verdict(cliques):
         oracle_preserves(FragmentSpec("fo_rank", 2, "full"), cliques[3], cliques[3], cap=5)
 
 
-def test_signature_tables_depend_only_on_free_vars(edge, loop):
-    # perturbing a non-free coordinate of an assignment never flips the bit
-    from fmgames.oracle import _FoOracle
+# ---------------------------------------------------------------------------
+# The refinement engine against the signature closure it replaced
+
+def _reference_closure(base, gens, op, limit):
+    """Close base | gens under op, dropping results with more than limit
+    free variables (the old meet/join bases; entries are (tableA, tableB, fv))."""
+    out = set(base)
+    frontier = [g for g in gens if g not in out]
+    out.update(frontier)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(out):
+                z = op(x, y)
+                if z not in out and (limit is None or bin(z[2]).count("1") <= limit):
+                    out.add(z)
+                    new.append(z)
+        frontier = new
+    return out
+
+
+def _meet(x, y):
+    return (x[0] & y[0], x[1] & y[1], x[2] | y[2])
+
+
+def _join(x, y):
+    return (x[0] | y[0], x[1] | y[1], x[2] | y[2])
+
+
+def _reference_run(literals, quantify, violated, universals, layers):
+    """Verdicts per layer 0..layers (layers=None: at the fixpoint only).
+
+    Each layer closes the literals and the previous layer's quantified
+    meets (and joins) under meet and join, keeping earlier entries."""
+    meets, joins, gens = set(), set(), literals
+    verdicts = []
+    layer = 0
+    while True:
+        limit = None if layers is None else layers - layer
+        keep = [g for g in gens if limit is None or bin(g[2]).count("1") <= limit]
+        grew = any(g not in meets or (universals and g not in joins) for g in keep)
+        meets = _reference_closure(meets, keep, _meet, limit)
+        if universals:
+            joins = _reference_closure(joins, keep, _join, limit)
+        if layers is None:
+            if violated(meets):
+                return False
+            if layer and not grew:
+                return True
+        else:
+            verdicts.append(not violated(meets))
+            if layer == layers:
+                return verdicts
+        gens = quantify(meets, joins)
+        layer += 1
+
+
+def reference_fo(a, b, k, mode, layered):
+    """The signature closure over total assignments of x1..xk; an empty
+    structure gets a one-bit table (literals and E false, A true)."""
+    tables = []
+    for s in (a, b):
+        alphas = list(itertools.product(s.universe, repeat=k))
+        full = (1 << len(alphas)) - 1 if s.size else 1
+
+        def table(pred, s=s, alphas=alphas):
+            return sum(1 << i for i, al in enumerate(alphas) if pred(s, al))
+
+        def quant(mask, j, universal, s=s, alphas=alphas, full=full):
+            if not s.size:
+                return int(universal)
+            out = 0
+            for i, al in enumerate(alphas):
+                group = [al[:j - 1] + (e,) + al[j:] for e in s.universe]
+                bits = [mask >> alphas.index(g) & 1 for g in group]
+                out |= (all(bits) if universal else any(bits)) << i
+            return out
+        tables.append((full, table, quant))
+    neg = mode in ("full", "existential")
+    literals = {(tables[0][0], tables[1][0], 0), (0, 0, 0)}
+
+    def lit(pred, fv):
+        pos = (tables[0][1](pred), tables[1][1](pred), fv)
+        literals.add(pos)
+        if neg:
+            literals.add((tables[0][1](lambda s, al: not pred(s, al)),
+                          tables[1][1](lambda s, al: not pred(s, al)), fv))
+
+    for rel, arity in a.vocab.relations:
+        for vs in itertools.product(range(1, k + 1), repeat=arity):
+            lit(lambda s, al, rel=rel, vs=vs: tuple(al[v - 1] for v in vs) in s.interp[rel],
+                sum(1 << (v - 1) for v in set(vs)))
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        lit(lambda s, al, i=i, j=j: al[i - 1] == al[j - 1], (1 << (i - 1)) | (1 << (j - 1)))
+
+    def quantify(meets, joins):
+        out = set()
+        for base, universal in ((meets, False), (joins, True)):
+            for ma, mb, fv in base:
+                for j in range(1, k + 1):
+                    out.add((tables[0][2](ma, j, universal), tables[1][2](mb, j, universal),
+                             fv & ~(1 << (j - 1))))
+        return out
+
+    violation = (tables[0][0], 0, 0)
+    return _reference_run(literals, quantify, lambda meets: violation in meets,
+                          mode in ("full", "positive"), k if layered else None)
+
+
+def reference_ml(a, b, k, mode):
+    """The signature closure over the worlds of A and B, per depth 0..k."""
+    def worlds(pred):
+        return tuple(sum(1 << s.index[w] for w in s.universe if pred(s, w)) for s in (a, b))
+
+    literals = {worlds(lambda s, w: True) + (0,), (0, 0, 0)}
+    for p in a.vocab.unary:
+        literals.add(worlds(lambda s, w: (w,) in s.interp[p]) + (0,))
+        if mode in ("full", "existential"):
+            literals.add(worlds(lambda s, w: (w,) not in s.interp[p]) + (0,))
+
+    def quantify(meets, joins):
+        out = set()
+        for base, universal in ((meets, False), (joins, True)):
+            for ma, mb, _ in base:
+                for rel in a.vocab.binary:
+                    out.add(worlds(lambda s, w: (all if universal else any)(
+                        (ma if s is a else mb) >> s.index[v] & 1
+                        for v in s.successors(rel, w))) + (0,))
+        return out
+
+    pa, pb = 1 << a.index[a.point], 1 << b.index[b.point]
+    return _reference_run(literals, quantify,
+                          lambda meets: any(m[0] & pa and not m[1] & pb for m in meets),
+                          mode in ("full", "positive"), k)
+
+
+def _agrees_with_reference_fo(a, b, k_lv=(1, 2)):
     for mode in MODES:
-        eng = _FoOracle(edge, loop, 2, mode, 2 ** 20)
-        eng.run_rank_layers()
-        side = eng.side_a
-        for packed in eng.meets.keys:
-            ma, _, fv = eng._unpack(packed)
-            for j in (1, 2):
-                if fv >> (j - 1) & 1:
-                    continue
-                for group in side.groups[j]:
-                    bits = ma & group
-                    assert bits == 0 or bits == group, (mode, packed, j)
+        assert [r.preserved for r in fo_rank_profile(a, b, 2, mode)] == \
+            reference_fo(a, b, 2, mode, layered=True), (a, b, mode)
+        for k in k_lv:
+            assert oracle_preserves(FragmentSpec("l_vars", k, mode), a, b).preserved == \
+                reference_fo(a, b, k, mode, layered=False), (a, b, mode, k)
+
+
+def test_fo_families_match_reference_closure():
+    pool = all_digraphs(2)
+    for a, b in itertools.product(pool, repeat=2):
+        _agrees_with_reference_fo(a, b)
+
+
+def test_ml_depth_matches_reference_closure():
+    pool = all_pointed_kripke(2)
+    for a, b in itertools.product(pool, repeat=2):
+        for mode in MODES:
+            assert [r.preserved for r in ml_depth_profile(a, b, 3, mode)] == \
+                reference_ml(a, b, 3, mode), (a, b, mode)
+
+
+def test_size3_sample_matches_reference_closure():
+    pool = all_digraphs(3)
+    rnd = random.Random(41)
+    for _ in range(30):
+        _agrees_with_reference_fo(rnd.choice(pool), rnd.choice(pool), k_lv=(1,))
 
 
 def test_lvars_variable_monotonicity():
