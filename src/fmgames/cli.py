@@ -79,7 +79,7 @@ def _game_direction(args, a: Structure, b: Structure) -> dict:
     spec = _spec_from_args(args)
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
-    if verdict.stage:
+    if verdict.stage and args.format == "json":
         out["stageTable"] = {repr(sorted(pl)): s for pl, s in sorted(
             verdict.stage.items(), key=lambda kv: repr(sorted(kv[0])))}
     if not verdict.duplicator_wins:
@@ -95,6 +95,9 @@ def _assert_witness(phi, spec: GameSpec, a: Structure, b: Structure):
 
 
 def _oracle_direction(args, a: Structure, b: Structure) -> dict:
+    if args.family == "pebble" and getattr(args, "n", None) is not None:
+        raise CliError("the oracle decides the unbounded k-variable fragment; "
+                       "-n (bounded rounds) needs --via game")
     frag = FragmentSpec(_FRAGMENT_OF_FAMILY[args.family], args.k, args.mode)
     res = oracle_preserves(frag, a, b)
     return {"preserved": res.preserved,

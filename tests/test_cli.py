@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fmgames.cli import main
-from fmgames.corpus import linear_order
+from fmgames.corpus import clique, linear_order
 from fmgames.structures import serialize_structure
 
 
@@ -147,6 +147,22 @@ def test_oracle_command(files, capsys):
     code = main(["oracle", "--family", "ef", "--mode", "ep", "-k", "2",
                  files["edge"], files["loop"]])
     assert code == 0
+
+
+def test_bounded_pebble_via_oracle_exit_two(tmp_path, capsys):
+    # the oracle has no bounded-round pebble fragment; it must not answer
+    # the unbounded question in its place (K2/K3 at k=3, n=1 is preserved)
+    paths = []
+    for m in (2, 3):
+        path = tmp_path / f"K{m}.fms"
+        path.write_text(serialize_structure(clique(m)))
+        paths.append(str(path))
+    args = ["check", "--family", "pebble", "--mode", "full", "-k", "3", "-n", "1", *paths]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main([*args, "--via", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "-n" in captured.err
 
 
 def test_play_scripted_session(files, capsys, monkeypatch):
