@@ -1,11 +1,12 @@
-"""Model-comparison games, game-comonad coalgebras, and exact signature
-oracles for resource-bounded logic fragments over finite structures.
+"""Model-comparison games, game-comonad coalgebras, and an exact
+preorder-refinement oracle for resource-bounded logic fragments over
+finite structures.
 
 Three mutually cross-validating routes decide preservation and equivalence
 in bounded-rank first-order, finite-variable, and bounded-depth modal
 fragments (full / existential / positive / existential-positive): game
 solvers with strategy extraction, explicit coalgebra constructions with
-morphism and (positive) bisimulation search, and a formula-signature
+morphism and (positive) bisimulation search, and a preorder-refinement
 oracle.  When preservation fails, a verified distinguishing formula is
 synthesized from the Spoiler winning strategy.
 """

@@ -116,24 +116,31 @@ def _universals_allowed(mode: str) -> bool:
     return mode in ("full", "positive")
 
 
-def _preorder(gens, n: int, full: int, with_co: bool):
-    """up(x) and coup(x) (None without universals) for the n points."""
-    gl = list(gens)
-    ups = []
-    cos = [] if with_co else None
-    for x in range(n):
-        bit = 1 << x
+def _preorder(gens, full: int, with_co: bool) -> dict:
+    """The classes of points that lie in the same generators, each mapped
+    to (up, coup) of its points (coup 0 without universals)."""
+    classes = [full]
+    for g in gens:
+        split = []
+        for c in classes:
+            inside = c & g
+            if inside and inside != c:
+                split += (inside, c & ~g)
+            else:
+                split.append(c)
+        classes = split
+    out = {}
+    for c in classes:
+        bit = c & -c
         u = full
-        c = 0
-        for g in gl:
+        co = 0
+        for g in gens:
             if g & bit:
                 u &= g
-            else:
-                c |= g
-        ups.append(u)
-        if with_co:
-            cos.append(c)
-    return ups, cos
+            elif with_co:
+                co |= g
+        out[c] = (u, co)
+    return out
 
 
 def _pick(pairs, points: int, inside: int) -> int:
@@ -158,37 +165,43 @@ def _spread(pairs, points: int) -> int:
 class _Refinement:
     """Keys with their points, literals and incoming quantifier edges.
 
-    ``keys[key] = (n, literals, edges)``: n points numbered A first,
-    ``literals`` a dict mask -> Formula, ``edges`` a list of
-    ``(source key, label, pairs)`` where pairs groups the points of this
-    key by extension map, ``(ext over the source's points, points)``.
-    Each round stores, per key, its generators (mask -> literal Formula or
-    ``(universal, label, source, body mask, pairs)``) and up/coup.
+    ``keys[key] = (full, literals)``: the mask of the key's points,
+    numbered A first, and a dict mask -> literal Formula.
+    ``edges_of(key)`` lists the edges into a key, built on first use, as
+    ``(source key, label, pairs)`` where pairs groups the points of the key
+    by extension map, ``(ext over the source's points, points)``.  Each
+    round stores, per key, its generators (mask -> literal Formula or
+    ``(universal, label, source, body mask, pairs)``) and its preorder.
     """
 
-    def __init__(self, quantifiers, mode: str, cap: int, root: tuple[int, int, int]):
+    def __init__(self, quantifiers, mode: str, cap: int, root: tuple[int, int, int],
+                 edges_of):
         self.exists, self.forall = quantifiers
         self.universals = _universals_allowed(mode)
         self.cap = cap
         self.root = root   # (key, A's point, B's point) of the sentences
         self.keys: dict = {}
+        self.edges_of = edges_of
+        self.edges: dict = {}
         self.rounds: list = []
 
     def round(self, keys) -> None:
         prev = self.rounds[-1] if self.rounds else None
         cur = {}
         for key in keys:
-            n, literals, edges = self.keys[key]
+            full, literals = self.keys[key]
             gens = dict(literals)
-            for src, label, pairs in (edges if prev else ()):
-                ups, cos = prev[src][1:]
-                for body in dict.fromkeys(ups):
+            if prev and key not in self.edges:
+                self.edges[key] = self.edges_of(key)
+            for src, label, pairs in (self.edges[key] if prev else ()):
+                bodies = prev[src][1].values()
+                for body, _ in bodies:
                     m = 0
                     for ext, dst in pairs:
                         if ext & body:
                             m |= dst
                     gens.setdefault(m, (False, label, src, body, pairs))
-                for body in dict.fromkeys(cos or ()):
+                for _, body in (bodies if self.universals else ()):
                     m = 0
                     for ext, dst in pairs:
                         if ext & body == ext:
@@ -196,13 +209,13 @@ class _Refinement:
                     gens.setdefault(m, (True, label, src, body, pairs))
             if len(gens) > self.cap:
                 raise OracleResourceError(f"signature cap {self.cap} exceeded")
-            cur[key] = (gens, *_preorder(gens, n, (1 << n) - 1, self.universals))
+            cur[key] = (gens, _preorder(gens, full, self.universals))
         self.rounds.append(cur)
 
     def witness(self) -> Optional[Formula]:
         """A sentence of the last round true in A and false in B, if any."""
         key, pa, pb = self.root
-        if self.rounds[-1][key][1][pa] >> pb & 1:
+        if next(u for c, (u, _) in self.rounds[-1][key][1].items() if c >> pa & 1) >> pb & 1:
             return None
         return self._explain(len(self.rounds) - 1, key, True, 1 << pa, 1 << pb)
 
@@ -240,33 +253,49 @@ class _Refinement:
             parts.append(part)
         return and_(parts) if conj else or_(parts)
 
-    def profile(self, k: int, keys_of) -> list[OracleResult]:
-        """Rounds 0..k; a violation, once found, holds for every later layer."""
-        for r in range(k + 1):
+    def run(self, keys_of, layers: Optional[int]) -> tuple[int, Optional[Formula]]:
+        """Rounds 0, 1, ... over ``keys_of(round)`` until a violation, the
+        round ``layers`` or a round that changes no preorder.  Returns the
+        last round and its witness (None: preserved up to that round)."""
+        r = 0
+        while True:
             self.round(keys_of(r))
             phi = self.witness()
-            if phi is not None:
-                return [OracleResult(True)] * r + [OracleResult(False, phi)] * (k + 1 - r)
-        return [OracleResult(True)] * (k + 1)
+            if phi is not None or r == layers or (r and self._stable()):
+                return r, phi
+            r += 1
 
-    def fixpoint(self) -> OracleResult:
-        """Rounds over every key until a violation or no preorder changes."""
-        while True:
-            self.round(self.keys)
-            phi = self.witness()
-            if phi is not None:
-                return OracleResult(False, phi)
-            if len(self.rounds) > 1 and all(
-                    self.rounds[-1][key][1] == self.rounds[-2][key][1] for key in self.keys):
-                return OracleResult(True)
+    def _stable(self) -> bool:
+        """The last round has the keys and preorders of the one before."""
+        last, before = self.rounds[-1], self.rounds[-2]
+        return last.keys() == before.keys() and all(
+            last[key][1] == before[key][1] for key in last)
 
 
 def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
     """Keys are the bitmasks S of free variables x1..xk.  Literals and edges
     are built from coordinate masks: the points with element e at position p."""
-    eng = _Refinement((Exists, Forall), mode, cap, (0, 0, 1))
     negations = _negations_allowed(mode)
     layout = {}
+
+    def edges_of(s: int) -> list:
+        pos, sides = layout[s]
+        edges = []
+        for j in range(1, k + 1):
+            src = s | 1 << (j - 1)
+            src_pos, src_sides = layout[src]
+            common = [(pos[v], src_pos[v]) for v in pos if v != j]
+            group: dict = {}
+            for (_, tuples, shift, _, _), (_, _, _, ext_full, ext_coord) in zip(sides, src_sides):
+                for i, t in enumerate(tuples):
+                    ext = ext_full
+                    for p, q in common:
+                        ext &= ext_coord[q][t[p]]
+                    group[ext] = group.get(ext, 0) | 1 << (i + shift)
+            edges.append((src, j, list(group.items())))
+        return edges
+
+    eng = _Refinement((Exists, Forall), mode, cap, (0, 0, 1), edges_of)
     for s in range(1 << k):
         vs = tuple(v for v in range(1, k + 1) if s >> (v - 1) & 1)
         n_a = a.size ** len(vs)
@@ -307,53 +336,46 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
                 for e in st.universe:
                     mask |= coord[pos[i]][e] & coord[pos[j]][e]
             add(mask, Eq(i, j), NegEq(i, j))
-        edges = []
-        for j in range(1, k + 1):
-            src = s | 1 << (j - 1)
-            src_pos, src_sides = layout[src]
-            common = [(pos[v], src_pos[v]) for v in pos if v != j]
-            group: dict = {}
-            for (_, tuples, shift, _, _), (_, _, _, ext_full, ext_coord) in zip(sides, src_sides):
-                for i, t in enumerate(tuples):
-                    ext = ext_full
-                    for p, q in common:
-                        ext &= ext_coord[q][t[p]]
-                    group[ext] = group.get(ext, 0) | 1 << (i + shift)
-            edges.append((src, j, list(group.items())))
-        eng.keys[s] = (full.bit_length(), literals, edges)
+        eng.keys[s] = (full, literals)
     return eng
 
 
 def _modal_engine(a: Structure, b: Structure, mode: str, cap: int) -> _Refinement:
     """One key: the worlds of A, then of B."""
-    offset = a.size
+    sides = ((a, 0), (b, a.size))
     full = (1 << (a.size + b.size)) - 1
-    eng = _Refinement((Dia, Box), mode, cap,
-                      (0, a.index[a.point], offset + b.index[b.point]))
-
-    def mask(s: Structure, shift: int, tuples) -> int:
-        out = 0
-        for t in tuples:
-            out |= 1 << (s.index[t[-1]] + shift)
-        return out
-
     literals = {full: TRUE}
     literals.setdefault(0, FALSE)
     for rel in a.vocab.unary:
-        m = mask(a, 0, a.interp[rel]) | mask(b, offset, b.interp[rel])
+        m = 0
+        for s, shift in sides:
+            for (x,) in s.interp[rel]:
+                m |= 1 << (s.index[x] + shift)
         literals.setdefault(m, Prop(rel))
         if _negations_allowed(mode):
             literals.setdefault(full & ~m, NegProp(rel))
     edges = []
     for rel in a.vocab.binary:
         group: dict = {}
-        for s, shift in ((a, 0), (b, offset)):
-            for x in s.universe:
-                ext = mask(s, shift, [t for t in s.interp[rel] if t[0] == x])
+        for s, shift in sides:
+            succ = dict.fromkeys(s.universe, 0)
+            for x, y in s.interp[rel]:
+                succ[x] |= 1 << (s.index[y] + shift)
+            for x, ext in succ.items():
                 group[ext] = group.get(ext, 0) | 1 << (s.index[x] + shift)
         edges.append((0, rel, list(group.items())))
-    eng.keys[0] = (a.size + b.size, literals, edges)
+    eng = _Refinement((Dia, Box), mode, cap,
+                      (0, a.index[a.point], a.size + b.index[b.point]), lambda key: edges)
+    eng.keys[0] = (full, literals)
     return eng
+
+
+def _profile(eng: _Refinement, k: int, keys_of) -> list[OracleResult]:
+    """Verdicts for the layers 0..k; a violation holds for every later layer."""
+    r, phi = eng.run(keys_of, k)
+    if phi is None:
+        return [OracleResult(True)] * (k + 1)
+    return [OracleResult(True)] * r + [OracleResult(False, phi)] * (k + 1 - r)
 
 
 def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
@@ -362,7 +384,7 @@ def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
     eng = _fo_engine(a, b, k, canonical_mode(mode), cap)
-    return eng.profile(k, lambda r: [s for s in eng.keys if s.bit_count() <= k - r])
+    return _profile(eng, k, lambda r: [s for s in eng.keys if s.bit_count() <= k - r])
 
 
 def ml_depth_profile(a: Structure, b: Structure, k: int, mode: str,
@@ -373,8 +395,7 @@ def ml_depth_profile(a: Structure, b: Structure, k: int, mode: str,
         raise StructureError("modal fragment needs a modal vocabulary")
     if a.point is None or b.point is None:
         raise StructureError("modal fragment needs pointed structures")
-    eng = _modal_engine(a, b, canonical_mode(mode), cap)
-    return eng.profile(k, lambda r: (0,))
+    return _profile(_modal_engine(a, b, canonical_mode(mode), cap), k, lambda r: (0,))
 
 
 def oracle_preserves(frag: FragmentSpec, a: Structure, b: Structure,
@@ -392,4 +413,6 @@ def oracle_preserves(frag: FragmentSpec, a: Structure, b: Structure,
         return ml_depth_profile(a, b, frag.k, frag.mode, cap)[frag.k]
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
-    return _fo_engine(a, b, frag.k, frag.mode, cap).fixpoint()
+    eng = _fo_engine(a, b, frag.k, frag.mode, cap)
+    phi = eng.run(lambda r: eng.keys, None)[1]
+    return OracleResult(phi is None, phi)
