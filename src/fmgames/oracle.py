@@ -266,10 +266,11 @@ class _Refinement:
             r += 1
 
     def _stable(self) -> bool:
-        """The last round has the keys and preorders of the one before."""
+        """The last round's keys have the preorders of the round before.
+        Their generators in the next round then repeat this round's (the
+        keys of a round are among those of the round before), and so on."""
         last, before = self.rounds[-1], self.rounds[-2]
-        return last.keys() == before.keys() and all(
-            last[key][1] == before[key][1] for key in last)
+        return all(last[key][1] == before[key][1] for key in last)
 
 
 def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
