@@ -39,9 +39,9 @@ The three families are data for one engine:
 * ``l_vars``: every S, rounds repeated until no preorder changes.
 
 The key with S empty has one point per structure, the empty assignment,
-even when the universe is empty; there every ext is empty, so E-steps are
-false and A-steps true, which is the semantics of an empty structure
-without any special case.
+even when the universe is empty.  There every ext is empty, so E-steps are
+false and A-steps true, and a 0-ary literal keeps its value: the semantics
+of an empty structure, with no special case.
 
 Witnesses are read off the generators' back-pointers by a greedy
 minimizer that carries a pair (must hold C, must miss E) down the formula.

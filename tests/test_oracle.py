@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fmgames import (FragmentSpec, OracleResourceError, Structure, StructureError,
-                     classify, model_check, oracle_preserves)
+from fmgames import (FragmentSpec, GameSpec, OracleResourceError, Structure,
+                     StructureError, Vocabulary, classify, model_check, oracle_preserves,
+                     solve)
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, clique, edge_structure,
                             linear_order, loop_structure)
 from fmgames.formulas import serialize_formula
@@ -171,6 +172,20 @@ def test_empty_universe_conventions(edge):
         res = oracle_preserves(FragmentSpec("fo_rank", 1, mode), empty, edge)
         assert not res.preserved  # "A x1. false" holds only in the empty structure
     assert oracle_preserves(FragmentSpec("fo_rank", 3, "full"), empty, empty).preserved
+
+
+def test_nullary_relation_with_empty_universe():
+    # the empty assignment is a point even of an empty structure, so a
+    # 0-ary literal takes its real value there
+    vocab = Vocabulary((("Z", 0), ("E", 2)))
+    structs = [Structure.make(vocab, elems, {"Z": z}) for elems in ([], ["a"]) for z in ([], [()])]
+    for a, b in itertools.product(structs, repeat=2):
+        for mode in MODES:
+            for family, game in (("fo_rank", "ef"), ("l_vars", "pebble")):
+                res = oracle_preserves(FragmentSpec(family, 1, mode), a, b)
+                assert res.preserved == solve(GameSpec(game, mode, 1), a, b).duplicator_wins
+                if res.witness is not None:
+                    _sound(res, a, b, mode)
 
 
 def test_rank_zero_never_distinguishes(edge, loop):
