@@ -395,7 +395,7 @@ def cmd_play(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fmgames",
                                      description="model-comparison games, coalgebras "
-                                                 "and signature oracles on finite structures")
+                                                 "and a preservation oracle on finite structures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, mode=True, k=True):
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_laws)
 
-    p = sub.add_parser("oracle", help="signature-oracle preservation verdict")
+    p = sub.add_parser("oracle", help="preservation verdict of the refinement oracle")
     add_common(p)
     p.add_argument("file_a")
     p.add_argument("file_b")

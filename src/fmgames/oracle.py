@@ -208,7 +208,7 @@ class _Refinement:
                             m |= dst
                     gens.setdefault(m, (True, label, src, body, pairs))
             if len(gens) > self.cap:
-                raise OracleResourceError(f"signature cap {self.cap} exceeded")
+                raise OracleResourceError(f"oracle cap {self.cap} exceeded by a key's generators")
             cur[key] = (gens, _preorder(gens, full, self.universals))
         self.rounds.append(cur)
 
@@ -301,7 +301,7 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
         vs = tuple(v for v in range(1, k + 1) if s >> (v - 1) & 1)
         n_a = a.size ** len(vs)
         if n_a + b.size ** len(vs) > cap:
-            raise OracleResourceError(f"signature cap {cap} exceeded")
+            raise OracleResourceError(f"oracle cap {cap} exceeded by a key's points")
         sides = []
         for st, shift in ((a, 0), (b, n_a)):
             tuples = list(itertools.product(st.universe, repeat=len(vs)))

@@ -198,6 +198,11 @@ def test_resource_cap_is_an_error_not_a_verdict(cliques):
         oracle_preserves(FragmentSpec("fo_rank", 2, "full"), cliques[3], cliques[3], cap=5)
 
 
+def test_generator_cap_is_an_error_not_a_verdict(chain_ab):
+    with pytest.raises(OracleResourceError, match="generators"):
+        ml_depth_profile(chain_ab, chain_ab, 1, "full", cap=3)
+
+
 # ---------------------------------------------------------------------------
 # The refinement engine against the signature closure it replaced
 
