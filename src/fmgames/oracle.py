@@ -215,7 +215,8 @@ class _Refinement:
     def witness(self) -> Optional[Formula]:
         """A sentence of the last round true in A and false in B, if any."""
         key, pa, pb = self.root
-        if next(u for c, (u, _) in self.rounds[-1][key][1].items() if c >> pa & 1) >> pb & 1:
+        up = next(u for c, (u, _) in self.rounds[-1][key][1].items() if c >> pa & 1)
+        if up >> pb & 1:
             return None
         return self._explain(len(self.rounds) - 1, key, True, 1 << pa, 1 << pb)
 
