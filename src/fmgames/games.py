@@ -14,7 +14,11 @@ a partial isomorphism or partial homomorphism is again one).  The unbounded
 pebble game is a safety game on the finite placement space, solved as a
 backward attractor on integer placement ids: Spoiler's winning region grows
 layer by layer from the placements that violate the condition, and the layer
-at which a placement joins it is its death stage.
+at which a placement joins it is its death stage.  The conditions are also
+local: one fails on a pair set iff it fails on a subset of at most
+max(2, largest arity) pairs, the empty subset covering 0-ary relations.  So
+the attractor tests the condition on one table over that many pebbles and
+derives every placement's verdict from it.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -500,8 +504,46 @@ class _StageTable(Mapping):
         return self._len
 
 
+def _condition_bytes(rules: _PebbleRules, pairs: list, k: int) -> bytes:
+    """Byte x is 1 iff placement id x (see ``_StageTable``) satisfies the
+    winning condition, else 0: the AND, over every m-set of slots, of one
+    condition table over m digits, repeated over the other slots (see
+    ``_solve_attractor``)."""
+    n = len(pairs) + 1
+    arity = max((r for _, r in rules.a.vocab.relations), default=0)
+    m = min(k, max(2, arity))
+    # the last digit varies fastest, so the table id counts up with digits in order m..1
+    table = bytes(rules.pairs_cond(frozenset(pairs[d - 1] for d in digits if d))
+                  for digits in itertools.product(range(n), repeat=m))
+    if m == k:
+        return table
+    out = -1
+    for slots in itertools.combinations(range(k), m):
+        block = table
+        for q in range(k):
+            if q not in slots:
+                # a free digit at position q: repeat every block of n^q ids n times
+                c = n ** q
+                block = b"".join([block[i:i + c] * n for i in range(0, len(block), c)])
+        out &= int.from_bytes(block, "little")
+    return out.to_bytes(n ** k, "little")
+
+
 def _solve_attractor(v: Verdict, cap: int):
     """Spoiler's attractor to the condition-violating placements.
+
+    The condition is not tested per placement.  It is local: it fails on a
+    pair set iff it fails on a subset of at most ``m = max(2, largest
+    arity)`` pairs.  Two pairs witness a non-function or a non-injection;
+    otherwise the placed pairs form a map, and a tuple of arity r that it
+    fails to preserve (or reflect) uses at most r of them; a false 0-ary
+    relation fails already on the empty subset, which every placement has.
+    With ``m = min(k, m)`` every such subset of a placement's pairs lies in
+    the pairs on some m-set of its slots, so a placement satisfies the
+    condition iff the pairs on each m-set of its slots do.  The condition
+    depends only on the set of pairs, not on the slots that hold them, so
+    one table over m digits serves every m-set of slots; ``_condition_bytes``
+    spreads it over the other slots by repeating blocks and ANDs the results.
 
     A move on pebble p replaces slot p, so placements that differ only in
     slot p share their moves and responses.  One counter row per ``base``
@@ -523,18 +565,9 @@ def _solve_attractor(v: Verdict, cap: int):
     total = n ** k
     if total > cap:
         raise GameResourceError(f"pebble placement space {total} exceeds cap {cap}")
+    cond = _condition_bytes(rules, pairs, k)
     stages = array("i", [0]) * total
-    alive = []
-    conds: dict = {}
-    # the last digit varies fastest, so x counts up with digits in slot order k..1
-    for x, digits in enumerate(itertools.product(range(n), repeat=k)):
-        key = frozenset(digits)
-        ok = conds.get(key)
-        if ok is None:
-            ok = conds[key] = rules.pairs_cond(frozenset(pairs[d - 1] for d in key if d))
-        if ok:
-            stages[x] = -1
-            alive.append(x)
+    alive = list(itertools.compress(range(total), cond))
     back = not v.spec.forth_only
     pw = [n ** p for p in range(k)]
     rows = total // n
@@ -552,6 +585,7 @@ def _solve_attractor(v: Verdict, cap: int):
             low += d * step
 
     for x in alive:
+        stages[x] = -1
         for d, _, row in rows_of(x):
             for e in entries[d]:
                 counts[row + e] += 1

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from fmgames import (GameSpec, IllegalMoveError, StructureError, Structure,
-                     Vocabulary, distinguish, pairs_condition, replay, solve)
+                     Vocabulary, distinguish, pairs_condition, replay,
+                     serialize_structure, solve)
 from fmgames.corpus import all_digraphs, clique
 from fmgames.formulas import serialize_formula
-from fmgames.games import Verdict
-from conftest import brute_force_game, kripke, small_structures
+from fmgames.games import Verdict, _condition_bytes
+from conftest import _partial_map_ok, brute_force_game, kripke, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -231,6 +232,39 @@ def test_pebble_placement_cap(cliques):
 # ---------------------------------------------------------------------------
 # Unbounded pebble game: the attractor against a plain synchronous sweep
 
+MIXED = Vocabulary((("Z", 0), ("U", 1), ("E", 2), ("T", 3)))
+
+
+def random_mixed(rnd, size, name, density):
+    elems = [f"{name}{i}" for i in range(size)]
+    interp = {rel: [t for t in itertools.product(elems, repeat=arity) if rnd.random() < density]
+              for rel, arity in MIXED.relations}
+    return Structure.make(MIXED, elems, interp, name=name)
+
+
+def mixed_pairs(seed, count):
+    """Seeded pairs over a vocabulary with 0-ary, unary, binary and ternary
+    relations, sizes 0-3.  Half of the B sides are copies of A with some
+    ternary tuples of three distinct elements flipped: there a placement can
+    pass every test on two pairs and fail only on three."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = random_mixed(rnd, rnd.randint(0, 3), "a", rnd.choice((0.3, 0.5, 0.7)))
+        if rnd.random() < 0.5:
+            b = random_mixed(rnd, rnd.randint(0, 3), "b", rnd.choice((0.3, 0.5, 0.7)))
+        else:
+            rename = dict(zip(a.universe, (f"b{i}" for i in itertools.count())))
+            interp = {rel: {tuple(map(rename.get, t)) for t in a.interp[rel]}
+                      for rel, _ in MIXED.relations}
+            for t in itertools.permutations(rename.values(), 3):
+                if rnd.random() < 0.2:
+                    interp["T"] ^= {t}
+            b = Structure.make(MIXED, list(rename.values()), interp, name="b")
+        out.append((a, b))
+    return out
+
+
 def reference_pebble(spec, a, b):
     """Death stage of every dead frozenset placement, by re-sweeping the whole
     placement space until nothing changes (one sweep per stage)."""
@@ -289,6 +323,22 @@ def test_pebble_attractor_matches_sweep_on_size_three_sample():
         assert_matches_reference(spec, a, b)
 
 
+def test_pebble_attractor_matches_sweep_at_four_pebbles():
+    graphs = all_digraphs(2)
+    rnd = random.Random(43)
+    for _ in range(30):
+        a, b = rnd.choice(graphs), rnd.choice(graphs)
+        for mode in MODES:
+            assert_matches_reference(GameSpec("pebble", mode, 4), a, b)
+
+
+def test_pebble_attractor_matches_sweep_on_mixed_arities():
+    rnd = random.Random(47)
+    for a, b in mixed_pairs(53, 150):
+        spec = GameSpec("pebble", rnd.choice(MODES), rnd.choice((1, 2, 3)))
+        assert_matches_reference(spec, a, b)
+
+
 def test_pebble_attractor_empty_universes(edge):
     empty = Structure.make(edge.vocab, [], {})
     for mode in MODES:
@@ -328,3 +378,45 @@ def test_pebble_clique_calibration_at_four_pebbles():
     v = solve(GameSpec("pebble", "full", 4), clique(3), clique(4))
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
+
+
+# ---------------------------------------------------------------------------
+# The condition bytes against the condition, placement by placement
+
+def test_pairs_condition_matches_reference_on_mixed_arities():
+    rnd = random.Random(17)
+    for a, b in mixed_pairs(19, 150):
+        for _ in range(20):
+            placed = {(rnd.choice(a.universe), rnd.choice(b.universe))
+                      for _ in range(rnd.randint(0, 4))} if a.size and b.size else set()
+            for iso in (True, False):
+                assert pairs_condition(placed, a, b, iso) == _partial_map_ok(placed, a, b, iso)
+
+
+def test_condition_bytes_match_pairs_condition_per_placement():
+    """Byte x of the condition bytes is ``pairs_condition`` on the pairs that
+    placement id x places, for every id, k <= 4 and every mode."""
+    rnd = random.Random(29)
+    checked = 0
+    for a, b in mixed_pairs(31, 80):
+        k = rnd.choice((1, 2, 3, 4, 4))
+        pairs = [(x, y) for x in a.universe for y in b.universe]
+        n = len(pairs) + 1
+        expected = {}
+        for mode in MODES:
+            spec = GameSpec("pebble", mode, k)
+            if spec.iso_condition not in expected:
+                want = bytearray()
+                for x in range(n ** k):
+                    placed = set()
+                    for _ in range(k):
+                        x, d = divmod(x, n)     # digit d of slot 1, 2, ...
+                        if d:
+                            placed.add(pairs[d - 1])
+                    want.append(pairs_condition(placed, a, b, spec.iso_condition))
+                expected[spec.iso_condition] = bytes(want)
+            got = _condition_bytes(Verdict(spec, a, b).rules, pairs, k)
+            assert got == expected[spec.iso_condition], \
+                (serialize_structure(a), serialize_structure(b), mode, k)
+            checked += len(got)
+    assert checked > 100_000
