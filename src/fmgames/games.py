@@ -18,7 +18,9 @@ at which a placement joins it is its death stage.  The conditions are also
 local: one fails on a pair set iff it fails on a subset of at most
 max(2, largest arity) pairs, the empty subset covering 0-ary relations.  So
 the attractor tests the condition on one table over that many pebbles and
-derives every placement's verdict from it.
+derives every placement's verdict from it.  The same ``placement_cap``
+bounds the attractor's placement space and the positions the backward
+induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -108,18 +110,25 @@ def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
         for x, y in pairs:
             if bwd.setdefault(y, x) != x:
                 return False
-    for rel, _ in a.vocab.relations:
-        b_rel = b.interp[rel]
-        for tup in a.interp[rel]:
-            if all(x in fwd for x in tup):
-                if tuple(fwd[x] for x in tup) not in b_rel:
-                    return False
-        if iso:
-            a_rel = a.interp[rel]
-            for tup in b.interp[rel]:
-                if all(y in bwd for y in tup):
-                    if tuple(bwd[y] for y in tup) not in a_rel:
-                        return False
+    for rel, arity in a.vocab.relations:
+        if not _preserves(fwd, arity, a.interp[rel], b.interp[rel]):
+            return False
+        if iso and not _preserves(bwd, arity, b.interp[rel], a.interp[rel]):
+            return False
+    return True
+
+
+def _preserves(f: dict, arity: int, src, dst) -> bool:
+    """Every tuple of ``src`` over the domain of ``f`` maps into ``dst``;
+    scans whichever is smaller, the relation or the tuples over the domain."""
+    if len(f) ** arity < len(src):
+        for tup in itertools.product(f, repeat=arity):
+            if tup in src and tuple(f[x] for x in tup) not in dst:
+                return False
+    else:
+        for tup in src:
+            if all(x in f for x in tup) and tuple(f[x] for x in tup) not in dst:
+                return False
     return True
 
 
@@ -416,26 +425,41 @@ class Verdict:
 
 def solve(spec: GameSpec, a: Structure, b: Structure,
           *, placement_cap: int = 200_000) -> Verdict:
-    """Decide the game and extract positional strategies."""
+    """Decide the game and extract positional strategies.
+
+    ``placement_cap`` bounds the placement space of the unbounded pebble
+    game and the positions the round-bounded solver memoizes (also while
+    strategies are read off later); beyond it ``GameResourceError`` is
+    raised instead of a verdict.
+    """
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch between the two structures")
     verdict = Verdict(spec, a, b)
     if verdict.rules.root[1] is None:
         _solve_attractor(verdict, placement_cap)
     else:
-        _solve_backward(verdict)
+        _solve_backward(verdict, placement_cap)
     return verdict
 
 
-def _solve_backward(v: Verdict):
-    """Memoized backward induction over ``(state, remaining)`` keys."""
+def _solve_backward(v: Verdict, cap: int):
+    """Memoized backward induction over ``(state, remaining)`` keys.
+
+    The memo also serves the strategy lookups after the solve; memoizing
+    more than ``cap`` positions raises ``GameResourceError``.
+    """
     rules = v.rules
+    # alive must not refer to v: v holds alive, and that cycle would leave
+    # every Verdict to the cyclic garbage collector
+    family = v.spec.family
     memo: dict = {}
 
     def alive(key) -> bool:
         res = memo.get(key)
         if res is not None:
             return res
+        if len(memo) >= cap:
+            raise GameResourceError(f"{family} game: memoized positions exceed cap {cap}")
         state, rem = key
         res = rules.cond(state)
         if res and rem > 0:

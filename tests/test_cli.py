@@ -48,6 +48,17 @@ def test_check_bad_file_exit_two(files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("game", [["--family", "ef"], ["--family", "pebble", "-n", "4"]])
+def test_check_beyond_the_position_cap_exit_two(game, tmp_path, capsys):
+    paths = []
+    for m in (15, 16):
+        paths.append(tmp_path / f"L{m}.fms")
+        paths[-1].write_text(serialize_structure(linear_order(m)))
+    code = main(["check", *game, "--mode", "full", "-k", "4", *map(str, paths)])
+    assert code == 2
+    assert "memoized positions exceed cap" in capsys.readouterr().err
+
+
 def test_check_vocab_mismatch_exit_two(files, tmp_path, capsys):
     other = tmp_path / "other.fms"
     other.write_text("vocab F/2\nstructure O\nelems a\n")

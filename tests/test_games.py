@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from fmgames import (GameSpec, IllegalMoveError, StructureError, Structure,
                      Vocabulary, distinguish, pairs_condition, replay,
                      serialize_structure, solve)
-from fmgames.corpus import all_digraphs, clique
+from fmgames.corpus import all_digraphs, clique, linear_order
 from fmgames.formulas import serialize_formula
 from fmgames.games import Verdict, _condition_bytes
 from conftest import _partial_map_ok, brute_force_game, kripke, small_structures
@@ -227,6 +228,20 @@ def test_pebble_placement_cap(cliques):
     from fmgames import GameResourceError
     with pytest.raises(GameResourceError):
         solve(GameSpec("pebble", "full", 9), cliques[3], cliques[3], placement_cap=1000)
+
+
+def test_round_bounded_solver_caps_memoized_positions(orders):
+    from fmgames import GameResourceError
+    # rank 4 on orders of 15 and 16 elements ran for minutes without a cap
+    for spec in (GameSpec("ef", "full", 4), GameSpec("pebble", "full", 4, rounds=4)):
+        start = time.perf_counter()
+        with pytest.raises(GameResourceError, match="exceed cap 200000"):
+            solve(spec, linear_order(15), linear_order(16))
+        assert time.perf_counter() - start < 60
+    spec = GameSpec("ef", "full", 2)
+    with pytest.raises(GameResourceError):
+        solve(spec, orders[3], orders[4], placement_cap=10)
+    assert solve(spec, orders[3], orders[4], placement_cap=1000).duplicator_wins
 
 
 # ---------------------------------------------------------------------------
