@@ -1,0 +1,39 @@
+"""The benchmark's verdict digests at seed 424242, as a unit test.
+
+``perfbench/run.py`` hashes the answers of a workload into one
+``verdict_digest``: for the pebble workloads each verdict and, where Spoiler
+wins, the death stage of the empty placement.  ``perfbench/NOTES.md`` lists
+the digests of seed 424242.  Running the two workloads that exercise the
+pebble attractor for one pass makes a changed verdict or death stage fail
+the suite, not only the benchmark.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def recorded_digest(workload: str) -> str:
+    notes = (ROOT / "perfbench" / "NOTES.md").read_text()
+    found = re.findall(rf"- `{re.escape(workload)}`: ([0-9a-f]{{16}})", notes)
+    assert len(found) == 1, f"perfbench/NOTES.md lists {len(found)} digests for {workload}"
+    return found[0]
+
+
+@pytest.mark.parametrize("workload,digest", [("pebble-scale", "02eda1f9d8d91060"),
+                                             ("fv-crosscheck", "6183a74cf877c864")])
+def test_verdict_digest_at_seed_424242(workload, digest):
+    assert recorded_digest(workload) == digest
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "424242", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    assert re.findall(r"verdict_digest ([0-9a-f]+)", proc.stdout) == [digest]
