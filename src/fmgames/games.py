@@ -563,11 +563,12 @@ def _solve_attractor(v: Verdict, cap: int):
     fails to preserve (or reflect) uses at most r of them; a false 0-ary
     relation fails already on the empty subset, which every placement has.
     With ``m = min(k, m)`` every such subset of a placement's pairs lies in
-    the pairs on some m-set of its slots, so a placement satisfies the
-    condition iff the pairs on each m-set of its slots do.  The condition
-    depends only on the set of pairs, not on the slots that hold them, so
-    one table over m digits serves every m-set of slots; ``_condition_bytes``
-    spreads it over the other slots by repeating blocks and ANDs the results.
+    the pairs on some m-set of its slots, and the condition is hereditary,
+    so a placement satisfies it iff the pairs on each m-set of its slots
+    do.  The condition depends only on the set of pairs, not on the slots
+    that hold them, so one table over m digits serves every m-set of slots;
+    ``_condition_bytes`` spreads it over the other slots by repeating blocks
+    and ANDs the results.
 
     A move on pebble p replaces slot p, so placements that differ only in
     slot p share their moves and responses.  One counter row per ``base``
