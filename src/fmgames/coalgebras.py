@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .structures import Structure, expand_i, gaifman, is_homomorphism
+from .structures import (EQUALITY_SYMBOL, Structure, StructureError, expand_i, gaifman,
+                         is_homomorphism)
 
 KINDS = ("ef", "pebble", "modal")
 
@@ -244,16 +245,26 @@ def build_ef(a: Structure, k: int, with_i: bool = False,
              cap: int = DEFAULT_CARRIER_CAP) -> ForestCoalgebra:
     """The cofree EF coalgebra: nonempty sequences of length <= k.
 
-    ``with_i`` builds over the diagonal I-expansion of ``a``.
+    ``with_i`` builds over the diagonal I-expansion of ``a``.  The result
+    is built once per ``(k, with_i)`` and kept in ``a.memo``, so repeated
+    calls return the same object; ``cap`` is checked on every call first.
     """
     if k < 1:
         raise CoalgebraError("k must be >= 1")
-    if with_i:
-        a = expand_i(a)
+    if with_i and EQUALITY_SYMBOL in a.vocab.arities:
+        raise StructureError(f"vocabulary already contains {EQUALITY_SYMBOL}")
     n = a.size
     total = sum(n ** i for i in range(1, k + 1))
     if total > cap:
         raise CoalgebraSizeError(f"carrier would have {total} elements, cap {cap}")
+    key = ("ef", k, bool(with_i))
+    c = a.memo.get(key)
+    if c is None:
+        c = a.memo[key] = _build_ef(expand_i(a) if with_i else a, k)
+    return c
+
+
+def _build_ef(a: Structure, k: int) -> ForestCoalgebra:
     universe: list[tuple] = []
     for length in range(1, k + 1):
         universe.extend(itertools.product(a.universe, repeat=length))
@@ -264,7 +275,15 @@ def build_ef(a: Structure, k: int, with_i: bool = False,
 
 
 def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestCoalgebra:
-    """The k-unravelling of a pointed Kripke model, a synchronization tree."""
+    """The k-unravelling of a pointed Kripke model, a synchronization tree.
+
+    Unlike ``build_ef`` it is not kept in ``a.memo``.  An unravelling grows
+    with the model's branching, not only with its size, and a memo would
+    keep one per model and depth for as long as the model lives: over the
+    2180 pointed models of ``all_pointed_kripke(3)`` at depths 1 and 2 that
+    raised the peak memory of a cross-check sweep from 32 to 47 MB, for
+    about a fifth more queries per second.
+    """
     if not a.vocab.modal_flag:
         raise CoalgebraError("modal coalgebra needs a modal vocabulary")
     if a.point is None:

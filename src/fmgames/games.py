@@ -448,33 +448,44 @@ def _solve_backward(v: Verdict, cap: int):
     The memo also serves the strategy lookups after the solve; memoizing
     more than ``cap`` positions raises ``GameResourceError``.
     """
-    rules = v.rules
-    # alive must not refer to v: v holds alive, and that cycle would leave
-    # every Verdict to the cyclic garbage collector
-    family = v.spec.family
-    memo: dict = {}
+    v._alive = _Backward(v.rules, cap, v.spec.family).alive
+    v.duplicator_wins = v._alive(v.rules.root)
 
-    def alive(key) -> bool:
+
+class _Backward:
+    """The memo of ``_solve_backward`` and the recursion over it.  A method,
+    not a recursive closure: a closure holds itself through its cell, and
+    that cycle would leave the memo and the rules to the cyclic garbage
+    collector.  It must not refer to the Verdict either, which holds it."""
+
+    __slots__ = ("rules", "cap", "family", "memo")
+
+    def __init__(self, rules: _Rules, cap: int, family: str):
+        self.rules = rules
+        self.cap = cap
+        self.family = family
+        self.memo: dict = {}
+
+    def alive(self, key) -> bool:
+        memo = self.memo
         res = memo.get(key)
         if res is not None:
             return res
-        if len(memo) >= cap:
-            raise GameResourceError(f"{family} game: memoized positions exceed cap {cap}")
+        if len(memo) >= self.cap:
+            raise GameResourceError(f"{self.family} game: memoized positions exceed cap {self.cap}")
+        rules = self.rules
         state, rem = key
         res = rules.cond(state)
         if res and rem > 0:
             for move in rules.moves(state):
                 for r in rules.responses(state, move):
-                    if alive((rules.step(state, move, r), rem - 1)):
+                    if self.alive((rules.step(state, move, r), rem - 1)):
                         break
                 else:
                     res = False
                     break
         memo[key] = res
         return res
-
-    v._alive = alive
-    v.duplicator_wins = alive(rules.root)
 
 
 class _StageTable(Mapping):

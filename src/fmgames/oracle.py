@@ -55,6 +55,14 @@ of its layer.
 
 ``cap`` bounds the points of a key and the distinct generators of a key in
 one round; exceeding it raises ``OracleResourceError``.
+
+For ``fo_rank`` and ``l_vars``, what depends on one structure alone is
+built once and kept in ``Structure.memo`` by assignment length: the tuples,
+their coordinate, literal and equality masks, and the extension groups of
+every edge, all numbered from 0 (``_Assignments``).  A pair only shifts B's
+masks past A's points and lists A's groups first, so keys, generators and
+witnesses do not depend on what the memos already hold.  The points cap is
+checked before any table is read.
 """
 
 from __future__ import annotations
@@ -274,46 +282,97 @@ class _Refinement:
         return all(last[key][1] == before[key][1] for key in last)
 
 
+class _Assignments:
+    """The m-tuples over one structure's universe, numbered from 0, and what
+    the FO engine reads off them: ``coord[p][e]``, the tuples with e at
+    position p; ``atoms``, per relation and per tuple of positions (in
+    ``itertools.product`` order) the tuples it holds on; ``eqs``, per pair
+    of positions (in ``itertools.combinations`` order) the tuples equal
+    there; and ``groups``, the extension groups of an edge, by ``(S, j)``."""
+
+    def __init__(self, st: Structure, m: int):
+        self.tuples = list(itertools.product(st.universe, repeat=m))
+        self.full = (1 << len(self.tuples)) - 1
+        self.coord = coord = [dict.fromkeys(st.universe, 0) for _ in range(m)]
+        for i, t in enumerate(self.tuples):
+            for c, e in zip(coord, t):
+                c[e] |= 1 << i
+        self.atoms = []
+        for rel, arity in st.vocab.relations:
+            for ps in itertools.product(range(m), repeat=arity):
+                mask = 0
+                for t in st.interp[rel]:
+                    m_t = self.full
+                    for p, e in zip(ps, t):
+                        m_t &= coord[p][e]
+                    mask |= m_t
+                self.atoms.append(mask)
+        # the masks summed are disjoint: one per element at both positions
+        self.eqs = [sum(coord[p][e] & coord[q][e] for e in st.universe)
+                    for p, q in itertools.combinations(range(m), 2)]
+        self.groups: dict = {}
+
+
+def _assignments(st: Structure, s: int) -> _Assignments:
+    """The S-assignments into ``st``, built once per structure and size of S."""
+    m = s.bit_count()
+    table = st.memo.get(("fo", m))
+    if table is None:
+        table = st.memo["fo", m] = _Assignments(st, m)
+    return table
+
+
+def _variables(s: int) -> list:
+    return [v for v in range(1, s.bit_length() + 1) if s >> (v - 1) & 1]
+
+
+def _groups(st: Structure, s: int, j: int) -> list:
+    """The S-assignments into ``st`` grouped by their extension maps into
+    S u {j}, as ``(ext, assignments)`` masks numbered from 0 per key."""
+    dst = _assignments(st, s)
+    out = dst.groups.get((s, j))
+    if out is None:
+        src_s = s | 1 << (j - 1)
+        src = _assignments(st, src_s)
+        src_pos = {v: q for q, v in enumerate(_variables(src_s))}
+        common = [(p, src_pos[v]) for p, v in enumerate(_variables(s)) if v != j]
+        group: dict = {}
+        for i, t in enumerate(dst.tuples):
+            ext = src.full
+            for p, q in common:
+                ext &= src.coord[q][t[p]]
+            group[ext] = group.get(ext, 0) | 1 << i
+        out = dst.groups[s, j] = list(group.items())
+    return out
+
+
 def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
     """Keys are the bitmasks S of free variables x1..xk.  Literals and edges
-    are built from coordinate masks: the points with element e at position p."""
+    come from the ``_Assignments`` of A and of B, which each structure
+    keeps in its memo; a key numbers A's points first, then B's."""
     negations = _negations_allowed(mode)
-    layout = {}
+    shifts = {}
 
     def edges_of(s: int) -> list:
-        pos, sides = layout[s]
         edges = []
         for j in range(1, k + 1):
             src = s | 1 << (j - 1)
-            src_pos, src_sides = layout[src]
-            common = [(pos[v], src_pos[v]) for v in pos if v != j]
-            group: dict = {}
-            for (_, tuples, shift, _, _), (_, _, _, ext_full, ext_coord) in zip(sides, src_sides):
-                for i, t in enumerate(tuples):
-                    ext = ext_full
-                    for p, q in common:
-                        ext &= ext_coord[q][t[p]]
-                    group[ext] = group.get(ext, 0) | 1 << (i + shift)
+            group = dict(_groups(a, s, j))
+            for ext, dst in _groups(b, s, j):
+                ext <<= shifts[src]
+                group[ext] = group.get(ext, 0) | dst << shifts[s]
             edges.append((src, j, list(group.items())))
         return edges
 
     eng = _Refinement((Exists, Forall), mode, cap, (0, 0, 1), edges_of)
     for s in range(1 << k):
-        vs = tuple(v for v in range(1, k + 1) if s >> (v - 1) & 1)
-        n_a = a.size ** len(vs)
-        if n_a + b.size ** len(vs) > cap:
+        m = s.bit_count()
+        if a.size ** m + b.size ** m > cap:
             raise OracleResourceError(f"oracle cap {cap} exceeded by a key's points")
-        sides = []
-        for st, shift in ((a, 0), (b, n_a)):
-            tuples = list(itertools.product(st.universe, repeat=len(vs)))
-            coord = [dict.fromkeys(st.universe, 0) for _ in vs]
-            for i, t in enumerate(tuples):
-                for c, e in zip(coord, t):
-                    c[e] |= 1 << (i + shift)
-            sides.append((st, tuples, shift, ((1 << len(tuples)) - 1) << shift, coord))
-        layout[s] = ({v: i for i, v in enumerate(vs)}, sides)
-    for s, (pos, sides) in layout.items():
-        full = sides[0][3] | sides[1][3]
+        shifts[s] = a.size ** m
+    for s, shift in shifts.items():
+        ta, tb = _assignments(a, s), _assignments(b, s)
+        full = ta.full | tb.full << shift
         literals = {full: TRUE}
         literals.setdefault(0, FALSE)
 
@@ -322,22 +381,14 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
             if negations:
                 literals.setdefault(full & ~mask, negative)
 
+        vs = _variables(s)
+        atoms = zip(ta.atoms, tb.atoms)
         for rel, arity in a.vocab.relations:
-            for vars_ in itertools.product(pos, repeat=arity):
-                mask = 0
-                for st, _, _, side_full, coord in sides:
-                    for t in st.interp[rel]:
-                        m = side_full
-                        for v, e in zip(vars_, t):
-                            m &= coord[pos[v]][e]
-                        mask |= m
-                add(mask, Atom(rel, vars_), NegAtom(rel, vars_))
-        for i, j in itertools.combinations(pos, 2):
-            mask = 0
-            for st, _, _, _, coord in sides:
-                for e in st.universe:
-                    mask |= coord[pos[i]][e] & coord[pos[j]][e]
-            add(mask, Eq(i, j), NegEq(i, j))
+            for vars_ in itertools.product(vs, repeat=arity):
+                ma, mb = next(atoms)
+                add(ma | mb << shift, Atom(rel, vars_), NegAtom(rel, vars_))
+        for (i, j), ma, mb in zip(itertools.combinations(vs, 2), ta.eqs, tb.eqs):
+            add(ma | mb << shift, Eq(i, j), NegEq(i, j))
         eng.keys[s] = (full, literals)
     return eng
 

@@ -1,9 +1,11 @@
 """Finite relational vocabularies and structures.
 
 Structures are immutable after construction and safe to share across
-concurrent queries.  Element ids are opaque hashable tokens; the canonical
-element order is declaration order, which makes every search and serializer
-in this package deterministic.
+concurrent queries.  Each keeps a ``memo`` of what is built from it alone;
+two queries that fill the same entry at once build equal values.  Element
+ids are opaque hashable tokens; the canonical element order is declaration
+order, which makes every search and serializer in this package
+deterministic.
 
 Structure file grammar (UTF-8, line oriented, ``#`` starts a comment)::
 
@@ -141,6 +143,14 @@ class Structure:
     @cached_property
     def index(self) -> dict:
         return {e: i for i, e in enumerate(self.universe)}
+
+    @cached_property
+    def memo(self) -> dict:
+        """What builders derive from this structure alone, built once: the
+        EF cofree coalgebras (``coalgebras.build_ef``) and the oracle's
+        assignment tables (``oracle._fo_engine``).  It lives as long as the
+        structure and is sound because a structure is never mutated."""
+        return {}
 
     @property
     def size(self) -> int:

@@ -73,25 +73,34 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
         verdict = solve(spec, a, b)
     if verdict.duplicator_wins:
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
-    iso = spec.iso_condition
-    modal = spec.family == "modal"
-    forth, back = (Dia, Box) if modal else (Exists, Forall)
+    return _Synthesis(spec, a, b, verdict).formula(verdict.initial_history())
 
-    def synth(history) -> Formula:
+
+class _Synthesis:
+    """The recursion of ``distinguish`` along Spoiler's strategy.  A method,
+    not a recursive closure: a closure holds itself through its cell, and
+    that cycle would leave the verdict to the cyclic garbage collector."""
+
+    def __init__(self, spec: GameSpec, a: Structure, b: Structure, verdict: Verdict):
+        self.a, self.b, self.verdict = a, b, verdict
+        self.iso = spec.iso_condition
+        self.modal = spec.family == "modal"
+        self.forth, self.back = (Dia, Box) if self.modal else (Exists, Forall)
+
+    def formula(self, history) -> Formula:
+        verdict = self.verdict
         if not verdict.condition_holds(history):
             bindings = verdict.bindings(history)
-            if modal:
+            if self.modal:
                 _, x, y = bindings[-1]
-                return _modal_literal(x, y, a, b, iso)
-            return _violated_literal(bindings, a, b, iso)
+                return _modal_literal(x, y, self.a, self.b, self.iso)
+            return _violated_literal(bindings, self.a, self.b, self.iso)
         move = verdict.spoiler_move(history)
         if move is None:
             raise RuntimeError("dead position without a winning move")
-        parts = [synth(verdict.extend(history, move, r))
+        parts = [self.formula(verdict.extend(history, move, r))
                  for r in verdict.responses(history, move)]
         label = verdict.label(history, move)
         if move[-2] == "A":
-            return forth(label, and_(parts))
-        return back(label, or_(parts))
-
-    return synth(verdict.initial_history())
+            return self.forth(label, and_(parts))
+        return self.back(label, or_(parts))

@@ -3,9 +3,11 @@
 ``perfbench/run.py`` hashes the answers of a workload into one
 ``verdict_digest``: for the pebble workloads each verdict and, where Spoiler
 wins, the death stage of the empty placement.  ``perfbench/NOTES.md`` lists
-the digests of seed 424242.  Running the two workloads that exercise the
-pebble attractor for one pass makes a changed verdict or death stage fail
-the suite, not only the benchmark.
+the digests of seed 424242.  Running each workload for one pass makes a
+changed verdict or death stage fail the suite, not only the benchmark:
+pebble-scale and fv-crosscheck exercise the pebble attractor, ef-crosscheck
+and modal-crosscheck the EF and modal games, the oracle and the cofree
+coalgebras.
 """
 
 import json
@@ -27,7 +29,9 @@ def recorded_digest(workload: str) -> str:
 
 
 @pytest.mark.parametrize("workload,digest", [("pebble-scale", "02eda1f9d8d91060"),
-                                             ("fv-crosscheck", "6183a74cf877c864")])
+                                             ("fv-crosscheck", "6183a74cf877c864"),
+                                             ("ef-crosscheck", "244a315f3c0e1e8d"),
+                                             ("modal-crosscheck", "810e9a06d788e24e")])
 def test_verdict_digest_at_seed_424242(workload, digest):
     assert recorded_digest(workload) == digest
     proc = subprocess.run(

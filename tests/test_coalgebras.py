@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra,
-                     Structure, Vocabulary, build_ef, build_modal,
+                     Structure, StructureError, Vocabulary, build_cofree, build_ef, build_modal,
                      build_pebble_truncated, check_comonad_laws, coextend,
                      counit, counit_map, expand_i, forest_shape,
                      find_homomorphism, is_p_morphism, iter_homomorphisms,
@@ -78,6 +78,39 @@ def test_pebble_universe_count(edge):
 def test_size_cap(loop):
     with pytest.raises(CoalgebraSizeError):
         build_ef(loop, 30, cap=10)
+
+
+def test_build_ef_is_memoized_per_structure(edge):
+    c = build_ef(edge, 2, with_i=True)
+    assert build_ef(edge, 2, with_i=True) is c
+    assert build_cofree(edge, "ef", 2, with_i=True) is c
+    plain = build_ef(edge, 2)
+    assert plain is not c and "I" not in plain.carrier.vocab.arities
+    assert build_ef(edge, 2) is plain
+    # an equal but distinct structure builds its own, identical coalgebra
+    twin = Structure(edge.vocab, edge.universe, dict(edge.interp), edge.point, edge.name)
+    assert twin == edge
+    other = build_ef(twin, 2, with_i=True)
+    assert other is not c
+    assert serialize_coalgebra(other) == serialize_coalgebra(c)
+
+
+def test_build_ef_memo_keeps_carrier_names(edge):
+    renamed = edge.with_name("Other")
+    assert build_ef(edge, 1).carrier.name == f"F1({edge.name})"
+    assert build_ef(renamed, 1).carrier.name == "F1(Other)"
+    assert build_ef(edge, 1).carrier.name == f"F1({edge.name})"
+
+
+def test_size_cap_on_a_memo_hit(loop):
+    c = build_ef(loop, 3, with_i=True)
+    assert len(c.universe) == 3
+    with pytest.raises(CoalgebraSizeError):
+        build_ef(loop, 3, with_i=True, cap=2)
+    assert build_ef(loop, 3, with_i=True, cap=3) is c
+    # a second I is refused before the size is looked at, as without the memo
+    with pytest.raises(StructureError):
+        build_ef(expand_i(loop), 30, with_i=True, cap=10)
 
 
 def test_counit(loop, edge):

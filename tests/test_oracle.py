@@ -198,6 +198,47 @@ def test_resource_cap_is_an_error_not_a_verdict(cliques):
         oracle_preserves(FragmentSpec("fo_rank", 2, "full"), cliques[3], cliques[3], cap=5)
 
 
+def test_resource_cap_on_a_warm_memo(cliques):
+    k3 = cliques[3]
+    for family in ("fo_rank", "l_vars"):
+        assert oracle_preserves(FragmentSpec(family, 2, "full"), k3, k3).preserved
+        assert k3.memo
+        with pytest.raises(OracleResourceError, match="points"):
+            oracle_preserves(FragmentSpec(family, 2, "full"), k3, k3, cap=5)
+
+
+def _fresh(s):
+    """An equal structure with an empty memo."""
+    return Structure(s.vocab, s.universe, s.interp, s.point, s.name)
+
+
+def _answers(a, b, mode, copy=lambda s: s):
+    """Verdicts and witnesses of the FO families; ``copy=_fresh`` builds
+    every table anew."""
+    results = fo_rank_profile(copy(a), copy(b), 2, mode)
+    results += [oracle_preserves(FragmentSpec("l_vars", k, mode), copy(a), copy(b))
+                for k in (1, 2)]
+    return [(r.preserved, r.witness and serialize_formula(r.witness)) for r in results]
+
+
+def test_memoized_tables_give_the_cold_answers():
+    pool = small_structures(2)
+    empty, full = pool[0], pool[-1]
+    assert empty.size == 0 and full.size == 2
+    rnd = random.Random(43)
+    pairs = [(rnd.choice(pool), rnd.choice(pool)) for _ in range(25)]
+    pairs += [(a, a) for a in rnd.sample(pool, 5)]
+    pairs += [(empty, empty), (empty, full), (full, empty)]
+    for a, b in pairs:
+        for mode in MODES:
+            cold = _answers(a, b, mode, _fresh)
+            _answers(b, a, mode)  # warms both memos, each in the other role
+            assert a.memo and b.memo
+            assert _answers(a, b, mode) == cold
+            assert _answers(a, b, mode, lambda s: s if s is a else _fresh(s)) == cold
+            assert _answers(a, b, mode, lambda s: s if s is b else _fresh(s)) == cold
+
+
 def test_generator_cap_is_an_error_not_a_verdict(chain_ab):
     with pytest.raises(OracleResourceError, match="generators"):
         ml_depth_profile(chain_ab, chain_ab, 1, "full", cap=3)

@@ -1,9 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from fmgames import (DuplicatorWinsError, GameSpec, classify, distinguish,
                      model_check, solve)
+
+from fmgames.corpus import clique, linear_order
 
 from conftest import kripke, small_structures
 
@@ -114,3 +118,29 @@ def test_empty_b_gives_exists_true(edge):
     empty = Structure.make(edge.vocab, [], {})
     phi = distinguish(GameSpec("ef", "ep", 1), edge, empty)
     assert str(phi) == "E x1. true"
+
+
+@pytest.mark.parametrize("spec, pair", [
+    (GameSpec("ef", "full", 2), "orders"),
+    (GameSpec("pebble", "full", 3), "cliques"),
+    (GameSpec("pebble", "full", 3, 3), "cliques"),
+    (GameSpec("modal", "full", 2), "kripke"),
+], ids=["ef", "pebble", "pebble-rounds", "modal"])
+def test_verdict_is_freed_without_the_cycle_collector(spec, pair):
+    # solve and distinguish leave no reference cycle: once the last
+    # reference goes, the verdict with its memo and rules is freed at once
+    a, b = {"orders": (linear_order(2), linear_order(3)),
+            "cliques": (clique(3), clique(2)),
+            "kripke": (kripke(["a", "b"], [("a", "b")], ["b"], "a"),
+                       kripke(["a", "b"], [("a", "b")], [], "a"))}[pair]
+    gc.collect()
+    gc.disable()
+    try:
+        v = solve(spec, a, b)
+        assert not v.duplicator_wins
+        distinguish(spec, a, b, v)
+        ref = weakref.ref(v)
+        del v
+        assert ref() is None
+    finally:
+        gc.enable()
