@@ -12,15 +12,18 @@ pebble) are solved by memoized backward induction over
 sound because both winning conditions are hereditary (every sub-relation of
 a partial isomorphism or partial homomorphism is again one).  The unbounded
 pebble game is a safety game on the finite placement space, solved as a
-backward attractor on integer placement ids: Spoiler's winning region grows
-layer by layer from the placements that violate the condition, and the layer
-at which a placement joins it is its death stage.  The conditions are also
-local: one fails on a pair set iff it fails on a subset of at most
-max(2, largest arity) pairs, the empty subset covering 0-ary relations.  So
-the attractor tests the condition on one table over that many pebbles and
-derives every placement's verdict from it.  The same ``placement_cap``
-bounds the attractor's placement space and the positions the backward
-induction memoizes.
+backward attractor: Spoiler's winning region grows layer by layer from the
+positions that violate the condition, and the layer at which a position
+joins it is its death stage.  Because the positions where Duplicator
+survives s rounds are closed under restriction, a placement's death stage
+is that of its set of placed pairs, so the attractor runs over the partial
+maps of at most k pairs that satisfy the condition, not over the
+placements.  The conditions are also local: one fails on a pair set iff it
+fails on a subset of at most max(2, largest arity) pairs, the empty subset
+covering 0-ary relations, so those sets are enumerated level by level and
+the condition is tested only up to that size.  The same ``placement_cap``
+bounds the n^k placements of the unbounded game and the positions the
+backward induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -31,6 +34,7 @@ modal family requires them.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -403,11 +407,15 @@ class Verdict:
         best_stage = None
         for move in self._moves(key):
             children = [child for _, child in self._children(key, move)]
-            if any(self._alive(c) for c in children):
-                continue
             if self.stage is None:
-                return move
-            worst = max((self.stage[state] for state, _ in children), default=0)
+                if not any(self._alive(c) for c in children):
+                    return move
+                continue
+            # one lookup per child: -1 marks an alive one
+            stages = [self.stage.get(state, -1) for state, _ in children]
+            if -1 in stages:
+                continue
+            worst = max(stages, default=0)
             if best is None or worst < best_stage:
                 best, best_stage = move, worst
         return best
@@ -490,165 +498,195 @@ class _Backward:
 
 class _StageTable(Mapping):
     """Death stages of the dead placements, read-only, keyed by frozenset
-    placements and stored as one array over placement ids (-1 while alive).
+    placements ``{(pebble, (a, b)), ...}``.
 
-    Placement ``{(p, pairs[d - 1]), ...}`` has id ``sum(d * n ** (p - 1))``
-    with ``n = len(pairs) + 1``: digit p is 0 while pebble p is off the
-    board.  Keys are decoded on iteration and encoded on lookup; ids are
-    memoized per placement because strategy extraction asks for the same
-    placements again and again.
+    A placement's stage is the stage of its set of placed pairs (see
+    ``_solve_attractor``).  So the table holds one stage per pair set that
+    satisfies the condition (-1 while alive), keyed by its bit mask over
+    ``pairs``; every other pair set fails the condition and has stage 0.
+    Lookups are memoized per placement because strategy extraction asks for
+    the same placements again and again.
+
+    Iteration runs in placement-id order: placement ``{(p, pairs[d - 1]),
+    ...}`` has id ``sum(d * n ** (p - 1))`` with ``n = len(pairs) + 1``,
+    digit p being 0 while pebble p is off the board.  The length is counted,
+    not walked: the placements whose pairs are exactly an alive set of j
+    pairs are the maps from the k pebbles onto that set plus "off the
+    board", ``sum((-1) ** i * C(j, i) * (j - i + 1) ** k)`` of them by
+    inclusion-exclusion, and every other placement is dead.
     """
 
-    def __init__(self, stages: array, pairs: list, k: int):
+    def __init__(self, stages: dict, pairs: list, k: int):
         self._stages = stages
         self._pairs = pairs
-        self._n = n = len(pairs) + 1
         self._k = k
-        # what each (pebble, pair) item adds to a placement id
-        self._code = {(p, pair): d * n ** (p - 1) for p in range(1, k + 1)
-                      for d, pair in enumerate(pairs, start=1)}
-        self._len = len(stages) - stages.count(-1)
-        self._ids: dict = {}
+        self._bit = {(p, pair): 1 << i for p in range(1, k + 1)
+                     for i, pair in enumerate(pairs)}
+        self._memo: dict = {}
+        onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
+                for j in range(k + 1)]
+        self._len = (len(pairs) + 1) ** k - sum(
+            onto[mask.bit_count()] for mask, s in stages.items() if s < 0)
 
-    def encode(self, placement) -> int:
-        x = self._ids.get(placement)
-        if x is None:
+    def death_stage(self, placement) -> int:
+        """The placement's death stage, -1 while it is alive."""
+        s = self._memo.get(placement)
+        if s is None:
             if len(dict(placement)) != len(placement):
                 raise KeyError(placement)  # two positions for one pebble
-            x = self._ids[placement] = sum(map(self._code.__getitem__, placement))
-        return x
-
-    def decode(self, x: int) -> frozenset:
-        out = []
-        for p in range(1, self._k + 1):
-            x, d = divmod(x, self._n)
-            if d:
-                out.append((p, self._pairs[d - 1]))
-        return frozenset(out)
+            mask = 0
+            for item in placement:
+                mask |= self._bit[item]
+            s = self._memo[placement] = self._stages.get(mask, 0)
+        return s
 
     def __getitem__(self, placement) -> int:
-        s = self._stages[self.encode(placement)]
+        s = self.death_stage(placement)
         if s < 0:
             raise KeyError(placement)
         return s
 
+    def get(self, placement, default=None):
+        """The stage, or ``default`` for an alive or unknown placement, in one
+        lookup where ``in`` and then ``[]`` would take two."""
+        try:
+            s = self.death_stage(placement)
+        except KeyError:
+            return default
+        return default if s < 0 else s
+
     def __iter__(self):
-        return (self.decode(x) for x, s in enumerate(self._stages) if s >= 0)
+        k, pairs, stages = self._k, self._pairs, self._stages
+        # the digit of pebble k varies slowest, so ids ascend
+        for digits in itertools.product(range(len(pairs) + 1), repeat=k):
+            mask = 0
+            for d in digits:
+                if d:
+                    mask |= 1 << (d - 1)
+            if stages.get(mask, 0) >= 0:
+                yield frozenset((k - q, pairs[d - 1]) for q, d in enumerate(digits) if d)
 
     def __len__(self) -> int:
         return self._len
 
 
-def _condition_bytes(rules: _PebbleRules, pairs: list, k: int) -> bytes:
-    """Byte x is 1 iff placement id x (see ``_StageTable``) satisfies the
-    winning condition, else 0: the AND, over every m-set of slots, of one
-    condition table over m digits, repeated over the other slots (see
-    ``_solve_attractor``)."""
-    n = len(pairs) + 1
-    arity = max((r for _, r in rules.a.vocab.relations), default=0)
-    m = min(k, max(2, arity))
-    # the last digit varies fastest, so the table id counts up with digits in order m..1
-    table = bytes(rules.pairs_cond(frozenset(pairs[d - 1] for d in digits if d))
-                  for digits in itertools.product(range(n), repeat=m))
-    if m == k:
-        return table
-    out = -1
-    for slots in itertools.combinations(range(k), m):
-        block = table
-        for q in range(k):
-            if q not in slots:
-                # a free digit at position q: repeat every block of n^q ids n times
-                c = n ** q
-                block = b"".join([block[i:i + c] * n for i in range(0, len(block), c)])
-        out &= int.from_bytes(block, "little")
-    return out.to_bytes(n ** k, "little")
-
-
 def _solve_attractor(v: Verdict, cap: int):
-    """Spoiler's attractor to the condition-violating placements.
+    """Spoiler's attractor to the condition-violating positions, run over
+    the sets of placed pairs instead of the placements.
 
-    The condition is not tested per placement.  It is local: it fails on a
-    pair set iff it fails on a subset of at most ``m = max(2, largest
-    arity)`` pairs.  Two pairs witness a non-function or a non-injection;
-    otherwise the placed pairs form a map, and a tuple of arity r that it
-    fails to preserve (or reflect) uses at most r of them; a false 0-ary
-    relation fails already on the empty subset, which every placement has.
-    With ``m = min(k, m)`` every such subset of a placement's pairs lies in
-    the pairs on some m-set of its slots, and the condition is hereditary,
-    so a placement satisfies it iff the pairs on each m-set of its slots
-    do.  The condition depends only on the set of pairs, not on the slots
-    that hold them, so one table over m digits serves every m-set of slots;
-    ``_condition_bytes`` spreads it over the other slots by repeating blocks
-    and ANDs the results.
+    Which pebble holds which pair does not matter.  Let W_s be the
+    placements from which Duplicator survives s more rounds (W_0: the
+    condition holds).  By induction on s, whether a placement is in W_s
+    depends only on its set S of placed pairs, and W_s is closed under
+    restriction: every subset of a pair set in W_s is in W_s (for s = 0
+    because the condition is hereditary).  If |S| < k, some pebble is off
+    the board or doubles another, and moving it adds a pair: Spoiler
+    reaches S + {new} for every Spoiler element, and a move that replaces a
+    pair reaches a subset of such a position, which by closure never serves
+    Spoiler better.  If |S| = k, every move replaces one pair x of S:
+    (S - {x}) + {new}.  So S's moves are the rows ``(T, Spoiler element)``
+    with base T = S if |S| < k and T = S - {x} for each x in S if |S| = k,
+    and a row's responses lead to T + {pair}.  W_s is closed under
+    restriction too: a proper subset S' of S lies in one of S's bases (in S
+    itself, or in S - {x} for an x not in S'), and the responses that keep
+    that base's rows in W_(s-1) keep those of S' there as well.  Hence a
+    placement's death stage is the stage of its pair set, and a doubled
+    pebble acts like an off-board one.
 
-    A move on pebble p replaces slot p, so placements that differ only in
-    slot p share their moves and responses.  One counter row per ``base``
-    (a placement id with slot p cleared) and p holds, per element of A (and
-    of B when Spoiler may play there), how many responses to that move are
-    alive.  Rows are filled from the placements that satisfy the condition;
-    a placement with an empty entry in one of its rows dies at stage 1.
-    Later deaths are processed layer by layer: each decrements the entries
-    it answers in the rows of its pebbles, and an entry reaching 0 kills the
-    alive placements over that row's base in the next layer.  So a
-    placement's layer is its death stage, every stage-s death sees only
-    stage-<s deaths, death stages decrease strictly along Spoiler's
-    strategy, and synthesized formulas stay within rank = death stage.
+    The sets of at most k pairs that satisfy the condition are enumerated
+    level by level as bit masks over the pairs: a j-set is kept iff all its
+    (j-1)-subsets were kept and, for j <= m = max(2, largest arity),
+    ``pairs_cond`` holds on it.  Above m the subset test is enough because
+    the condition is local: it fails on a pair set iff it fails on a subset
+    of at most m pairs (two pairs witness a non-function or a non-injection;
+    otherwise the pairs form a map, and a tuple of arity r that it fails to
+    preserve or reflect uses at most r of them; a false 0-ary relation fails
+    already on the empty set), and every such subset of a j-set lies in one
+    of its (j-1)-subsets.
+
+    One counter row per base (a kept set of fewer than k pairs) holds, per
+    element of A (and of B when Spoiler may play there), how many responses
+    to that move lead to a kept set.  A kept set C answers, for each pair
+    (x, y) in it, the entries of x and y in the row of C - {(x, y)} and, if
+    |C| < k, in its own row (a doubled pebble).  A set with an empty entry in
+    one of its rows dies at stage 1.  Later deaths are processed layer by
+    layer: each decrements the entries it answers, and an entry reaching 0
+    kills the alive sets that use its row, the base and the k-sets over it,
+    in the next layer.  So a set's layer is its death stage, every stage-s
+    death sees only stage-<s deaths, death stages decrease strictly along
+    Spoiler's strategy, and synthesized formulas stay within rank = death
+    stage.  ``placement_cap`` still bounds the n^k placements, which the
+    stage table's iteration (the JSON ``stageTable``) enumerates.
     """
     rules, k = v.rules, v.spec.k
     na, nb = len(v.a.universe), len(v.b.universe)
     pairs = [(x, y) for x in v.a.universe for y in v.b.universe]
-    n = len(pairs) + 1
-    total = n ** k
+    total = (len(pairs) + 1) ** k
     if total > cap:
         raise GameResourceError(f"pebble placement space {total} exceeds cap {cap}")
-    cond = _condition_bytes(rules, pairs, k)
-    stages = array("i", [0]) * total
-    alive = list(itertools.compress(range(total), cond))
+    m = max(2, max((r for _, r in v.a.vocab.relations), default=0))
+    # per kept set, in level order: its mask and its pair indices in ascending order
+    masks = [0] if rules.pairs_cond(frozenset()) else []
+    members = [()] * len(masks)
+    ids = {mask: c for c, mask in enumerate(masks)}
+    start = [0, len(masks)]  # the sets of j pairs have ids start[j] .. start[j + 1] - 1
+    for j in range(1, k + 1):
+        for c in range(start[j - 1], start[j]):
+            mask, idx = masks[c], members[c]
+            for i in range(idx[-1] + 1 if idx else 0, len(pairs)):
+                new = mask | 1 << i
+                if all((new ^ 1 << b) in ids for b in idx) and (
+                        j > m or rules.pairs_cond(frozenset(pairs[b] for b in (*idx, i)))):
+                    ids[new] = len(masks)
+                    masks.append(new)
+                    members.append((*idx, i))
+        start.append(len(masks))
+    bases = start[k]
     back = not v.spec.forth_only
-    pw = [n ** p for p in range(k)]
-    rows = total // n
     width = na + nb if back else na
-    counts = array("i", [0]) * (k * rows * width)
-    # the entries pair digit d answers in a row: its A-element's, then its B-element's
-    entries = [()] + [(i, na + j) if back else (i,) for i in range(na) for j in range(nb)]
-
-    def rows_of(x):
-        """``(d, step, row offset)`` per slot of x; q * step + low squeezes the slot out."""
-        q, low = x, 0
-        for p, step in enumerate(pw):
-            q, d = divmod(q, n)
-            yield d, step, (p * rows + q * step + low) * width
-            low += d * step
-
-    for x in alive:
-        stages[x] = -1
-        for d, _, row in rows_of(x):
-            for e in entries[d]:
-                counts[row + e] += 1
+    # the entries pair i answers in a row: its A-element's, then its B-element's
+    entries = [(i // nb, na + i % nb) if back else (i // nb,) for i in range(len(pairs))]
+    users = [[t] for t in range(bases)]  # the sets that move by a base's rows
+    answers = []  # per set, the counter offsets it answers
+    for c, (mask, idx) in enumerate(zip(masks, members)):
+        offsets = []
+        for i in idx:
+            t = ids[mask ^ 1 << i]
+            offsets += [t * width + e for e in entries[i]]
+            if c < bases:
+                offsets += [c * width + e for e in entries[i]]
+            else:
+                users[t].append(c)
+        answers.append(offsets)
+    counts = array("i", [0]) * (bases * width)
+    for offsets in answers:
+        for o in offsets:
+            counts[o] += 1
+    stages = array("i", [-1]) * len(masks)
     layer = []
-    if width:
-        empty = [0 in counts[r:r + width] for r in range(0, len(counts), width)]
-        layer = [x for x in alive if any(empty[row // width] for _, _, row in rows_of(x))]
-    for x in layer:
-        stages[x] = 1
+    for t in range(bases):
+        if 0 in counts[t * width:(t + 1) * width]:
+            for u in users[t]:
+                if stages[u] < 0:
+                    stages[u] = 1
+                    layer.append(u)
     s = 1
     while layer:
         s += 1
         nxt = []
-        for x in layer:
-            for d, step, row in rows_of(x):
-                for e in entries[d]:
-                    counts[row + e] -= 1
-                    if not counts[row + e]:
-                        for y in range(x - d * step, x + (n - d) * step, step):
-                            if stages[y] < 0:
-                                stages[y] = s
-                                nxt.append(y)
+        for c in layer:
+            for o in answers[c]:
+                counts[o] -= 1
+                if not counts[o]:
+                    for u in users[o // width]:
+                        if stages[u] < 0:
+                            stages[u] = s
+                            nxt.append(u)
         layer = nxt
-    table = _StageTable(stages, pairs, k)
-    v._alive = lambda key: stages[table.encode(key[0])] < 0
+    table = _StageTable(dict(zip(masks, stages)), pairs, k)
+    v._alive = lambda key: table.death_stage(key[0]) < 0
     v.stage = table
-    v.duplicator_wins = stages[0] < 0
+    v.duplicator_wins = table.death_stage(frozenset()) < 0
 
 
 # ---------------------------------------------------------------------------

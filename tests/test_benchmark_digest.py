@@ -1,4 +1,4 @@
-"""The benchmark's verdict digests at seed 424242, as a unit test.
+"""The benchmark's verdict digests at seed 424242 and at seed 7, as a unit test.
 
 ``perfbench/run.py`` hashes the answers of a workload into one
 ``verdict_digest``: for the pebble workloads each verdict and, where Spoiler
@@ -28,16 +28,28 @@ def recorded_digest(workload: str) -> str:
     return found[0]
 
 
+def run_digest(workload: str, seed: int) -> list:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    return re.findall(r"verdict_digest ([0-9a-f]+)", proc.stdout)
+
+
 @pytest.mark.parametrize("workload,digest", [("pebble-scale", "02eda1f9d8d91060"),
                                              ("fv-crosscheck", "6183a74cf877c864"),
                                              ("ef-crosscheck", "244a315f3c0e1e8d"),
                                              ("modal-crosscheck", "810e9a06d788e24e")])
 def test_verdict_digest_at_seed_424242(workload, digest):
     assert recorded_digest(workload) == digest
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "424242", "--seconds", "1", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
-    assert re.findall(r"verdict_digest ([0-9a-f]+)", proc.stdout) == [digest]
+    assert run_digest(workload, 424242) == [digest]
+
+
+# A held-out seed for the two pebble workloads.  ``perfbench/NOTES.md`` lists
+# seed 424242 only, so these digests are kept here; CHANGES.md records them.
+@pytest.mark.parametrize("workload,digest", [("pebble-scale", "27832494cce96fd7"),
+                                             ("fv-crosscheck", "0e9e1866e9c41674")])
+def test_verdict_digest_at_held_out_seed_7(workload, digest):
+    assert run_digest(workload, 7) == [digest]

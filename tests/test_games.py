@@ -7,9 +7,9 @@ import pytest
 from fmgames import (GameSpec, IllegalMoveError, StructureError, Structure,
                      Vocabulary, distinguish, pairs_condition, replay,
                      serialize_structure, solve)
-from fmgames.corpus import all_digraphs, clique, linear_order
+from fmgames.corpus import DIGRAPH_VOCAB, all_digraphs, clique, linear_order
 from fmgames.formulas import serialize_formula
-from fmgames.games import Verdict, _condition_bytes
+from fmgames.games import Verdict
 from conftest import _partial_map_ok, brute_force_game, kripke, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
@@ -248,13 +248,14 @@ def test_round_bounded_solver_caps_memoized_positions(orders):
 # Unbounded pebble game: the attractor against a plain synchronous sweep
 
 MIXED = Vocabulary((("Z", 0), ("U", 1), ("E", 2), ("T", 3)))
+UNARY = Vocabulary((("Z", 0), ("U", 1)))
 
 
-def random_mixed(rnd, size, name, density):
+def random_mixed(rnd, size, name, density, vocab=MIXED):
     elems = [f"{name}{i}" for i in range(size)]
     interp = {rel: [t for t in itertools.product(elems, repeat=arity) if rnd.random() < density]
-              for rel, arity in MIXED.relations}
-    return Structure.make(MIXED, elems, interp, name=name)
+              for rel, arity in vocab.relations}
+    return Structure.make(vocab, elems, interp, name=name)
 
 
 def mixed_pairs(seed, count):
@@ -312,6 +313,7 @@ def assert_matches_reference(spec, a, b):
     stage = reference_pebble(spec, a, b)
     assert v.duplicator_wins == (frozenset() not in stage)
     assert dict(v.stage.items()) == stage
+    assert len(v.stage) == len(stage)
     if not v.duplicator_wins:
         ref = Verdict(spec, a, b)
         ref.stage, ref.duplicator_wins = stage, False
@@ -348,10 +350,35 @@ def test_pebble_attractor_matches_sweep_at_four_pebbles():
 
 
 def test_pebble_attractor_matches_sweep_on_mixed_arities():
+    # without a binary relation only the floor of 2 pairs on the condition's
+    # locality catches a non-function or a non-injection
+    urnd = random.Random(61)
+    unary = [tuple(random_mixed(urnd, urnd.randint(0, 3), name, 0.5, UNARY) for name in "ab")
+             for _ in range(40)]
     rnd = random.Random(47)
-    for a, b in mixed_pairs(53, 150):
+    for a, b in mixed_pairs(53, 150) + unary:
         spec = GameSpec("pebble", rnd.choice(MODES), rnd.choice((1, 2, 3)))
         assert_matches_reference(spec, a, b)
+
+
+def random_digraph(rnd, n, name):
+    """A digraph shaped like the benchmark's pebble-scale ones: round(0.4 n^2)
+    edges, round(0.4 n) of them loops."""
+    elems = [f"{name}{i}" for i in range(n)]
+    loops = round(0.4 * n)
+    edges = rnd.sample([(x, x) for x in elems], loops)
+    edges += rnd.sample([(x, y) for x in elems for y in elems if x != y],
+                        round(0.4 * n * n) - loops)
+    return Structure.make(DIGRAPH_VOCAB, elems, {"E": edges}, name=name)
+
+
+def test_pebble_attractor_matches_sweep_at_benchmark_sizes():
+    rnd = random.Random(59)
+    for n, k in ((4, 3), (5, 2)):
+        for mode in MODES:
+            for _ in range(2):
+                a, b = random_digraph(rnd, n, "a"), random_digraph(rnd, n, "b")
+                assert_matches_reference(GameSpec("pebble", mode, k), a, b)
 
 
 def test_pebble_attractor_empty_universes(edge):
@@ -375,6 +402,11 @@ def test_pebble_stage_table_is_a_read_only_mapping(cliques):
     assert v.duplicator_wins and v.stage
     stage = dict(v.stage.items())
     assert len(v.stage) == len(stage) == len(list(v.stage.values()))
+    # iteration runs in placement-id order: pebble p is digit p - 1 in base n
+    pairs = [(x, y) for x in cliques[2].universe for y in cliques[3].universe]
+    ids = [sum((pairs.index(pair) + 1) * (len(pairs) + 1) ** (p - 1) for p, pair in pl)
+           for pl in v.stage]
+    assert ids == sorted(set(ids))
     alive = frozenset({(1, ("c0", "c1"))})
     dead = frozenset({(1, ("c0", "c1")), (2, ("c1", "c1"))})
     assert alive not in v.stage and v.stage.get(alive, -1) == -1
@@ -389,8 +421,10 @@ def test_pebble_stage_table_is_a_read_only_mapping(cliques):
 
 
 def test_pebble_clique_calibration_at_four_pebbles():
+    start = time.perf_counter()
     assert solve(GameSpec("pebble", "full", 4), clique(4), clique(5)).duplicator_wins
     v = solve(GameSpec("pebble", "full", 4), clique(3), clique(4))
+    assert time.perf_counter() - start < 2
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
 
@@ -408,30 +442,27 @@ def test_pairs_condition_matches_reference_on_mixed_arities():
                 assert pairs_condition(placed, a, b, iso) == _partial_map_ok(placed, a, b, iso)
 
 
-def test_condition_bytes_match_pairs_condition_per_placement():
-    """Byte x of the condition bytes is ``pairs_condition`` on the pairs that
-    placement id x places, for every id, k <= 4 and every mode."""
+def test_stage_zero_iff_pairs_condition_fails_per_placement():
+    """A placement has stage 0 iff ``pairs_condition`` fails on its pairs, for
+    every placement id, k <= 4 and every mode."""
     rnd = random.Random(29)
     checked = 0
     for a, b in mixed_pairs(31, 80):
         k = rnd.choice((1, 2, 3, 4, 4))
         pairs = [(x, y) for x in a.universe for y in b.universe]
         n = len(pairs) + 1
-        expected = {}
         for mode in MODES:
             spec = GameSpec("pebble", mode, k)
-            if spec.iso_condition not in expected:
-                want = bytearray()
-                for x in range(n ** k):
-                    placed = set()
-                    for _ in range(k):
-                        x, d = divmod(x, n)     # digit d of slot 1, 2, ...
-                        if d:
-                            placed.add(pairs[d - 1])
-                    want.append(pairs_condition(placed, a, b, spec.iso_condition))
-                expected[spec.iso_condition] = bytes(want)
-            got = _condition_bytes(Verdict(spec, a, b).rules, pairs, k)
-            assert got == expected[spec.iso_condition], \
-                (serialize_structure(a), serialize_structure(b), mode, k)
-            checked += len(got)
-    assert checked > 100_000
+            v = solve(spec, a, b)
+            for x in range(n ** k):
+                placement = set()
+                for p in range(1, k + 1):
+                    x, d = divmod(x, n)     # digit d of slot p
+                    if d:
+                        placement.add((p, pairs[d - 1]))
+                fails = not pairs_condition({pair for _, pair in placement}, a, b,
+                                            spec.iso_condition)
+                assert (v.stage.get(frozenset(placement)) == 0) == fails, \
+                    (serialize_structure(a), serialize_structure(b), mode, k, placement)
+                checked += 1
+    assert checked > 400_000
