@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from fmgames import GameSpec, parse_structure, replay, solve
+from fmgames import (GameSpec, build_cofree, parse_structure, replay,
+                     serialize_coalgebra, solve)
 from fmgames.cli import main
 from fmgames.corpus import (clique, edge_structure, linear_order,
                             loop_structure)
@@ -38,12 +39,24 @@ _MODAL_TEXT = {
 }
 
 
+#: Coalgebra files as ``build`` writes them: name -> (structure, family, k, n, with_i).
+_COALGEBRAS = {
+    "Fedge": ("edge", "ef", 2, None, True), "Floop": ("loop", "ef", 2, None, True),
+    "FL3": ("L3", "ef", 2, None, True), "FL4": ("L4", "ef", 2, None, True),
+    "MMA": ("MA", "modal", 2, None, False), "MMC": ("MC", "modal", 2, None, False),
+    "PK2": ("K2", "pebble", 2, 2, False), "PK3": ("K3", "pebble", 2, 2, False),
+}
+
+
 def write_inputs(root: Path) -> dict:
     structures = {"edge": edge_structure(), "loop": loop_structure(),
                   "L3": linear_order(3), "L4": linear_order(4),
                   "K2": clique(2), "K3": clique(3)}
+    structures.update({name: parse_structure(text) for name, text in _MODAL_TEXT.items()})
     texts = {name: serialize_structure(s) for name, s in structures.items()}
     texts.update(_MODAL_TEXT)
+    for name, (base, family, k, n, with_i) in _COALGEBRAS.items():
+        texts[name] = serialize_coalgebra(build_cofree(structures[base], family, k, n, with_i))
     paths = {}
     for name, text in texts.items():
         path = root / f"{name}.fms"
@@ -125,7 +138,16 @@ def _play_cases() -> list:
     ]
 
 
-CASES = _check_cases() + _distinguish_cases() + _play_cases()
+def _morphism_cases() -> list:
+    pairs = [("Fedge", "Fedge"), ("Fedge", "Floop"), ("Floop", "Fedge"), ("FL3", "FL4"),
+             ("FL4", "FL3"), ("MMA", "MMC"), ("MMC", "MMA"), ("MMC", "MMC"),
+             ("PK2", "PK3"), ("PK3", "PK2")]
+    return [(f"morphism {kind} {a}/{b}", ["morphism", "--kind", kind, a, b], [])
+            for a, b in pairs for kind in ("hom", "i-morphism", "pathwise", "open")
+            if kind != "open" or a[0] != "P"]
+
+
+CASES = _check_cases() + _distinguish_cases() + _play_cases() + _morphism_cases()
 
 REPLAYS = [
     ("ef", "existential", 2, None, "edge", "loop", ["v", "w"]),
