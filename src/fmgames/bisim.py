@@ -1,10 +1,12 @@
 """Positive bisimulations, symmetric bisimulations, back-and-forth systems.
 
-The constructive route goes through the set W of valid plays under the
-extracted Duplicator winning strategy of the matching (positive or full)
-game.  W carries two structures: Z1 holds a tuple when the second components
-are pairwise comparable and the first components are related in the cofree
-coalgebra over A, Z2 dually; with the product order this yields the span
+All three are read off the branch-pair fixpoint ``morphisms.BranchPairs``
+between the cofree coalgebras, with the homomorphism pair condition for
+positive and the embedding one for full; no game is played.  The span set
+W starts at the root pair and takes, for each child on either side, its
+first live partner.  Z1 holds a tuple of pairs on one branch of W when
+their first components are related in the cofree coalgebra over A, Z2
+dually; with the product order this yields the span
 
     Z1 --h--> Z2      with p, q the projections, h the identity of W.
      |         |
@@ -13,13 +15,9 @@ coalgebra over A, Z2 dually; with the product order this yields the span
      X         Y
 
 Every constructed witness is re-verified before being returned; a failure
-there is a bug sentinel, never an expected outcome.
-
-The back-and-forth engine works on path trees directly: pairs of equal
-height whose unique height-preserving chain map is a homomorphism (or an
-isomorphism, for the forth-only existential variant) of induced
-substructures, pruned to the greatest fixpoint of the forth/back
-conditions, then filtered to the reachable, hence strong, subsystem.
+there is a bug sentinel, never an expected outcome.  :func:`back_forth`
+returns every live pair reached through live pairs: the largest
+back-and-forth system, strong as built.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from typing import Mapping, Optional
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
                          build_modal, node_chain, path_tree, pull_back,
                          validate_coalgebra)
-from .games import GameSpec, Verdict, solve
-from .morphisms import (chain_map_ok, check_bijection, check_coalgebra_morphism,
-                        verify_morphism)
+from .games import GameSpec, Verdict
+from .morphisms import (BranchPairs, chain_map_ok, check_bijection,
+                        check_coalgebra_morphism, verify_morphism)
 from .structures import Structure
 
 BISIM_FAMILIES = ("ef_i", "modal")
@@ -74,46 +72,18 @@ def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
                ) -> Optional[BackForthSystem]:
     """Largest (strong) back-and-forth system between two coalgebras, or None.
 
-    ``spec`` supplies the mode: ``positive`` is the back-and-forth game on
-    path trees with the homomorphism pair condition; ``existential`` runs
-    the same engine forth-only with the condition strengthened to
-    chain-map-is-isomorphism; ``full`` is back-and-forth with the
-    isomorphism condition; ``ep`` forth-only with the homomorphism one.
+    ``spec`` supplies the mode: ``positive`` is back-and-forth on path trees
+    with the homomorphism pair condition; ``existential`` is forth-only with
+    the condition strengthened to chain-map-is-isomorphism; ``full`` is
+    back-and-forth with the isomorphism condition; ``ep`` forth-only with
+    the homomorphism one.
     """
     mode = spec.mode if isinstance(spec, GameSpec) else spec
     if validate_coalgebra(x) or validate_coalgebra(y):
         raise CoalgebraError("back_forth needs validated coalgebras")
-    iso = mode in ("full", "existential")
-    back = mode in ("full", "positive")
-    tx, ty = path_tree(x), path_tree(y)
-    chains_x = {n: node_chain(x, n) for n in tx.nodes}
-    chains_y = {n: node_chain(y, n) for n in ty.nodes}
-    alive = set()
-    for xn, cx in chains_x.items():
-        for yn, cy in chains_y.items():
-            if tx.height[xn] == ty.height[yn] and chain_map_ok(x, y, cx, cy, iso):
-                alive.add((xn, yn))
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(alive):
-            kids_x, kids_y = tx.children[pair[0]], ty.children[pair[1]]
-            ok = all(any((xc, yc) in alive for yc in kids_y) for xc in kids_x)
-            if ok and back:
-                ok = all(any((xc, yc) in alive for xc in kids_x) for yc in kids_y)
-            if not ok:
-                alive.discard(pair)
-                changed = True
-    if (BOTTOM, BOTTOM) not in alive:
-        return None
-
-    def reachable(pair) -> bool:
-        cx = (BOTTOM,) + chains_x[pair[0]]
-        cy = (BOTTOM,) + chains_y[pair[1]]
-        return all((a, b) in alive for a, b in zip(cx, cy))
-
-    strong_pairs = frozenset(p for p in alive if reachable(p))
-    return BackForthSystem(strong_pairs, strong=True)
+    pairs = BranchPairs(x, y, iso=mode in ("full", "existential"),
+                        back=mode in ("full", "positive")).reached()
+    return None if pairs is None else BackForthSystem(frozenset(pairs), strong=True)
 
 
 def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCoalgebra,
@@ -146,94 +116,63 @@ def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCo
 
 
 # ---------------------------------------------------------------------------
-# Winning plays under the extracted strategy
+# Spans
 
-def _winning_plays(verdict: Verdict) -> list:
-    """All plays reachable when Duplicator follows the positional strategy.
+def _spans(a: Structure, b: Structure, family: str, k: int, iso: bool,
+           verdict: Verdict | None, names: tuple):
+    """The cofree pair, the span set W and the spans Z1, Z2, or None.
 
-    The plays are the verdict's histories, pairs of cofree-coalgebra
-    elements: (sequence, sequence) for the EF family, (labelled path,
-    labelled path) for modal.  The modal list includes the zero-length root
-    play; the EF comonad has no empty sequence, so its root play is dropped.
+    Z1 and Z2 order W by parent pairs and hold a tuple of pairs on one
+    branch when its projection to ``x`` (for Z1) or ``y`` (for Z2) is
+    related there: the pull back of the cofree coalgebras along the
+    branches of W.  A game verdict of the pair only saves work: a Spoiler
+    win returns None at once, and a Duplicator win that the fixpoint does
+    not confirm is a bug sentinel.
     """
-    root = verdict.initial_history()
-    seen = {root}
-    order = [root]
-    for hist in order:  # appending while iterating walks the plays breadth-first
-        for move in verdict.legal_moves(hist):
-            resp = verdict.duplicator_response(hist, move)
-            if resp is None:
-                raise BisimVerificationError("winning strategy has no response (bug sentinel)")
-            child = verdict.extend(hist, move, resp)
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    return order if verdict.spec.family == "modal" else order[1:]
-
-
-def _build_spans(plays: list, x: ForestCoalgebra, y: ForestCoalgebra, names: tuple
-                 ) -> tuple[ForestCoalgebra, ForestCoalgebra]:
-    """Z1 and Z2: the plays ordered by prefix pairs, a tuple of plays on one
-    branch related when its projection to ``x`` (for Z1) or ``y`` (for Z2)
-    is related there.
-
-    Tuples of comparable play pairs all lie on one branch of W, so the
-    relations are the pull back of the cofree coalgebras along the branches
-    of W, which are built once and pulled back once per projection.
-    """
+    if verdict is not None and not verdict.duplicator_wins:
+        return None
+    if family == "ef_i":
+        x, y = build_ef(a, k, with_i=True), build_ef(b, k, with_i=True)
+    elif family == "modal":
+        x, y = build_modal(a, k), build_modal(b, k)
+    else:
+        raise ValueError(f"unknown bisimulation family {family!r}; use one of {BISIM_FAMILIES}")
+    pairs = BranchPairs(x, y, iso, back=True).reached(first=True)
+    if pairs is None:
+        if verdict is not None:
+            raise BisimVerificationError("the game verdict has no back-and-forth system (bug sentinel)")
+        return None
+    pairs = pairs[1:]
     parent: dict = {}
     chains: dict = {}
-    for w in plays:  # breadth-first, so a parent play precedes its children
-        pw = (w[0][:-1], w[1][:-1])
+    for w in pairs:  # breadth-first, so a parent pair precedes its children
+        pw = (x.parent.get(w[0]), y.parent.get(w[1]))
         if pw in chains:
             parent[w] = pw
-            chains[w] = chains[pw] + (w,)
-        else:
-            chains[w] = (w,)
-    point = None
-    if x.kind == "modal":
-        roots = [w for w in plays if w not in parent]
-        if len(roots) != 1:
-            raise BisimVerificationError(f"modal span has {len(roots)} roots (bug sentinel)")
-        point = roots[0]
+        chains[w] = chains.get(pw, ()) + (w,)
+    point = pairs[0] if x.kind == "modal" else None
     spans = []
     for which, cofree, name in ((0, x, names[0]), (1, y, names[1])):
         interp = pull_back(chains.values(), lambda w: w[which], cofree.carrier)
-        carrier = Structure(cofree.carrier.vocab, tuple(plays), interp, point, name)
+        carrier = Structure(cofree.carrier.vocab, tuple(pairs), interp, point, name)
         spans.append(ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind))
-    return spans[0], spans[1]
-
-
-def _cofree_pair(a: Structure, b: Structure, family: str, k: int):
-    if family == "ef_i":
-        return build_ef(a, k, with_i=True), build_ef(b, k, with_i=True)
-    if family == "modal":
-        return build_modal(a, k), build_modal(b, k)
-    raise ValueError(f"unknown bisimulation family {family!r}; use one of {BISIM_FAMILIES}")
-
-
-def _game_spec(family: str, mode: str, k: int) -> GameSpec:
-    return GameSpec("modal" if family == "modal" else "ef", mode, k)
+    return x, y, pairs, spans[0], spans[1]
 
 
 def build_positive_bisim(a: Structure, b: Structure, family: str, k: int,
                          verdict: Verdict | None = None) -> Optional[PositiveBisimWitness]:
-    """Construct and verify a positive bisimulation from the positive game.
+    """Construct and verify a positive bisimulation between the cofree coalgebras.
 
-    None when Duplicator loses the positive game; otherwise a witness that
-    has passed all five verifier checks.
+    None when there is none; otherwise a witness that has passed all five
+    verifier checks.
     """
-    if verdict is None:
-        verdict = solve(_game_spec(family, "positive", k), a, b)
-    if not verdict.duplicator_wins:
+    found = _spans(a, b, family, k, False, verdict,
+                   (f"Z1({a.name},{b.name})", f"Z2({a.name},{b.name})"))
+    if found is None:
         return None
-    x, y = _cofree_pair(a, b, family, k)
-    plays = _winning_plays(verdict)
-    z1, z2 = _build_spans(plays, x, y, (f"Z1({a.name},{b.name})", f"Z2({a.name},{b.name})"))
-    h = {w: w for w in plays}
-    p = {w: w[0] for w in plays}
-    q = {w: w[1] for w in plays}
-    witness = PositiveBisimWitness(z1, z2, h, p, q)
+    x, y, pairs, z1, z2 = found
+    witness = PositiveBisimWitness(z1, z2, {w: w for w in pairs}, {w: w[0] for w in pairs},
+                                   {w: w[1] for w in pairs})
     ok, reasons = verify_positive_bisim(witness, x, y)
     if not ok:
         raise BisimVerificationError(f"constructed witness failed verification: {reasons}")
@@ -257,17 +196,14 @@ def verify_positive_bisim(w: PositiveBisimWitness, x: ForestCoalgebra, y: Forest
 
 def build_bisim(a: Structure, b: Structure, family: str, k: int,
                 verdict: Verdict | None = None) -> Optional[BisimWitness]:
-    """Symmetric-span bisimulation from the full game, verified, or None."""
-    if verdict is None:
-        verdict = solve(_game_spec(family, "full", k), a, b)
-    if not verdict.duplicator_wins:
+    """Symmetric-span bisimulation between the cofree coalgebras, verified, or None."""
+    found = _spans(a, b, family, k, True, verdict, (f"Z({a.name},{b.name})",) * 2)
+    if found is None:
         return None
-    x, y = _cofree_pair(a, b, family, k)
-    plays = _winning_plays(verdict)
-    z1, z2 = _build_spans(plays, x, y, (f"Z({a.name},{b.name})",) * 2)
+    x, y, pairs, z1, z2 = found
     if z1.carrier.interp != z2.carrier.interp:
-        raise BisimVerificationError("full-game span is not symmetric (bug sentinel)")
-    witness = BisimWitness(z1, {w: w[0] for w in plays}, {w: w[1] for w in plays})
+        raise BisimVerificationError("full span is not symmetric (bug sentinel)")
+    witness = BisimWitness(z1, {w: w[0] for w in pairs}, {w: w[1] for w in pairs})
     ok, reasons = verify_bisim(witness, x, y)
     if not ok:
         raise BisimVerificationError(f"constructed bisimulation failed verification: {reasons}")

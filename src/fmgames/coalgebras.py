@@ -109,6 +109,40 @@ class ForestCoalgebra:
         """The branch from the root down to ``x`` (inclusive); raises on a parent cycle."""
         return self._branches[x]
 
+    @cached_property
+    def signatures(self) -> tuple[dict, bool]:
+        """Per element, what it adds to its branch; and whether some related
+        tuple lies across branches.
+
+        An element's signature holds its pebble number and the
+        ``(relation, component heights)`` of the related tuples on its branch
+        whose deepest component it is; ``BOTTOM`` holds the 0-ary facts.  The
+        map between two branches of equal height is a homomorphism (an
+        embedding) of the induced substructures iff each element's signature
+        is included in (equal to) its image's, so these decide the
+        ``chain_map_ok`` condition one element at a time.
+        """
+        sig: dict = {BOTTOM: set()}
+        for e in self.universe:
+            sig[e] = {(None, self.pebble_fn[e])} if self.kind == "pebble" else set()
+        across = False
+        for rel, _ in self.carrier.vocab.relations:
+            for tup in self.carrier.interp[rel]:
+                if not tup:
+                    sig[BOTTOM].add((rel, ()))
+                    continue
+                deepest = max(tup, key=self.height.__getitem__)
+                branch, heights = self.chain(deepest), tuple(map(self.height.__getitem__, tup))
+                if all(branch[h] == e for h, e in zip(heights, tup)):
+                    sig[deepest].add((rel, heights))
+                else:
+                    across = True
+        shared: dict = {}  # one object per distinct signature
+        for e, s in sig.items():
+            s = frozenset(s)
+            sig[e] = shared.setdefault(s, s)
+        return sig, across
+
     def comparable(self, x, y) -> bool:
         return x in self.chain(y) or y in self.chain(x)
 

@@ -1,36 +1,26 @@
-"""Morphism search and verification between forest coalgebras.
+"""Morphisms between forest coalgebras: verification and the branch-pair fixpoint.
 
-The search assigns images level by level (roots to roots, covers to covers,
-pebbling and points preserved where the kind demands it), with the extra
-obligations of the requested kind checked incrementally:
+The checkers verify a map for each kind: a forest morphism that is a
+homomorphism (pebbling preserved for pebble kinds); pathwise embeddings
+also reflect every relation on tuples from a single branch; open pathwise
+embeddings also hit every target root and lift covers of images to covers
+(the concrete p-morphism conditions on path trees).  Openness by cover
+lifting is checked independently by enumerating lifting squares in
+:func:`check_open_by_squares`.
 
-* pathwise embeddings also reflect every relation on tuples drawn from a
-  single branch (injectivity on branches is automatic, forest morphisms are
-  height preserving);
-* open pathwise embeddings additionally satisfy the concrete p-morphism
-  conditions on path trees: every root of the target is hit by a root of the
-  source, and covers of images lift to covers.
-
-Openness is normally decided through the cover-lifting route; the
-square-enumeration formulation of the lifting property is implemented
-independently in :func:`check_open_by_squares` so the two can be played
-against each other.
-
-Branch relations come from the branch layer of :mod:`fmgames.coalgebras`
-(``pull_back``).  :func:`chain_map_ok`, the test whether the map between two
-branches is a homomorphism or an embedding of induced substructures, is
-shared by the squares check and the back-and-forth engine of
-:mod:`fmgames.bisim`.
+:class:`BranchPairs` is the greatest fixpoint on pairs of branches (the
+arboreal back-and-forth systems of Abramsky and Reggio).  It decides
+:func:`find_morphism`, which reads the canonical-first map off it, and the
+back-and-forth systems and bisimulation spans of :mod:`fmgames.bisim`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .coalgebras import (CoalgebraError, ForestCoalgebra, node_chain, path_tree,
-                         pull_back)
+from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, node_chain,
+                         path_tree, pull_back)
 from .structures import EQUALITY_SYMBOL, is_homomorphism
 
 MORPHISM_KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
@@ -126,30 +116,22 @@ def check_open_cover_lifting(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra)
     return out
 
 
+def _fits(sa: frozenset, sb: frozenset, iso: bool) -> bool:
+    return sa == sb if iso else sa <= sb
+
+
 def chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, cx: tuple, cy: tuple,
                  iso: bool) -> bool:
-    """Is the map ``cx[i] -> cy[i]`` between two branches a homomorphism of the
-    induced substructures, or an embedding when ``iso``?
+    """Is the map ``cx[i] -> cy[i]`` between two root-first branches a
+    homomorphism of the induced substructures, or an embedding when ``iso``?
 
     Branches have distinct nodes, so the map is injective; pebble kinds must
     also agree on the pebbling function (embeddings are category morphisms).
+    Decided element by element on the signatures.
     """
-    if len(cx) != len(cy):
-        return False
-    m = dict(zip(cx, cy))
-    if x.kind == "pebble":
-        if any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
-            return False
-    for rel, arity in x.carrier.vocab.relations:
-        x_rel, y_rel = x.carrier.interp[rel], y.carrier.interp[rel]
-        for combo in itertools.product(cx, repeat=arity):
-            holds = combo in x_rel
-            image_holds = tuple(m[c] for c in combo) in y_rel
-            if holds and not image_holds:
-                return False
-            if iso and image_holds and not holds:
-                return False
-    return True
+    sx, sy = x.signatures[0], y.signatures[0]
+    return len(cx) == len(cy) and all(
+        _fits(sx[a], sy[b], iso) for a, b in zip((BOTTOM,) + cx, (BOTTOM,) + cy))
 
 
 def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) -> list[str]:
@@ -171,16 +153,9 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
             # the top square leg i must itself be an embedding of paths
             if not chain_map_ok(x, y, cx, cy[: len(cx)], iso=True):
                 continue
-            filler = False
-            for cx2 in x_chain.values():
-                if len(cx2) != len(cy) or cx2[: len(cx)] != cx:
-                    continue
-                if tuple(f[c] for c in cx2) != cy:
-                    continue
-                if chain_map_ok(y, x, cy, cx2, iso=True):
-                    filler = True
-                    break
-            if not filler:
+            if not any(len(cx2) == len(cy) and cx2[: len(cx)] == cx
+                       and tuple(f[c] for c in cx2) == cy and chain_map_ok(y, x, cy, cx2, iso=True)
+                       for cx2 in x_chain.values()):
                 out.append(f"no diagonal filler for square ({xn!r}, {yn!r})")
     return out
 
@@ -210,6 +185,135 @@ def verify_morphism(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra, kind: st
 
 
 # ---------------------------------------------------------------------------
+# The branch-pair fixpoint
+
+def _onto(partners: Mapping, targets) -> bool:
+    """Can every target get a key of its own among the keys listing it?
+
+    Kuhn's matching on ``partners`` (key -> its targets), each augmenting
+    path searched breadth-first.
+    """
+    owner: dict = {}  # target -> its key
+    for t in targets:
+        holder = {key: u for u, key in owner.items()}
+        via: dict = {}  # key -> the target it would move to
+        queue = [t]
+        for u in queue:
+            for key, ts in partners.items():
+                if key not in via and u in ts:
+                    via[key] = u
+                    if key not in holder:  # free: shift the keys along the path
+                        while key is not None:
+                            u = via[key]
+                            owner[u], key = key, owner.get(u)
+                        break
+                    queue.append(holder[key])
+            else:
+                continue
+            break
+        else:
+            return False
+    return True
+
+
+class BranchPairs:
+    """The greatest fixpoint on pairs of branches, one engine for every route.
+
+    A pair ``(a, b)`` of path-tree nodes of equal height stands for the map
+    of the branch of ``a`` onto that of ``b``.  Pairs are reached from
+    ``(BOTTOM, BOTTOM)`` through child pairs whose signatures fit: the chain
+    map stays a homomorphism, or an embedding when ``iso``.  A pair is alive
+    when every child of ``a`` has a live partner below ``b`` (forth), with
+    ``back`` also every child of ``b`` one below ``a``, and with ``onto`` the
+    children of ``a`` map onto those of ``b``.  Each pair has one parent
+    pair, so the pairs with children on both sides are built breadth-first
+    and decided in reverse order, without recursion; the others are decided
+    when asked.  Roots of a modal target are restricted to its point.
+    """
+
+    def __init__(self, x: ForestCoalgebra, y: ForestCoalgebra, iso: bool,
+                 back: bool = False, onto: bool = False):
+        self.sx, across = x.signatures
+        if across:
+            raise CoalgebraError("invalid coalgebra: related tuple across branches")
+        self.sy = y.signatures[0]
+        self.iso, self.back, self.onto = iso, back or onto, onto
+        y_roots = [r for r in y.roots if y.kind != "modal" or r == y.carrier.point]
+        self.kx = kx = {BOTTOM: x.roots, **x.children}
+        self.ky = ky = {BOTTOM: y_roots, **y.children}
+        order = [(BOTTOM, BOTTOM)] if y_roots and kx[BOTTOM] and self.fits(BOTTOM, BOTTOM) else []
+        for a, b in order:  # appending while iterating walks the pairs breadth-first
+            order += [(xc, yc) for xc in kx[a] if kx[xc]
+                      for yc in ky[b] if ky[yc] and self.fits(xc, yc)]
+        self.alive, live = set(), self.live
+        for a, b in reversed(order):
+            kids, targets = kx[a], ky[b]
+            if (all(any(live(xc, yc) for yc in targets) for xc in kids)
+                    and (not self.back or all(any(live(xc, yc) for xc in kids) for yc in targets))
+                    and (not onto or _onto(self._partners(kids, targets), targets))):
+                self.alive.add((a, b))
+
+    def fits(self, a, b) -> bool:
+        return _fits(self.sx[a], self.sy[b], self.iso)
+
+    def live(self, a, b) -> bool:
+        """Is the pair, the root pair or a child of a live pair, alive?"""
+        if self.kx[a] and self.ky[b]:
+            return (a, b) in self.alive
+        return not self.kx[a] and not (self.back and self.ky[b]) and self.fits(a, b)
+
+    def _partners(self, kids, targets) -> dict:
+        return {xc: [yc for yc in targets if self.live(xc, yc)] for xc in kids}
+
+    def reached(self, first: bool = False) -> Optional[list]:
+        """The live pairs reached from the root pair through live pairs,
+        breadth-first, or None when the root pair is dead.  With ``first``
+        each child on either side takes only its first live partner: the
+        span of a positive bisimulation.
+        """
+        if not self.live(BOTTOM, BOTTOM):
+            return None
+        out = [(BOTTOM, BOTTOM)]
+        for a, b in out:  # appending while iterating walks the pairs breadth-first
+            partners = self._partners(self.kx[a], self.ky[b])
+            if not first:
+                out += [(xc, yc) for xc, ys in partners.items() for yc in ys]
+                continue
+            step = [(xc, ys[0]) for xc, ys in partners.items()]
+            if self.back:
+                step += [(next(xc for xc, ys in partners.items() if yc in ys), yc)
+                         for yc in self.ky[b]]
+            out += dict.fromkeys(step)
+        return out
+
+    def morphism(self) -> Optional[dict]:
+        """The first map in the order of nodes by height, then index, or None.
+
+        Siblings take in index order their first live partner below the
+        parent's image; with ``onto``, the first that leaves the later
+        siblings able to cover the targets not yet hit.  Subtrees are
+        independent once the parent's image is fixed, so this is the
+        lexicographically first map.
+        """
+        if not self.live(BOTTOM, BOTTOM):
+            return None
+        f = {BOTTOM: BOTTOM}
+        queue = [BOTTOM]
+        for a in queue:
+            kids, targets = self.kx[a], self.ky[f[a]]
+            partners = self._partners(kids, targets)
+            hit: set = set()
+            for i, xc in enumerate(kids):
+                f[xc] = next(yc for yc in partners[xc] if not self.onto or _onto(
+                    {k: partners[k] for k in kids[i + 1:]},
+                    [t for t in targets if t != yc and t not in hit]))
+                hit.add(f[xc])
+            queue += kids
+        del f[BOTTOM]
+        return f
+
+
+# ---------------------------------------------------------------------------
 # Search
 
 def find_morphism(kind: str, x: ForestCoalgebra, y: ForestCoalgebra) -> Optional[MorphismWitness]:
@@ -220,66 +324,18 @@ def find_morphism(kind: str, x: ForestCoalgebra, y: ForestCoalgebra) -> Optional
     if kind == "i_morphism" and EQUALITY_SYMBOL not in x.carrier.vocab.arities:
         raise CoalgebraError("I-morphism search needs the I relation in the vocabulary")
     pathwise = kind in ("pathwise_embedding", "open_pathwise_embedding")
-    open_kind = kind == "open_pathwise_embedding"
-
-    order = sorted(x.universe, key=lambda e: (x.height[e], x.carrier.index[e]))
-    # tuples checked once their deepest element is assigned; branch-compatible
-    # coalgebras guarantee all other components are ancestors
-    tuples_by_deepest: dict = {e: [] for e in x.universe}
-    for rel, _ in x.carrier.vocab.relations:
-        for tup in x.carrier.interp[rel]:
-            if not tup:
-                if tup not in y.carrier.interp[rel]:
-                    return None
-                continue
-            deepest = max(tup, key=lambda e: x.height[e])
-            for e in tup:
-                if not x.comparable(e, deepest):
-                    raise CoalgebraError("invalid coalgebra: related tuple across branches")
-            tuples_by_deepest[deepest].append((rel, tup))
-
-    assignment: dict = {}
-
-    def candidates(e):
-        p = x.parent.get(e)
-        pool = y.roots if p is None else y.children[assignment[p]]
-        if x.kind == "pebble":
-            pool = [c for c in pool if y.pebble_fn[c] == x.pebble_fn[e]]
-        if x.kind == "modal" and p is None:
-            pool = [c for c in pool if c == y.carrier.point]
-        return pool
-
-    def local_ok(e) -> bool:
-        for rel, tup in tuples_by_deepest[e]:
-            if tuple(assignment[c] for c in tup) not in y.carrier.interp[rel]:
-                return False
-        if pathwise:
-            pulled = pull_back([x.chain(e)], assignment.__getitem__, y.carrier)
-            return all(pulled[rel] <= x.carrier.interp[rel] for rel in pulled)
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return not open_kind or not check_open_cover_lifting(assignment, x, y)
-        e = order[i]
-        for c in candidates(e):
-            assignment[e] = c
-            if local_ok(e) and search(i + 1):
-                return True
-            del assignment[e]
-        return False
-
-    if not search(0):
+    f = BranchPairs(x, y, iso=pathwise, onto=kind == "open_pathwise_embedding").morphism()
+    if f is None:
         return None
-    reasons = verify_morphism(assignment, x, y, kind)
+    reasons = verify_morphism(f, x, y, kind)
     if reasons:
         raise RuntimeError(f"search produced an unverified morphism: {reasons}")
     tags = _KIND_TAGS[kind]
     if x.kind == "pebble":
         tags = tags | {"pebblePreserving"}
-    if not check_bijection(assignment, x, y):
+    if not check_bijection(f, x, y):
         tags = tags | {"bijection"}
-    return MorphismWitness(dict(assignment), tags)
+    return MorphismWitness(f, tags)
 
 
 # ---------------------------------------------------------------------------

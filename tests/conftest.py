@@ -4,6 +4,9 @@
 with the literal end-of-play winning condition, no memoization and no
 maintain-formulation shortcut; it exists so solver verdicts are checked
 against an implementation that shares no code path with the engine.
+``reference_back_forth`` does the same for the branch-pair fixpoint: it
+prunes all pairs of equal-height branches at once, judging each pair on
+every tuple over the two branches, with no signatures and no pair tree.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import itertools
 
 import pytest
 
-from fmgames import Structure, Vocabulary
+from fmgames import BOTTOM, Structure, Vocabulary, path_tree
+from fmgames.coalgebras import node_chain
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
 E2 = Vocabulary((("E", 2),))
@@ -157,6 +161,57 @@ def brute_force_game(family, mode, k, a, b, rounds=None):
         return True
 
     return wins({}, 0)
+
+
+# ---------------------------------------------------------------------------
+# Independent back-and-forth systems (reference for the branch-pair fixpoint)
+
+def _reference_chain_map(x, y, cx, cy, iso) -> bool:
+    """Every tuple over the branch ``cx`` against its image over ``cy``."""
+    if len(cx) != len(cy):
+        return False
+    m = dict(zip(cx, cy))
+    if x.kind == "pebble" and any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
+        return False
+    for rel, arity in x.carrier.vocab.relations:
+        for combo in itertools.product(cx, repeat=arity):
+            holds = combo in x.carrier.interp[rel]
+            image_holds = tuple(m[c] for c in combo) in y.carrier.interp[rel]
+            if (holds and not image_holds) or (iso and image_holds and not holds):
+                return False
+    return True
+
+
+def reference_back_forth(mode, x, y):
+    """The strong pairs of the largest back-and-forth system, or None.
+
+    All pairs of equal height whose chain map passes are pruned together
+    until the forth (and, for positive and full, back) conditions hold;
+    the pairs whose every prefix pair survived are returned.
+    """
+    iso = mode in ("full", "existential")
+    back = mode in ("full", "positive")
+    tx, ty = path_tree(x), path_tree(y)
+    chains_x = {n: node_chain(x, n) for n in tx.nodes}
+    chains_y = {n: node_chain(y, n) for n in ty.nodes}
+    alive = {(xn, yn) for xn, cx in chains_x.items() for yn, cy in chains_y.items()
+             if tx.height[xn] == ty.height[yn] and _reference_chain_map(x, y, cx, cy, iso)}
+    changed = True
+    while changed:
+        changed = False
+        for pair in list(alive):
+            kids_x, kids_y = tx.children[pair[0]], ty.children[pair[1]]
+            ok = all(any((xc, yc) in alive for yc in kids_y) for xc in kids_x)
+            if ok and back:
+                ok = all(any((xc, yc) in alive for xc in kids_x) for yc in kids_y)
+            if not ok:
+                alive.discard(pair)
+                changed = True
+    if (BOTTOM, BOTTOM) not in alive:
+        return None
+    return frozenset(p for p in alive
+                     if all(q in alive for q in zip((BOTTOM,) + chains_x[p[0]],
+                                                    (BOTTOM,) + chains_y[p[1]])))
 
 
 def small_structures(max_size=2, vocab=E2):

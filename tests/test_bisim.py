@@ -1,11 +1,16 @@
 import random
+import time
 
-from fmgames import (BOTTOM, GameSpec, Structure, back_forth, build_bisim,
-                     build_ef, build_modal, build_positive_bisim,
-                     extract_back_forth, solve, validate_back_forth,
+import pytest
+
+import fmgames
+from fmgames import (BOTTOM, BisimVerificationError, GameSpec, Structure, back_forth,
+                     build_bisim, build_ef, build_modal, build_positive_bisim,
+                     extract_back_forth, find_morphism, solve, validate_back_forth,
                      verify_bisim, verify_positive_bisim)
+from fmgames.corpus import all_pointed_kripke
 
-from conftest import kripke, small_structures
+from conftest import E2, kripke, reference_back_forth, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -119,15 +124,87 @@ def test_roundtrip_backforth_and_positive_bisim():
 
 
 def test_existential_backforth_matches_pathwise_search():
-    from fmgames import find_morphism
     pool = [s for s in small_structures(2) if s.size]
     rnd = random.Random(67)
     for _ in range(25):
         a, b = rnd.choice(pool), rnd.choice(pool)
         x, y = build_ef(a, 2, with_i=True), build_ef(b, 2, with_i=True)
-        via_game = back_forth("existential", x, y) is not None
+        system = back_forth("existential", x, y)
+        assert (None if system is None else system.pairs) == reference_back_forth("existential", x, y)
         via_search = find_morphism("pathwise_embedding", x, y) is not None
-        assert via_game == via_search
+        assert (system is not None) == via_search
+
+
+#: The coalgebra route of each mode, as in ``cli._coalgebra_direction``.
+def _route(mode, family, a, b, x, y, hom_kind):
+    if mode == "ep":
+        return find_morphism(hom_kind, x, y) is not None
+    if mode == "existential":
+        return find_morphism("pathwise_embedding", x, y) is not None
+    if mode == "positive":
+        return build_positive_bisim(a, b, family, x.k_bound) is not None
+    return build_bisim(a, b, family, x.k_bound) is not None
+
+
+def test_fixpoint_matches_reference_back_forth_in_every_mode():
+    """The branch-pair fixpoint against the all-pairs reference: the same
+    pair set from ``back_forth`` and the same existence on every route."""
+    digraphs = [s for s in small_structures(2) if s.size]
+    models = all_pointed_kripke(2)
+    rnd = random.Random(73)
+    seen = set()
+    for _ in range(150):
+        modal = rnd.random() < 0.5
+        k = rnd.choice((1, 2))
+        if modal:
+            a, b = rnd.choice(models), rnd.choice(models)
+            x, y, family, hom_kind = build_modal(a, k), build_modal(b, k), "modal", "hom"
+        else:
+            a, b = rnd.choice(digraphs), rnd.choice(digraphs)
+            x, y = build_ef(a, k, with_i=True), build_ef(b, k, with_i=True)
+            family, hom_kind = "ef_i", "i_morphism"
+        for mode in MODES:
+            expected = reference_back_forth(mode, x, y)
+            system = back_forth(mode, x, y)
+            assert (None if system is None else system.pairs) == expected, (a, b, mode)
+            assert _route(mode, family, a, b, x, y, hom_kind) == (expected is not None)
+            seen.add((mode, expected is not None))
+    assert len(seen) == 2 * len(MODES)
+
+
+SIX = Structure.make(E2, list("abcdef"), {"E": [("a", "b")]}, name="six")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build", [build_positive_bisim, build_bisim])
+def test_six_element_bisimulation_within_budget(build, k):
+    start = time.perf_counter()
+    assert build(SIX, SIX, "ef_i", k) is not None
+    assert time.perf_counter() - start < 2.0
+
+
+def test_duplicator_verdict_of_another_pair_is_a_bug_sentinel(loop, edge):
+    pt = Structure.make(loop.vocab, ["p"], {}, name="pt")
+    ptloop = Structure.make(loop.vocab, ["q"], {"E": [("q", "q")]}, name="ptloop")
+    other = solve(GameSpec("ef", "positive", 2), edge, edge)
+    assert other.duplicator_wins
+    with pytest.raises(BisimVerificationError):
+        build_positive_bisim(ptloop, pt, "ef_i", 2, other)
+    spoiler = solve(GameSpec("ef", "positive", 2), ptloop, pt)
+    assert build_positive_bisim(edge, edge, "ef_i", 2, spoiler) is None
+
+
+def test_builders_play_no_game(monkeypatch, loop, edge):
+    def no_game(*args, **kwargs):
+        raise AssertionError("a game was solved")
+
+    monkeypatch.setattr(fmgames.games, "solve", no_game)
+    monkeypatch.setattr(fmgames, "solve", no_game)
+    pt = Structure.make(loop.vocab, ["p"], {}, name="pt")
+    ptloop = Structure.make(loop.vocab, ["q"], {"E": [("q", "q")]}, name="ptloop")
+    assert build_positive_bisim(pt, ptloop, "ef_i", 2) is not None
+    assert build_bisim(edge, edge, "ef_i", 2) is not None
+    assert build_bisim(edge, loop, "ef_i", 2) is None
 
 
 def test_modal_positive_bisim(chain_ab):

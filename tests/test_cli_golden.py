@@ -143,8 +143,7 @@ def _morphism_cases() -> list:
              ("FL4", "FL3"), ("MMA", "MMC"), ("MMC", "MMA"), ("MMC", "MMC"),
              ("PK2", "PK3"), ("PK3", "PK2")]
     return [(f"morphism {kind} {a}/{b}", ["morphism", "--kind", kind, a, b], [])
-            for a, b in pairs for kind in ("hom", "i-morphism", "pathwise", "open")
-            if kind != "open" or a[0] != "P"]
+            for a, b in pairs for kind in ("hom", "i-morphism", "pathwise", "open")]
 
 
 CASES = _check_cases() + _distinguish_cases() + _play_cases() + _morphism_cases()

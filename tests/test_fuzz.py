@@ -5,6 +5,10 @@ and a formula corpus) are mutated at random with the standard library only.
 Every input must end in a result or in a ``ValueError`` diagnostic, which the
 command line turns into exit 2; any other exception is a defect.  Whatever
 parses must survive its serialize -> parse round trip unchanged.
+
+Seeded structures of size 5-6 also go through ``check --via coalgebra`` and
+``morphism``, each run within a wall budget, so that an exponential search
+on the coalgebra route fails the suite instead of hanging it.
 """
 
 from __future__ import annotations
@@ -12,17 +16,19 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import signal
+import time
 
 import pytest
 
-from fmgames import (build_ef, build_modal, build_pebble_truncated,
+from fmgames import (Structure, build_ef, build_modal, build_pebble_truncated,
                      parse_coalgebra, parse_formula, parse_structure,
                      serialize_coalgebra, serialize_formula,
                      serialize_structure, validate_coalgebra)
 from fmgames.cli import main
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
-from conftest import kripke
+from conftest import E2, MODAL, kripke
 
 SEED = 20240607
 ROUNDS = 1500
@@ -152,3 +158,77 @@ def test_modelcheck_fuzz_keeps_the_exit_code_contract(structure_files):
             assert out.getvalue() == ("true\n" if code == 0 else "false\n"), argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+BUDGET_S = 5.0
+
+
+def _random_structure(rnd: random.Random, modal: bool, name: str) -> Structure:
+    """A seeded digraph, or pointed Kripke model, with 5 or 6 elements."""
+    elems = [f"e{i}" for i in range(rnd.choice((5, 6)))]
+    edges = [(u, v) for u in elems for v in elems if rnd.random() < 0.15]
+    if not modal:
+        return Structure.make(E2, elems, {"E": edges}, name=name)
+    props = [(u,) for u in elems if rnd.random() < 0.4]
+    return Structure.make(MODAL, elems, {"R": edges, "P": props}, point=elems[0], name=name)
+
+
+class OverBudget(Exception):
+    """A command ran past ``BUDGET_S``; not caught by the command line."""
+
+
+def _run(argv: list) -> tuple:
+    """Exit code, wall time and stdout of a command stopped after ``BUDGET_S``."""
+    def expire(signum, frame):
+        raise OverBudget(f"{argv} ran over {BUDGET_S} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, time.perf_counter() - start, out.getvalue()
+
+
+def test_check_via_coalgebra_fuzz_within_budget(tmp_path):
+    """The coalgebra route agrees with the game on seeded pairs of size 5-6."""
+    rnd = random.Random(SEED + 4)
+    for i in range(16):
+        family = ("ef", "modal")[i % 2]
+        paths = []
+        for side in "ab":
+            path = tmp_path / f"{i}{side}.fms"
+            path.write_text(serialize_structure(_random_structure(rnd, family == "modal", side)))
+            paths.append(str(path))
+        k = str(rnd.choice((2, 3)))
+        for mode in ("full", "existential", "positive", "ep"):
+            argv = ["check", "--family", family, "--mode", mode, "-k", k, "--both", *paths]
+            code, took, _ = _run(argv + ["--via", "coalgebra"])
+            assert took < BUDGET_S, (argv, took)
+            assert code == _run(argv)[0], argv
+
+
+def test_morphism_fuzz_within_budget(tmp_path):
+    """``morphism`` on built coalgebras of seeded structures of size 5-6."""
+    rnd = random.Random(SEED + 5)
+    for i in range(16):
+        modal = i % 2 == 1
+        paths = []
+        for side in "ab":
+            a = _random_structure(rnd, modal, side)
+            c = build_modal(a, 3) if modal else build_ef(a, 2, with_i=True)
+            path = tmp_path / f"{i}{side}.fmc"
+            path.write_text(serialize_coalgebra(c))
+            paths.append(str(path))
+        if rnd.random() < 0.3:
+            paths[1] = paths[0]
+        kinds = ("hom", "pathwise", "open") + (() if modal else ("i-morphism",))
+        for kind in kinds:
+            code, took, out = _run(["morphism", "--kind", kind, *paths])
+            assert took < BUDGET_S, (kind, paths, took)
+            assert code in (0, 1) and out.startswith("morphism" if code == 0 else "none")

@@ -1,18 +1,20 @@
 import random
+import time
 
 import pytest
 
-from fmgames import (CoalgebraError, GameSpec, Structure, build_ef, build_modal,
-                     build_pebble_truncated, check_open_by_squares,
+from fmgames import (CoalgebraError, ForestCoalgebra, GameSpec, Structure, build_ef,
+                     build_modal, build_pebble_truncated, check_open_by_squares,
                      check_open_cover_lifting, factor_xo, find_morphism,
                      is_embedding, is_homomorphism, path_tree, is_p_morphism,
                      solve, validate_coalgebra, verify_morphism)
+from fmgames.cli import main
 from fmgames.coalgebras import node_chain
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, edge_structure,
                             loop_structure)
 from fmgames.morphisms import chain_map_ok
 
-from conftest import kripke, small_structures
+from conftest import E2, kripke, small_structures
 
 KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
 
@@ -182,3 +184,67 @@ def _chain_map_agreement(coalgebras) -> set:
 def test_chain_map_ok_matches_induced_substructure_checks(build):
     seen = _chain_map_agreement(build())
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# ---------------------------------------------------------------------------
+# Wall budgets: the 6-element digraph with one edge made the old
+# backtracking search take seconds at k=2 and hang from k=3 on.
+
+SIX = Structure.make(E2, list("abcdef"), {"E": [("a", "b")]}, name="six")
+
+
+def _timed(call, *args):
+    start = time.perf_counter()
+    out = call(*args)
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["i_morphism", "pathwise_embedding"])
+def test_six_element_search_within_budget(k, kind):
+    x = build_ef(SIX, k, with_i=True)
+    w, took = _timed(find_morphism, kind, x, x)
+    assert w is not None and verify_morphism(w.mapping, x, x, kind) == []
+    assert took < 2.0, took
+
+
+def test_six_element_check_via_coalgebra_k4_within_budget(tmp_path, capsys):
+    path = tmp_path / "six.fms"
+    path.write_text("vocab E/2\nstructure six\nelems a b c d e f\nrel E a b\n")
+    code, took = _timed(main, ["check", "--family", "ef", "--via", "coalgebra", "--mode", "ep",
+                               "-k", "4", "--both", str(path), str(path)])
+    assert code == 0 and capsys.readouterr().out.endswith("equivalent\n")
+    assert took < 20.0, took
+
+
+def test_hom_on_wide_forest_without_recursion():
+    """F2 of a 40-element edgeless digraph has 1640 nodes; the old search
+    recursed once per node and died with RecursionError."""
+    edgeless = Structure.make(E2, [f"v{i}" for i in range(40)], {}, name="edgeless40")
+    x = build_ef(edgeless, 2)
+    w = find_morphism("hom", x, x)
+    assert w is not None and verify_morphism(w.mapping, x, x, "hom") == []
+
+
+def test_target_tuple_across_branches_is_not_an_image():
+    """The target's only E tuple joins a root to a node of another branch, at
+    the heights of the source's tuple; no forest morphism can hit it."""
+    x = ForestCoalgebra(Structure.make(E2, ["r", "c"], {"E": [("r", "c")]}), {"c": "r"}, 2)
+    y = ForestCoalgebra(Structure.make(E2, ["u", "u1", "v", "w"], {"E": [("u", "w")]}),
+                        {"u1": "u", "w": "v"}, 2)
+    assert y.signatures[1]
+    for kind in ("hom", "pathwise_embedding", "open_pathwise_embedding"):
+        assert find_morphism(kind, x, y) is None
+    with pytest.raises(CoalgebraError, match="across branches"):
+        find_morphism("hom", y, x)
+
+
+def test_open_pebble_morphism_within_budget(cliques):
+    """Openness used to be checked on complete maps only, and these searches
+    did not finish in 10 s; now each pair needs a matching onto its children."""
+    for a, b in ((cliques[2], cliques[3]), (cliques[3], cliques[2])):
+        x, y = build_pebble_truncated(a, 2, 2), build_pebble_truncated(b, 2, 2)
+        w, took = _timed(find_morphism, "open_pathwise_embedding", x, y)
+        if w is not None:
+            assert verify_morphism(w.mapping, x, y, "open_pathwise_embedding") == []
+        assert took < 2.0, took
