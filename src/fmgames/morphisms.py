@@ -153,9 +153,16 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
             # the top square leg i must itself be an embedding of paths
             if not chain_map_ok(x, y, cx, cy[: len(cx)], iso=True):
                 continue
-            if not any(len(cx2) == len(cy) and cx2[: len(cx)] == cx
-                       and tuple(f[c] for c in cx2) == cy and chain_map_ok(y, x, cy, cx2, iso=True)
-                       for cx2 in x_chain.values()):
+            filler = False
+            for cx2 in x_chain.values():
+                if len(cx2) != len(cy) or cx2[: len(cx)] != cx:
+                    continue
+                if tuple(f[c] for c in cx2) != cy:
+                    continue
+                if chain_map_ok(y, x, cy, cx2, iso=True):
+                    filler = True
+                    break
+            if not filler:
                 out.append(f"no diagonal filler for square ({xn!r}, {yn!r})")
     return out
 
