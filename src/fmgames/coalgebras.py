@@ -80,16 +80,15 @@ class ForestCoalgebra:
 
     @cached_property
     def children(self) -> dict:
-        out: dict = {e: [] for e in self.universe}
+        """The children of each element, and the roots under ``BOTTOM``."""
+        out: dict = {e: [] for e in (BOTTOM, *self.universe)}
         for c in self.universe:
-            p = self.parent.get(c)
-            if p is not None:
-                out[p].append(c)
+            out[self.parent.get(c, BOTTOM)].append(c)
         return out
 
-    @cached_property
-    def roots(self) -> tuple:
-        return tuple(e for e in self.universe if e not in self.parent)
+    @property
+    def roots(self) -> list:
+        return self.children[BOTTOM]
 
     @cached_property
     def height(self) -> dict:
@@ -122,25 +121,19 @@ class ForestCoalgebra:
         is included in (equal to) its image's, so these decide the
         ``chain_map_ok`` condition one element at a time.
         """
-        sig: dict = {BOTTOM: set()}
-        for e in self.universe:
-            sig[e] = {(None, self.pebble_fn[e])} if self.kind == "pebble" else set()
-        across = False
-        for rel, _ in self.carrier.vocab.relations:
-            for tup in self.carrier.interp[rel]:
-                if not tup:
-                    sig[BOTTOM].add((rel, ()))
-                    continue
-                deepest = max(tup, key=self.height.__getitem__)
-                branch, heights = self.chain(deepest), tuple(map(self.height.__getitem__, tup))
-                if all(branch[h] == e for h, e in zip(heights, tup)):
+        sig: dict = {e: set() for e in (BOTTOM, *self.universe)}
+        if self.kind == "pebble":
+            for e in self.universe:
+                sig[e].add((None, self.pebble_fn[e]))
+        height, branches, across = self.height.__getitem__, self._branches, False
+        for rel, tuples in self.carrier.interp.items():
+            for tup in tuples:
+                heights = tuple(map(height, tup))
+                deepest = tup[heights.index(max(heights))] if tup else BOTTOM
+                if not tup or tuple(map(branches[deepest].__getitem__, heights)) == tup:
                     sig[deepest].add((rel, heights))
                 else:
                     across = True
-        shared: dict = {}  # one object per distinct signature
-        for e, s in sig.items():
-            s = frozenset(s)
-            sig[e] = shared.setdefault(s, s)
         return sig, across
 
     def comparable(self, x, y) -> bool:

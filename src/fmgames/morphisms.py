@@ -16,6 +16,7 @@ back-and-forth systems and bisimulation spans of :mod:`fmgames.bisim`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -116,10 +117,6 @@ def check_open_cover_lifting(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra)
     return out
 
 
-def _fits(sa: frozenset, sb: frozenset, iso: bool) -> bool:
-    return sa == sb if iso else sa <= sb
-
-
 def chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, cx: tuple, cy: tuple,
                  iso: bool) -> bool:
     """Is the map ``cx[i] -> cy[i]`` between two root-first branches a
@@ -129,9 +126,9 @@ def chain_map_ok(x: ForestCoalgebra, y: ForestCoalgebra, cx: tuple, cy: tuple,
     also agree on the pebbling function (embeddings are category morphisms).
     Decided element by element on the signatures.
     """
-    sx, sy = x.signatures[0], y.signatures[0]
+    sx, sy, fits = x.signatures[0], y.signatures[0], operator.eq if iso else operator.le
     return len(cx) == len(cy) and all(
-        _fits(sx[a], sy[b], iso) for a, b in zip((BOTTOM,) + cx, (BOTTOM,) + cy))
+        fits(sx[a], sy[b]) for a, b in zip((BOTTOM,) + cx, (BOTTOM,) + cy))
 
 
 def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) -> list[str]:
@@ -240,15 +237,17 @@ class BranchPairs:
 
     def __init__(self, x: ForestCoalgebra, y: ForestCoalgebra, iso: bool,
                  back: bool = False, onto: bool = False):
-        self.sx, across = x.signatures
+        sx, across = x.signatures
         if across:
             raise CoalgebraError("invalid coalgebra: related tuple across branches")
-        self.sy = y.signatures[0]
-        self.iso, self.back, self.onto = iso, back or onto, onto
-        y_roots = [r for r in y.roots if y.kind != "modal" or r == y.carrier.point]
-        self.kx = kx = {BOTTOM: x.roots, **x.children}
-        self.ky = ky = {BOTTOM: y_roots, **y.children}
-        order = [(BOTTOM, BOTTOM)] if y_roots and kx[BOTTOM] and self.fits(BOTTOM, BOTTOM) else []
+        sy, fits = y.signatures[0], operator.eq if iso else operator.le
+        self.fits = lambda a, b: fits(sx[a], sy[b])
+        self.back, self.onto = back or onto, onto
+        self.kx = kx = x.children
+        self.ky = ky = y.children
+        if y.kind == "modal":
+            self.ky = ky = {**ky, BOTTOM: [r for r in y.roots if r == y.carrier.point]}
+        order = [(BOTTOM, BOTTOM)] if kx[BOTTOM] and ky[BOTTOM] and self.fits(BOTTOM, BOTTOM) else []
         for a, b in order:  # appending while iterating walks the pairs breadth-first
             order += [(xc, yc) for xc in kx[a] if kx[xc]
                       for yc in ky[b] if ky[yc] and self.fits(xc, yc)]
@@ -259,9 +258,6 @@ class BranchPairs:
                     and (not self.back or all(any(live(xc, yc) for xc in kids) for yc in targets))
                     and (not onto or _onto(self._partners(kids, targets), targets))):
                 self.alive.add((a, b))
-
-    def fits(self, a, b) -> bool:
-        return _fits(self.sx[a], self.sy[b], self.iso)
 
     def live(self, a, b) -> bool:
         """Is the pair, the root pair or a child of a live pair, alive?"""
@@ -308,12 +304,12 @@ class BranchPairs:
         queue = [BOTTOM]
         for a in queue:
             kids, targets = self.kx[a], self.ky[f[a]]
-            partners = self._partners(kids, targets)
+            later = self._partners(kids, targets) if self.onto else {}
             hit: set = set()
-            for i, xc in enumerate(kids):
-                f[xc] = next(yc for yc in partners[xc] if not self.onto or _onto(
-                    {k: partners[k] for k in kids[i + 1:]},
-                    [t for t in targets if t != yc and t not in hit]))
+            for xc in kids:
+                later.pop(xc, None)
+                f[xc] = next(yc for yc in targets if self.live(xc, yc) and (not self.onto or _onto(
+                    later, [t for t in targets if t != yc and t not in hit])))
                 hit.add(f[xc])
             queue += kids
         del f[BOTTOM]
