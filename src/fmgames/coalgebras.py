@@ -97,11 +97,16 @@ class ForestCoalgebra:
 
     @cached_property
     def _branches(self) -> dict:
-        """The branch of each element, root first, built once per coalgebra."""
-        out: dict = {}
-        for e in sorted(self.universe, key=self.height.__getitem__):
-            p = self.parent.get(e)
-            out[e] = (e,) if p is None else out[p] + (e,)
+        """The branch of each element, root first (``BOTTOM``'s is empty),
+        built once per coalgebra; raises on a parent cycle."""
+        out: dict = {BOTTOM: ()}
+        queue = [BOTTOM]
+        for p in queue:  # appending while iterating walks the forest top-down
+            for c in self.children[p]:
+                out[c] = out[p] + (c,)
+                queue.append(c)
+        if len(out) <= len(self.universe):
+            raise CoalgebraError("parent map has a cycle")
         return out
 
     def chain(self, x) -> tuple:
@@ -114,7 +119,7 @@ class ForestCoalgebra:
         tuple lies across branches.
 
         An element's signature holds its pebble number and the
-        ``(relation, component heights)`` of the related tuples on its branch
+        ``(relation, component depths)`` of the related tuples on its branch
         whose deepest component it is; ``BOTTOM`` holds the 0-ary facts.  The
         map between two branches of equal height is a homomorphism (an
         embedding) of the induced substructures iff each element's signature
@@ -125,13 +130,13 @@ class ForestCoalgebra:
         if self.kind == "pebble":
             for e in self.universe:
                 sig[e].add((None, self.pebble_fn[e]))
-        height, branches, across = self.height.__getitem__, self._branches, False
+        branches, across = self._branches, False
         for rel, tuples in self.carrier.interp.items():
             for tup in tuples:
-                heights = tuple(map(height, tup))
-                deepest = tup[heights.index(max(heights))] if tup else BOTTOM
-                if not tup or tuple(map(branches[deepest].__getitem__, heights)) == tup:
-                    sig[deepest].add((rel, heights))
+                chains = [branches[e] for e in tup]
+                top = max(chains, key=len, default=())
+                if all(top[len(c) - 1] == c[-1] for c in chains):
+                    sig[top[-1] if top else BOTTOM].add((rel, tuple(map(len, chains))))
                 else:
                     across = True
         return sig, across
