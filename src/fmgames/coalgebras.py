@@ -14,7 +14,9 @@ comparability plus equal last elements.
 
 The branch layer (:func:`branch_tuples`, :func:`pull_back`) is the one scan of
 tuples over a branch: the builders, the morphism checks and the bisimulation
-spans all obtain their branch relations from it.
+spans all obtain their branch relations from it.  The branch-pair fixpoint
+reads ``ForestCoalgebra.signatures`` instead, which files each related tuple
+once, under its deepest component.
 """
 
 from __future__ import annotations

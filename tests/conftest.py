@@ -22,6 +22,11 @@ from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 E2 = Vocabulary((("E", 2),))
 MODAL = Vocabulary((("R", 2), ("P", 1)))
 
+#: Six elements and the single edge E(a, b): its cofree EF-I coalgebras are
+#: where a search that backtracks over whole maps blows up (seconds at k=2,
+#: no answer from k=3 on), so the coalgebra route is timed on it.
+SIX = Structure.make(E2, list("abcdef"), {"E": [("a", "b")]}, name="six")
+
 
 @pytest.fixture
 def edge():

@@ -10,7 +10,7 @@ from fmgames import (BOTTOM, BisimVerificationError, GameSpec, Structure, back_f
                      verify_bisim, verify_positive_bisim)
 from fmgames.corpus import all_pointed_kripke
 
-from conftest import E2, kripke, reference_back_forth, small_structures
+from conftest import SIX, kripke, reference_back_forth, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -135,8 +135,8 @@ def test_existential_backforth_matches_pathwise_search():
         assert (system is not None) == via_search
 
 
-#: The coalgebra route of each mode, as in ``cli._coalgebra_direction``.
 def _route(mode, family, a, b, x, y, hom_kind):
+    """The coalgebra route of each mode, as in ``cli._coalgebra_direction``."""
     if mode == "ep":
         return find_morphism(hom_kind, x, y) is not None
     if mode == "existential":
@@ -170,9 +170,6 @@ def test_fixpoint_matches_reference_back_forth_in_every_mode():
             assert _route(mode, family, a, b, x, y, hom_kind) == (expected is not None)
             seen.add((mode, expected is not None))
     assert len(seen) == 2 * len(MODES)
-
-
-SIX = Structure.make(E2, list("abcdef"), {"E": [("a", "b")]}, name="six")
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -14,7 +14,7 @@ from fmgames.corpus import (all_digraphs, all_pointed_kripke, edge_structure,
                             loop_structure)
 from fmgames.morphisms import chain_map_ok
 
-from conftest import E2, kripke, small_structures
+from conftest import E2, SIX, kripke, small_structures
 
 KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
 
@@ -187,11 +187,7 @@ def test_chain_map_ok_matches_induced_substructure_checks(build):
 
 
 # ---------------------------------------------------------------------------
-# Wall budgets: the 6-element digraph with one edge made the old
-# backtracking search take seconds at k=2 and hang from k=3 on.
-
-SIX = Structure.make(E2, list("abcdef"), {"E": [("a", "b")]}, name="six")
-
+# Wall budgets
 
 def _timed(call, *args):
     start = time.perf_counter()
@@ -218,8 +214,8 @@ def test_six_element_check_via_coalgebra_k4_within_budget(tmp_path, capsys):
 
 
 def test_hom_on_wide_forest_without_recursion():
-    """F2 of a 40-element edgeless digraph has 1640 nodes; the old search
-    recursed once per node and died with RecursionError."""
+    """F2 of a 40-element edgeless digraph has 1640 nodes: a search that
+    recurses once per node dies with RecursionError."""
     edgeless = Structure.make(E2, [f"v{i}" for i in range(40)], {}, name="edgeless40")
     x = build_ef(edgeless, 2)
     w = find_morphism("hom", x, x)
@@ -240,8 +236,8 @@ def test_target_tuple_across_branches_is_not_an_image():
 
 
 def test_open_pebble_morphism_within_budget(cliques):
-    """Openness used to be checked on complete maps only, and these searches
-    did not finish in 10 s; now each pair needs a matching onto its children."""
+    """Checked on complete maps only, openness makes these searches run past
+    10 s; the fixpoint needs a matching onto the children per pair instead."""
     for a, b in ((cliques[2], cliques[3]), (cliques[3], cliques[2])):
         x, y = build_pebble_truncated(a, 2, 2), build_pebble_truncated(b, 2, 2)
         w, took = _timed(find_morphism, "open_pathwise_embedding", x, y)
