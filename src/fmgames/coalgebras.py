@@ -135,9 +135,12 @@ class ForestCoalgebra:
         branches, across = self._branches, False
         for rel, tuples in self.carrier.interp.items():
             for tup in tuples:
-                chains = [branches[e] for e in tup]
+                if len(tup) == 1:  # a unary fact lies on its element's branch
+                    sig[tup[0]].add((rel, (len(branches[tup[0]]),)))
+                    continue
+                chains = list(map(branches.__getitem__, tup))
                 top = max(chains, key=len, default=())
-                if all(top[len(c) - 1] == c[-1] for c in chains):
+                if all(map(top.__contains__, tup)):
                     sig[top[-1] if top else BOTTOM].add((rel, tuple(map(len, chains))))
                 else:
                     across = True
