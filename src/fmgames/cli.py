@@ -80,8 +80,8 @@ def _game_direction(args, a: Structure, b: Structure) -> dict:
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
     if verdict.stage and args.format == "json":
-        out["stageTable"] = {repr(sorted(pl)): s for pl, s in sorted(
-            verdict.stage.items(), key=lambda kv: repr(sorted(kv[0])))}
+        out["stageTable"] = dict(sorted((repr(sorted(pl)), s)
+                                        for pl, s in verdict.stage.items()))
     if not verdict.duplicator_wins:
         phi = distinguish(spec, a, b, verdict)
         _assert_witness(phi, spec, a, b)

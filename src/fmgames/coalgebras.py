@@ -257,6 +257,10 @@ def pull_back(chains, image, target: Structure) -> dict:
     interp: dict = {}
     for rel, arity in target.vocab.relations:
         rel_set = target.interp[rel]
+        if arity == 0:
+            # the empty tuple lies on no branch, and its image is itself
+            interp[rel] = rel_set & {()}
+            continue
         interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
                                 if tuple(map(image, t)) in rel_set)
     return interp

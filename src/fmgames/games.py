@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -363,7 +363,11 @@ class Verdict:
         return self.rules.label(history, move)
 
     def condition_holds(self, history) -> bool:
-        return self.rules.cond(self.rules.key(history)[0])
+        state = self.rules.key(history)[0]
+        if self.stage is not None:
+            # the attractor kept exactly the pair sets that satisfy the condition
+            return self.stage.get(state, -1) != 0
+        return self.rules.cond(state)
 
     def position_alive(self, history) -> bool:
         return self._alive(self.rules.key(history))
@@ -398,27 +402,20 @@ class Verdict:
     def spoiler_move(self, history):
         """A winning Spoiler move: every response leads to a dead position.
 
-        Pebble/unbounded ties are broken by lowest resulting death stage,
-        then canonical order; the stage bound is what keeps synthesized
-        distinguishing formulas within rank = death stage.
+        EF, modal and bounded pebble verdicts return the first such move in
+        canonical order.  Unbounded pebble verdicts read the move off the
+        stage table (``_StageTable.spoiler_move``): the lowest worst death
+        stage among the responses wins, then canonical order; the stage
+        bound is what keeps synthesized distinguishing formulas within
+        rank = death stage.
         """
         key = self.rules.key(history)
-        best = None
-        best_stage = None
+        if self.stage is not None:
+            return self.stage.spoiler_move(key[0], self._moves(key))
         for move in self._moves(key):
-            children = [child for _, child in self._children(key, move)]
-            if self.stage is None:
-                if not any(self._alive(c) for c in children):
-                    return move
-                continue
-            # one lookup per child: -1 marks an alive one
-            stages = [self.stage.get(state, -1) for state, _ in children]
-            if -1 in stages:
-                continue
-            worst = max(stages, default=0)
-            if best is None or worst < best_stage:
-                best, best_stage = move, worst
-        return best
+            if not any(self._alive(child) for _, child in self._children(key, move)):
+                return move
+        return None
 
     def duplicator_wins_within(self, rounds: int) -> bool:
         """Verdict for another round budget, read off the same solve tables.
@@ -505,7 +502,9 @@ class _StageTable(Mapping):
     satisfies the condition (-1 while alive), keyed by its bit mask over
     ``pairs``; every other pair set fails the condition and has stage 0.
     Lookups are memoized per placement because strategy extraction asks for
-    the same placements again and again.
+    the same placements again and again.  ``spoiler_move`` reads the
+    stages of a move's responses off the masks, and walking ``items``
+    fills no memo.
 
     Iteration runs in placement-id order: placement ``{(p, pairs[d - 1]),
     ...}`` has id ``sum(d * n ** (p - 1))`` with ``n = len(pairs) + 1``,
@@ -522,6 +521,12 @@ class _StageTable(Mapping):
         self._k = k
         self._bit = {(p, pair): 1 << i for p in range(1, k + 1)
                      for i, pair in enumerate(pairs)}
+        # per Spoiler move ``(side, element)``, the bits of the pairs its
+        # responses place, in response order
+        self._replies: dict = {}
+        for i, (x, y) in enumerate(pairs):
+            self._replies.setdefault(("A", x), []).append(1 << i)
+            self._replies.setdefault(("B", y), []).append(1 << i)
         self._memo: dict = {}
         onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
                 for j in range(k + 1)]
@@ -540,6 +545,44 @@ class _StageTable(Mapping):
             s = self._memo[placement] = self._stages.get(mask, 0)
         return s
 
+    def spoiler_move(self, placement, moves):
+        """Spoiler's best move ``(pebble, side, element)`` from ``placement``
+        among ``moves``, or None when each move has an alive response.
+
+        Moving pebble p leaves the pairs of the other pebbles, and each
+        response adds one pair, so a response's stage is the stage filed
+        under that mask OR the pair's bit.  The move whose worst response
+        has the lowest stage wins (0 when there is no response), ties going
+        to the first in canonical order.  A move is dropped as soon as a
+        response is alive or dies no sooner than the best move so far.  No
+        move does better than stage max(s - 1, 0) from a position of stage s,
+        or the position would have died earlier, so the first move reaching
+        it is returned at once.
+        """
+        held = {item[0]: self._bit[item] for item in placement}
+        others = dict.fromkeys(range(1, self._k + 1), 0)
+        for p in others:
+            for q, bit in held.items():
+                if q != p:
+                    others[p] |= bit
+        floor = max(self.death_stage(placement) - 1, 0)
+        stages, replies = self._stages, self._replies
+        best, cutoff = None, math.inf
+        for move in moves:
+            p, side, e = move
+            base, worst = others[p], 0
+            for bit in replies.get((side, e), ()):
+                s = stages.get(base | bit, 0)
+                if not 0 <= s < cutoff:
+                    break
+                if s > worst:
+                    worst = s
+            else:
+                if worst <= floor:
+                    return move
+                best, cutoff = move, worst
+        return best
+
     def __getitem__(self, placement) -> int:
         s = self.death_stage(placement)
         if s < 0:
@@ -555,7 +598,8 @@ class _StageTable(Mapping):
             return default
         return default if s < 0 else s
 
-    def __iter__(self):
+    def _walk(self):
+        """``(placement, stage)`` for each dead placement, in id order."""
         k, pairs, stages = self._k, self._pairs, self._stages
         # the digit of pebble k varies slowest, so ids ascend
         for digits in itertools.product(range(len(pairs) + 1), repeat=k):
@@ -563,11 +607,26 @@ class _StageTable(Mapping):
             for d in digits:
                 if d:
                     mask |= 1 << (d - 1)
-            if stages.get(mask, 0) >= 0:
-                yield frozenset((k - q, pairs[d - 1]) for q, d in enumerate(digits) if d)
+            s = stages.get(mask, 0)
+            if s >= 0:
+                yield frozenset((k - q, pairs[d - 1]) for q, d in enumerate(digits) if d), s
+
+    def __iter__(self):
+        return (placement for placement, _ in self._walk())
+
+    def items(self):
+        return _StageItems(self)
 
     def __len__(self) -> int:
         return self._len
+
+
+class _StageItems(ItemsView):
+    """The stage table's items, each stage read off the mask the walk has
+    just built instead of looked up again (and memoized) per placement."""
+
+    def __iter__(self):
+        return self._mapping._walk()
 
 
 def _solve_attractor(v: Verdict, cap: int):
@@ -683,10 +742,11 @@ def _solve_attractor(v: Verdict, cap: int):
                             stages[u] = s
                             nxt.append(u)
         layer = nxt
-    table = _StageTable(dict(zip(masks, stages)), pairs, k)
+    filed = dict(zip(masks, stages))
+    table = _StageTable(filed, pairs, k)
     v._alive = lambda key: table.death_stage(key[0]) < 0
     v.stage = table
-    v.duplicator_wins = table.death_stage(frozenset()) < 0
+    v.duplicator_wins = filed.get(0, 0) < 0  # the empty pair set has mask 0
 
 
 # ---------------------------------------------------------------------------

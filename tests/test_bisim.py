@@ -227,3 +227,24 @@ def test_full_bisim_matches_full_game():
             x, y = build_ef(a, 2, with_i=True), build_ef(b, 2, with_i=True)
             ok, reasons = verify_bisim(w, x, y)
             assert ok, reasons
+
+
+def test_nullary_facts_reach_the_coalgebra_route():
+    # the empty tuple lies on no branch; pull_back used to drop Z, and every
+    # route then found a system where Spoiler wins by the sentence Z
+    vocab = [("Z", 0), ("E", 2)]
+    without = Structure.make(vocab, ["a"], {}, name="A")
+    with_z = Structure.make(vocab, ["b"], {"Z": [()]}, name="B")
+    for a, b in ((without, with_z), (with_z, without)):
+        for k in (1, 2):
+            x, y = build_ef(a, k, with_i=True), build_ef(b, k, with_i=True)
+            routes = {
+                "ep": find_morphism("i_morphism", x, y),
+                "existential": find_morphism("pathwise_embedding", x, y),
+                "positive": build_positive_bisim(a, b, "ef_i", k),
+                "full": build_bisim(a, b, "ef_i", k),
+            }
+            for mode in MODES:
+                wins = solve(GameSpec("ef", mode, k), a, b).duplicator_wins
+                assert (back_forth(mode, build_ef(a, k), build_ef(b, k)) is not None) == wins
+                assert (routes[mode] is not None) == wins, (a.name, b.name, k, mode)

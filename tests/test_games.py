@@ -308,16 +308,53 @@ def reference_pebble(spec, a, b):
         stage.update(dict.fromkeys(killed, s))
 
 
+class ReferenceVerdict(Verdict):
+    """An unbounded pebble verdict over a plain dict of dead placements, read
+    child by child: the condition from ``pairs_condition`` and Spoiler's move
+    from the stage of every response's placement, the lowest worst stage
+    winning and ties going to the first move."""
+
+    def __init__(self, spec, a, b, stage):
+        super().__init__(spec, a, b)
+        self.stage, self.duplicator_wins = stage, frozenset() not in stage
+        self._alive = lambda key: key[0] not in stage
+
+    def condition_holds(self, history) -> bool:
+        return self.rules.cond(self.rules.key(history)[0])
+
+    def spoiler_move(self, history):
+        key = self.rules.key(history)
+        best = best_stage = None
+        for move in self._moves(key):
+            stages = [self.stage.get(child[0], -1) for _, child in self._children(key, move)]
+            if -1 in stages:
+                continue
+            worst = max(stages, default=0)
+            if best is None or worst < best_stage:
+                best, best_stage = move, worst
+        return best
+
+
 def assert_matches_reference(spec, a, b):
+    """Check the stage table, Spoiler's strategy and the synthesized formula
+    against ``reference_pebble`` and ``ReferenceVerdict``."""
     v = solve(spec, a, b)
     stage = reference_pebble(spec, a, b)
     assert v.duplicator_wins == (frozenset() not in stage)
     assert dict(v.stage.items()) == stage
     assert len(v.stage) == len(stage)
+    ref = ReferenceVerdict(spec, a, b, stage)
+    # every position distinguish visits, the violating ones included
+    todo = [v.initial_history()]
+    while todo:
+        history = todo.pop()
+        move = v.spoiler_move(history)
+        assert move == ref.spoiler_move(history), (spec, history)
+        holds = v.condition_holds(history)
+        assert holds == ref.condition_holds(history), (spec, history)
+        if holds and move is not None:
+            todo += [v.extend(history, move, r) for r in v.responses(history, move)]
     if not v.duplicator_wins:
-        ref = Verdict(spec, a, b)
-        ref.stage, ref.duplicator_wins = stage, False
-        ref._alive = lambda key: key[0] not in stage
         assert serialize_formula(distinguish(spec, a, b, v)) == \
             serialize_formula(distinguish(spec, a, b, ref))
     return v
@@ -361,6 +398,18 @@ def test_pebble_attractor_matches_sweep_on_mixed_arities():
         assert_matches_reference(spec, a, b)
 
 
+def test_pebble_spoiler_move_matches_reference_at_every_visited_position():
+    rnd = random.Random(67)
+    seen = {"spoiler wins": 0, "violated root": 0, "empty side": 0}
+    for a, b in mixed_pairs(71, 120):
+        spec = GameSpec("pebble", rnd.choice(MODES), rnd.choice((1, 2, 3)))
+        v = assert_matches_reference(spec, a, b)
+        seen["spoiler wins"] += not v.duplicator_wins
+        seen["violated root"] += v.stage.get(frozenset()) == 0
+        seen["empty side"] += (a.size == 0) != (b.size == 0)
+    assert min(seen.values()) >= 5, seen
+
+
 def random_digraph(rnd, n, name):
     """A digraph shaped like the benchmark's pebble-scale ones: round(0.4 n^2)
     edges, round(0.4 n) of them loops."""
@@ -379,6 +428,22 @@ def test_pebble_attractor_matches_sweep_at_benchmark_sizes():
             for _ in range(2):
                 a, b = random_digraph(rnd, n, "a"), random_digraph(rnd, n, "b")
                 assert_matches_reference(GameSpec("pebble", mode, k), a, b)
+
+
+def test_pebble_spoiler_move_matches_reference_at_every_placement():
+    # includes placements that fail the condition where every move has a
+    # response of stage >= 1, so the lowest worst stage decides among them
+    rnd = random.Random(73)
+    for n, k in ((3, 2), (3, 3), (4, 2)):
+        for mode in MODES:
+            a, b = random_digraph(rnd, n, "a"), random_digraph(rnd, n, "b")
+            spec = GameSpec("pebble", mode, k)
+            v = solve(spec, a, b)
+            ref = ReferenceVerdict(spec, a, b, reference_pebble(spec, a, b))
+            pairs = [(x, y) for x in a.universe for y in b.universe]
+            for combo in itertools.product([None, *pairs], repeat=k):
+                history = tuple((p, *pair) for p, pair in enumerate(combo, 1) if pair)
+                assert v.spoiler_move(history) == ref.spoiler_move(history), (spec, history)
 
 
 def test_pebble_attractor_empty_universes(edge):
@@ -418,6 +483,13 @@ def test_pebble_stage_table_is_a_read_only_mapping(cliques):
         assert bad not in v.stage
         with pytest.raises(KeyError):
             v.stage[bad]
+
+
+def test_pebble_stage_table_items_fill_no_memo():
+    v = solve(GameSpec("pebble", "full", 3), clique(3), clique(4))
+    items = list(v.stage.items())
+    assert len(items) == len(v.stage) and not v.stage._memo
+    assert items == [(pl, v.stage[pl]) for pl in v.stage]
 
 
 def test_pebble_clique_calibration_at_four_pebbles():
