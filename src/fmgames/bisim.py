@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
-                         build_modal, node_chain, path_tree, pull_back,
+                         build_modal, path_tree, pull_back,
                          validate_coalgebra)
 from .games import GameSpec, Verdict
 from .morphisms import (BranchPairs, chain_map_ok, check_bijection,
@@ -96,7 +96,7 @@ def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCo
     if (BOTTOM, BOTTOM) not in system.pairs:
         out.append("root pair missing")
     for xn, yn in system.pairs:
-        if not chain_map_ok(x, y, node_chain(x, xn), node_chain(y, yn), iso):
+        if not chain_map_ok(x, y, x.chain(xn), y.chain(yn), iso):
             out.append(f"pair ({xn!r}, {yn!r}) fails the chain-map condition")
     for xn, yn in system.pairs:
         for xc in tx.children[xn]:

@@ -215,6 +215,11 @@ def cmd_validate(args) -> int:
 
 def cmd_morphism(args) -> int:
     x, y = _load_coalgebra(args.file_a), _load_coalgebra(args.file_b)
+    for path, c in ((args.file_a, x), (args.file_b, y)):
+        violations = validate_coalgebra(c)
+        if violations:
+            v = violations[0]
+            raise CliError(f"{path}: {v.code}: {v.message} at {v.witness!r}")
     witness = find_morphism(_MORPHISM_KIND_FLAGS[args.kind], x, y)
     if witness is None:
         print("none")

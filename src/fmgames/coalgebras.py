@@ -149,10 +149,6 @@ class ForestCoalgebra:
     def comparable(self, x, y) -> bool:
         return x in self.chain(y) or y in self.chain(x)
 
-    @property
-    def root_point(self):
-        return self.carrier.point if self.kind == "modal" else None
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -518,11 +514,6 @@ class PathTree:
     @property
     def root(self):
         return self.nodes[0]
-
-
-def node_chain(x: ForestCoalgebra, node) -> tuple:
-    """The branch of ``x`` down to a path-tree node; empty for ``BOTTOM``."""
-    return () if node is BOTTOM else x.chain(node)
 
 
 def path_tree(x: ForestCoalgebra) -> PathTree:

@@ -9,6 +9,12 @@ syntactic.  Concrete syntax::
 
 Variables are ``x`` followed by a positive integer.  ``&`` and ``|`` are
 left-associative inside one pair of parentheses and may not be mixed there.
+
+``classify``, ``free_vars`` and ``model_check`` read a formula's syntactic
+facts (node kinds, free and all variables, quantifier rank, modal depth and
+the symbols of its atoms) off one walk with an explicit stack, ``_walk``, so
+they answer on formulas of any depth.  The evaluation in ``model_check``,
+``serialize_formula`` and ``dualize`` still recurse.
 """
 
 from __future__ import annotations
@@ -185,46 +191,72 @@ def dualize(phi: Formula) -> Formula:
     raise FormulaError(f"unknown node {phi!r}")
 
 
+# ---------------------------------------------------------------------------
+# Syntactic facts
+
+_MODAL_NODES = frozenset((Prop, NegProp, Dia, Box))
+_NOT_FIRST_ORDER = _MODAL_NODES | {TrueC, FalseC, And, Or}
+_NEGATIONS = frozenset((NegAtom, NegEq, NegProp))
+_UNIVERSALS = frozenset((Forall, Box))
+
+
+def _walk(phi: Formula) -> tuple:
+    """Every syntactic fact ``classify``, ``free_vars`` and ``model_check``
+    read, from one walk with an explicit stack: the node classes that occur,
+    the free and all variables, quantifier rank, modal depth, and the
+    (relation or proposition, arity) of each atom in walk order.
+
+    A stack entry holds a node, the variables bound above it and the numbers
+    of quantifier and modal nodes above it.  The body of a modal node gets
+    None for its bound set and yields no variables: Kripke semantics gives
+    it none of its own.
+    """
+    kinds: set = set()
+    free: set = set()
+    quantified: set = set()
+    symbols: list = []
+    rank = depth = 0
+    stack = [(phi, frozenset(), 0, 0)]
+    push = stack.append
+    while stack:
+        f, bound, q, m = stack.pop()
+        t = type(f)
+        kinds.add(t)
+        if t is And or t is Or:
+            for p in f.parts:
+                push((p, bound, q, m))
+        elif t is Atom or t is NegAtom or t is Eq or t is NegEq:
+            if t is Atom or t is NegAtom:
+                vs = f.vars
+                symbols.append((f.rel, len(vs)))
+            else:
+                vs = (f.left, f.right)
+            if bound is not None:
+                for v in vs:
+                    if v not in bound:
+                        free.add(v)
+        elif t is Exists or t is Forall:
+            q += 1
+            if q > rank:
+                rank = q
+            if bound is not None:
+                quantified.add(f.var)
+                bound = bound | {f.var}
+            push((f.body, bound, q, m))
+        elif t is Dia or t is Box:
+            m += 1
+            if m > depth:
+                depth = m
+            push((f.body, None, q, m))
+        elif t is Prop or t is NegProp:
+            symbols.append((f.name, 1))
+    # a variable of an atom is free there or bound by a quantifier above it
+    return kinds, free, free | quantified, rank, depth, symbols
+
+
 def free_vars(phi: Formula) -> frozenset[int]:
-    match phi:
-        case Atom(_, vs) | NegAtom(_, vs):
-            return frozenset(vs)
-        case Eq(l, r) | NegEq(l, r):
-            return frozenset((l, r))
-        case And(parts) | Or(parts):
-            out: frozenset[int] = frozenset()
-            for p in parts:
-                out |= free_vars(p)
-            return out
-        case Exists(v, body) | Forall(v, body):
-            return free_vars(body) - {v}
-        case _:
-            return frozenset()
-
-
-def is_modal(phi: Formula) -> bool:
-    """True iff the formula contains a modal node (Prop/NegProp/Dia/Box)."""
-    match phi:
-        case Prop(_) | NegProp(_) | Dia(_, _) | Box(_, _):
-            return True
-        case And(parts) | Or(parts):
-            return any(is_modal(p) for p in parts)
-        case Exists(_, body) | Forall(_, body):
-            return is_modal(body)
-        case _:
-            return False
-
-
-def is_first_order(phi: Formula) -> bool:
-    match phi:
-        case Prop(_) | NegProp(_) | Dia(_, _) | Box(_, _):
-            return False
-        case And(parts) | Or(parts):
-            return all(is_first_order(p) for p in parts)
-        case Exists(_, body) | Forall(_, body):
-            return is_first_order(body)
-        case _:
-            return True
+    """The variables that occur free outside modal nodes."""
+    return frozenset(_walk(phi)[1])
 
 
 @dataclass(frozen=True)
@@ -238,71 +270,15 @@ class Classification:
 MODES = ("full", "existential", "positive", "ep")
 
 
-def _node_kinds(phi: Formula, acc: set):
-    acc.add(type(phi).__name__)
-    match phi:
-        case And(parts) | Or(parts):
-            for p in parts:
-                _node_kinds(p, acc)
-        case Exists(_, body) | Forall(_, body) | Dia(_, body) | Box(_, body):
-            _node_kinds(body, acc)
-        case _:
-            pass
-
-
 def classify(phi: Formula) -> Classification:
     """Quantifier rank, distinct-variable count, modal depth, mode membership."""
-
-    def rank(f: Formula) -> int:
-        match f:
-            case Exists(_, body) | Forall(_, body):
-                return 1 + rank(body)
-            case And(parts) | Or(parts):
-                return max((rank(p) for p in parts), default=0)
-            case Dia(_, body) | Box(_, body):
-                return rank(body)
-            case _:
-                return 0
-
-    def all_vars(f: Formula) -> frozenset[int]:
-        match f:
-            case Atom(_, vs) | NegAtom(_, vs):
-                return frozenset(vs)
-            case Eq(l, r) | NegEq(l, r):
-                return frozenset((l, r))
-            case And(parts) | Or(parts):
-                out: frozenset[int] = frozenset()
-                for p in parts:
-                    out |= all_vars(p)
-                return out
-            case Exists(v, body) | Forall(v, body):
-                return all_vars(body) | {v}
-            case _:
-                return frozenset()
-
-    def depth(f: Formula) -> int:
-        match f:
-            case Dia(_, body) | Box(_, body):
-                return 1 + depth(body)
-            case And(parts) | Or(parts):
-                return max((depth(p) for p in parts), default=0)
-            case Exists(_, body) | Forall(_, body):
-                return depth(body)
-            case _:
-                return 0
-
-    kinds: set = set()
-    _node_kinds(phi, kinds)
-    negs = kinds & {"NegAtom", "NegEq", "NegProp"}
-    universal = kinds & {"Forall", "Box"}
-    in_mode = {
-        "full": True,
-        "existential": not universal,
-        "positive": not negs,
-        "ep": not universal and not negs,
-    }
-    md = depth(phi) if is_modal(phi) else None
-    return Classification(rank(phi), len(all_vars(phi)), md, in_mode)
+    kinds, _, variables, rank, depth, _ = _walk(phi)
+    existential = kinds.isdisjoint(_UNIVERSALS)
+    positive = kinds.isdisjoint(_NEGATIONS)
+    in_mode = {"full": True, "existential": existential, "positive": positive,
+               "ep": existential and positive}
+    return Classification(rank, len(variables),
+                          None if kinds.isdisjoint(_MODAL_NODES) else depth, in_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +293,10 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
     the structure.
     """
     assignment = dict(assignment or {})
-    modal, first_order, free, vocab_error = _scan(phi, a)
-    if modal:
-        if first_order:
+    kinds, free, _, _, _, symbols = _walk(phi)
+    vocab_error = _vocab_error(symbols, a.vocab.arities)
+    if not kinds.isdisjoint(_MODAL_NODES):
+        if not kinds <= _NOT_FIRST_ORDER:
             raise FormulaError("modal and first-order constructs mixed in one formula")
         if not a.vocab.modal_flag:
             raise FormulaError("modal formula on non-modal vocabulary")
@@ -343,50 +320,14 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
     return _check_fo(phi, a, assignment)
 
 
-def _scan(phi: Formula, a: Structure) -> tuple:
-    """One walk over ``phi``: whether it has modal nodes, whether it has nodes
-    outside modal logic, its free variables, and the first atom or
-    proposition that does not fit ``a.vocab`` (a message, or None)."""
-    modal = first_order = False
-    free: set = set()
-    error = None
-    stack = [(phi, frozenset())]
-    while stack:
-        f, bound = stack.pop()
-        match f:
-            case And(parts) | Or(parts):
-                stack.extend((p, bound) for p in parts)
-                continue
-            case Dia(_, body) | Box(_, body):
-                modal = True
-                stack.append((body, bound))
-                continue
-            case Exists(v, body) | Forall(v, body):
-                first_order = True
-                stack.append((body, bound | {v}))
-                continue
-            case Eq(l, r) | NegEq(l, r):
-                first_order = True
-                free.update({l, r} - bound)
-                continue
-            case Atom(name, vs) | NegAtom(name, vs):
-                first_order = True
-                free.update(set(vs) - bound)
-                arity = len(vs)
-            case Prop(name) | NegProp(name):
-                modal = True
-                arity = 1
-            case TrueC() | FalseC():
-                continue
-            case _:
-                first_order = True
-                continue
-        if error is None:
-            if name not in a.vocab.arities:
-                error = f"unknown relation {name!r}"
-            elif a.vocab.arities[name] != arity:
-                error = f"{name} has arity {a.vocab.arities[name]}, used with {arity}"
-    return modal, first_order, free, error
+def _vocab_error(symbols: list, arities: Mapping[str, int]) -> Optional[str]:
+    """The first symbol that does not fit the vocabulary, as a message."""
+    for name, arity in symbols:
+        if name not in arities:
+            return f"unknown relation {name!r}"
+        if arities[name] != arity:
+            return f"{name} has arity {arities[name]}, used with {arity}"
+    return None
 
 
 def _check_modal(phi: Formula, a: Structure, w) -> bool:
@@ -410,6 +351,9 @@ def _check_modal(phi: Formula, a: Structure, w) -> bool:
     raise FormulaError(f"unexpected node {phi!r}")
 
 
+_UNBOUND = object()  # a variable's old binding in ``_check_fo`` when it had none
+
+
 def _check_fo(phi: Formula, a: Structure, env: dict) -> bool:
     match phi:
         case TrueC():
@@ -428,30 +372,22 @@ def _check_fo(phi: Formula, a: Structure, env: dict) -> bool:
             return all(_check_fo(p, a, env) for p in parts)
         case Or(parts):
             return any(_check_fo(p, a, env) for p in parts)
-        case Exists(v, body):
-            old = env.get(v)
+        case Exists(v, body) | Forall(v, body):
+            # an Exists holds iff some element makes the body true, a Forall
+            # fails iff some element makes it false
+            decisive = type(phi) is Exists
+            holds = not decisive
+            old = env.get(v, _UNBOUND)
             for e in a.universe:
                 env[v] = e
-                if _check_fo(body, a, env):
-                    env[v] = old
-                    return True
-            if old is None:
+                if _check_fo(body, a, env) == decisive:
+                    holds = decisive
+                    break
+            if old is _UNBOUND:
                 env.pop(v, None)
             else:
                 env[v] = old
-            return False
-        case Forall(v, body):
-            old = env.get(v)
-            for e in a.universe:
-                env[v] = e
-                if not _check_fo(body, a, env):
-                    env[v] = old
-                    return False
-            if old is None:
-                env.pop(v, None)
-            else:
-                env[v] = old
-            return True
+            return holds
     raise FormulaError(f"unexpected node {phi!r}")
 
 

@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, node_chain,
-                         path_tree, pull_back)
+from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, path_tree,
+                         pull_back)
 from .structures import EQUALITY_SYMBOL, is_homomorphism
 
 MORPHISM_KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
@@ -140,8 +140,8 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
     cover-lifting route on purpose.
     """
     out = []
-    x_chain = {n: node_chain(x, n) for n in path_tree(x).nodes}
-    y_chain = {n: node_chain(y, n) for n in path_tree(y).nodes}
+    x_chain = {n: x.chain(n) for n in path_tree(x).nodes}
+    y_chain = {n: y.chain(n) for n in path_tree(y).nodes}
     for xn, cx in x_chain.items():
         image_chain = tuple(f[c] for c in cx)
         for yn, cy in y_chain.items():

@@ -156,10 +156,6 @@ class Structure:
     def size(self) -> int:
         return len(self.universe)
 
-    @property
-    def is_modal(self) -> bool:
-        return self.vocab.modal_flag
-
     def successors(self, rel: str, elem: ElementId) -> list:
         """R-successors of ``elem`` in canonical order (binary relations)."""
         if self.vocab.arity(rel) != 2:

@@ -7,6 +7,8 @@ against an implementation that shares no code path with the engine.
 ``reference_back_forth`` does the same for the branch-pair fixpoint: it
 prunes all pairs of equal-height branches at once, judging each pair on
 every tuple over the two branches, with no signatures and no pair tree.
+``reference_classify`` and ``reference_free_vars`` are the recursive
+walkers that ``formulas._walk`` replaced, one walk per fact.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import itertools
 
 import pytest
 
-from fmgames import BOTTOM, Structure, Vocabulary, path_tree
-from fmgames.coalgebras import node_chain
+from fmgames import (And, Atom, BOTTOM, Box, Dia, Eq, Exists, Forall, NegAtom, NegEq,
+                     NegProp, Or, Prop, Structure, Vocabulary, path_tree)
+from fmgames.formulas import Classification
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
 E2 = Vocabulary((("E", 2),))
@@ -197,8 +200,8 @@ def reference_back_forth(mode, x, y):
     iso = mode in ("full", "existential")
     back = mode in ("full", "positive")
     tx, ty = path_tree(x), path_tree(y)
-    chains_x = {n: node_chain(x, n) for n in tx.nodes}
-    chains_y = {n: node_chain(y, n) for n in ty.nodes}
+    chains_x = {n: x.chain(n) for n in tx.nodes}
+    chains_y = {n: y.chain(n) for n in ty.nodes}
     alive = {(xn, yn) for xn, cx in chains_x.items() for yn, cy in chains_y.items()
              if tx.height[xn] == ty.height[yn] and _reference_chain_map(x, y, cx, cy, iso)}
     changed = True
@@ -217,6 +220,103 @@ def reference_back_forth(mode, x, y):
     return frozenset(p for p in alive
                      if all(q in alive for q in zip((BOTTOM,) + chains_x[p[0]],
                                                     (BOTTOM,) + chains_y[p[1]])))
+
+
+# ---------------------------------------------------------------------------
+# Recursive formula walkers (reference for formulas._walk)
+
+def reference_free_vars(phi):
+    match phi:
+        case Atom(_, vs) | NegAtom(_, vs):
+            return frozenset(vs)
+        case Eq(l, r) | NegEq(l, r):
+            return frozenset((l, r))
+        case And(parts) | Or(parts):
+            out = frozenset()
+            for p in parts:
+                out |= reference_free_vars(p)
+            return out
+        case Exists(v, body) | Forall(v, body):
+            return reference_free_vars(body) - {v}
+        case _:
+            return frozenset()
+
+
+def _reference_is_modal(phi):
+    match phi:
+        case Prop(_) | NegProp(_) | Dia(_, _) | Box(_, _):
+            return True
+        case And(parts) | Or(parts):
+            return any(_reference_is_modal(p) for p in parts)
+        case Exists(_, body) | Forall(_, body):
+            return _reference_is_modal(body)
+        case _:
+            return False
+
+
+def _reference_node_kinds(phi, acc):
+    acc.add(type(phi).__name__)
+    match phi:
+        case And(parts) | Or(parts):
+            for p in parts:
+                _reference_node_kinds(p, acc)
+        case Exists(_, body) | Forall(_, body) | Dia(_, body) | Box(_, body):
+            _reference_node_kinds(body, acc)
+
+
+def reference_classify(phi):
+    """Rank, variable count and modal depth each from its own recursion."""
+
+    def rank(f):
+        match f:
+            case Exists(_, body) | Forall(_, body):
+                return 1 + rank(body)
+            case And(parts) | Or(parts):
+                return max((rank(p) for p in parts), default=0)
+            case Dia(_, body) | Box(_, body):
+                return rank(body)
+            case _:
+                return 0
+
+    def all_vars(f):
+        match f:
+            case Atom(_, vs) | NegAtom(_, vs):
+                return frozenset(vs)
+            case Eq(l, r) | NegEq(l, r):
+                return frozenset((l, r))
+            case And(parts) | Or(parts):
+                out = frozenset()
+                for p in parts:
+                    out |= all_vars(p)
+                return out
+            case Exists(v, body) | Forall(v, body):
+                return all_vars(body) | {v}
+            case _:
+                return frozenset()
+
+    def depth(f):
+        match f:
+            case Dia(_, body) | Box(_, body):
+                return 1 + depth(body)
+            case And(parts) | Or(parts):
+                return max((depth(p) for p in parts), default=0)
+            case Exists(_, body) | Forall(_, body):
+                return depth(body)
+            case _:
+                return 0
+
+    kinds = set()
+    _reference_node_kinds(phi, kinds)
+    negs = kinds & {"NegAtom", "NegEq", "NegProp"}
+    universal = kinds & {"Forall", "Box"}
+    in_mode = {
+        "full": True,
+        "existential": not universal,
+        "positive": not negs,
+        "ep": not universal and not negs,
+    }
+    md = depth(phi) if _reference_is_modal(phi) else None
+    return Classification(rank(phi), len(all_vars(phi)), md, in_mode)
 
 
 def small_structures(max_size=2, vocab=E2):

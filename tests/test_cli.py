@@ -255,3 +255,13 @@ def test_validate_parent_cycle_is_a_verdict(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("forest-cycle:")
     assert captured.err == ""
+
+
+def test_morphism_on_an_invalid_coalgebra_exit_two(tmp_path, capsys):
+    # t has no pebble number, which the search cannot read
+    bad = tmp_path / "bad.fmc"
+    bad.write_text("vocab E/2\nstructure C\nelems s t\nforest\nroot s\nroot t\npebble s 1\n")
+    assert main(["morphism", "--kind", "hom", str(bad), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: pebble-range: pebbling function out of range at ('t',)\n"

@@ -10,7 +10,7 @@ from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra
                      parse_coalgebra, path_tree, serialize_coalgebra,
                      validate_coalgebra)
 
-from fmgames.coalgebras import branch_tuples, node_chain, pull_back
+from fmgames.coalgebras import branch_tuples, pull_back
 
 from conftest import kripke
 
@@ -265,7 +265,7 @@ def test_parse_coalgebra_with_parent_cycle_reports_it(text):
 def test_branch_walks_raise_on_parent_cycle(text):
     c = parse_coalgebra(text)
     for walk in (lambda: c.chain("a"), lambda: c.comparable("a", "a"),
-                 lambda: node_chain(c, "a"), lambda: path_tree(c).height):
+                 lambda: path_tree(c).height):
         with pytest.raises(CoalgebraError, match="cycle"):
             walk()
 

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
-from fmgames import (And, Atom, Box, Dia, Eq, Exists, FALSE, Forall, FormulaError,
-                     NegAtom, NegEq, NegProp, Or, Prop, Structure, TRUE,
-                     Vocabulary, and_, classify, dualize, free_vars,
-                     model_check, or_, parse_formula, serialize_formula,
-                     standard_translation)
-from fmgames.formulas import is_modal
+from fmgames import (And, Atom, Box, Dia, Eq, Exists, FALSE, FalseC, Forall,
+                     FormulaError, FragmentSpec, GameSpec, NegAtom, NegEq,
+                     NegProp, Or, Prop, Structure, TRUE, TrueC, Vocabulary, and_,
+                     classify, distinguish, dualize, free_vars, model_check,
+                     oracle_preserves, or_, parse_formula, serialize_formula,
+                     solve, standard_translation)
+from fmgames.corpus import all_digraphs, all_pointed_kripke
 
-from conftest import kripke
+from conftest import kripke, reference_classify, reference_free_vars
+
+MODES = ("full", "existential", "positive", "ep")
 
 
 def test_parse_basic_shapes():
@@ -150,7 +155,7 @@ def test_standard_translation_agrees_with_kripke_semantics():
         models.append(kripke(["a", "b"], edges, props, "a"))
     for phi in shapes:
         tr = standard_translation(phi)
-        assert not is_modal(tr)
+        assert classify(tr).modal_depth is None
         for m in models:
             assert model_check(phi, m) == model_check(tr, m, {1: m.point})
 
@@ -159,3 +164,98 @@ def test_modal_fo_mixing_rejected(chain_ab):
     mixed = And((Prop("P"), Atom("R", (1, 2))))
     with pytest.raises(FormulaError, match="mixed"):
         model_check(mixed, chain_ab, {1: "a", 2: "b"})
+
+
+def test_model_check_restores_a_binding_to_the_element_none():
+    # the inner quantifier rebinds x1, which was bound to the element None
+    a = Structure.make(Vocabulary((("P", 1), ("Q", 1))), [None, "b"],
+                       {"P": [(None,)], "Q": [("b",)]})
+    phi = parse_formula("E x1. (P(x1) & (E x1. (Q(x1) & P(x1)) | P(x1)))")
+    assert model_check(phi, a)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("(Q(x1) & E(x1))", "^E has arity 2, used with 1$"),
+    ("A x1. (E(x1,x1,x1) | (x1=x1 & R(x1)))", "^unknown relation 'R'$"),
+])
+def test_model_check_reports_the_first_symbol_outside_the_vocabulary(edge, text, match):
+    with pytest.raises(FormulaError, match=match):
+        model_check(parse_formula(text), edge, {1: "v"})
+
+
+def _random_tree(rnd, height):
+    """A seeded tree over every node class, modal and first-order mixed."""
+    if height == 0 or rnd.random() < 0.2:
+        return rnd.choice([
+            TRUE, FALSE, Prop("p"), NegProp("p"),
+            Atom("E", (rnd.randint(1, 3), rnd.randint(1, 3))),
+            NegAtom("E", (rnd.randint(1, 3), rnd.randint(1, 3))),
+            Eq(rnd.randint(1, 3), rnd.randint(1, 3)),
+            NegEq(rnd.randint(1, 3), rnd.randint(1, 3))])
+    kind = rnd.choice([And, Or, Exists, Forall, Dia, Box])
+    if kind in (And, Or):
+        return kind(tuple(_random_tree(rnd, height - 1) for _ in range(rnd.randint(0, 3))))
+    if kind in (Exists, Forall):
+        return kind(rnd.randint(1, 3), _random_tree(rnd, height - 1))
+    return kind("R", _random_tree(rnd, height - 1))
+
+
+def _comparison_formulas():
+    """Synthesized and oracle witnesses, their standard translations, hand-built
+    edge cases and seeded mixed trees."""
+    rnd = random.Random(2718)
+    digraphs = all_digraphs(2)
+    models = all_pointed_kripke(2)
+    out = [Exists(1, And(())), Dia("R", Or(())), Forall(2, Exists(1, Or(()))),
+           And((Prop("p"), Atom("E", (1, 2)))), Exists(1, Dia("R", Atom("E", (1, 2)))),
+           Box("R", Forall(2, Or((NegProp("p"), NegEq(2, 3))))),
+           Forall(1, And((Dia("R", Prop("p")), NegEq(1, 3)))), TrueC(), FalseC()]
+    out += [_random_tree(rnd, 5) for _ in range(300)]
+    games = [("ef", k, digraphs) for k in (1, 2)] + [("pebble", k, digraphs) for k in (1, 2, 3)]
+    games += [("modal", k, models) for k in (1, 2)]
+    for family, k, pool in games:
+        for mode in MODES:
+            spec = GameSpec(family, mode, k)
+            for _ in range(6):
+                a, b = rnd.choice(pool), rnd.choice(pool)
+                v = solve(spec, a, b)
+                if not v.duplicator_wins:
+                    out.append(distinguish(spec, a, b, v))
+    fragments = [("fo_rank", digraphs), ("l_vars", digraphs), ("ml_depth", models)]
+    for family, pool in fragments:
+        for mode in MODES:
+            for _ in range(6):
+                a, b = rnd.choice(pool), rnd.choice(pool)
+                res = oracle_preserves(FragmentSpec(family, rnd.choice((1, 2)), mode), a, b)
+                if res.witness is not None:
+                    out.append(res.witness)
+    for phi in list(out):
+        try:
+            out.append(standard_translation(phi, rnd.randint(1, 3)))
+        except FormulaError:  # not purely modal
+            pass
+    return out
+
+
+def test_single_walk_matches_the_recursive_walkers():
+    formulas = _comparison_formulas()
+    assert len(formulas) > 500
+    for phi in formulas:
+        assert classify(phi) == reference_classify(phi), str(phi)
+        assert free_vars(phi) == reference_free_vars(phi), str(phi)
+
+
+def test_classify_and_free_vars_answer_on_deep_formulas():
+    chain = Atom("E", (1, 2))
+    for _ in range(5000):
+        chain = Exists(1, chain)
+    c = classify(chain)
+    assert (c.rank, c.var_count, c.modal_depth) == (5000, 2, None)
+    assert free_vars(chain) == frozenset({2})
+    diamonds = NegProp("p")
+    for _ in range(5000):
+        diamonds = Dia("R", diamonds)
+    c = classify(diamonds)
+    assert (c.rank, c.var_count, c.modal_depth) == (0, 0, 5000)
+    assert c.in_mode["existential"] and not c.in_mode["positive"]
+    assert free_vars(diamonds) == frozenset()

@@ -9,7 +9,6 @@ from fmgames import (CoalgebraError, ForestCoalgebra, GameSpec, Structure, build
                      is_embedding, is_homomorphism, path_tree, is_p_morphism,
                      solve, validate_coalgebra, verify_morphism)
 from fmgames.cli import main
-from fmgames.coalgebras import node_chain
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, edge_structure,
                             loop_structure)
 from fmgames.morphisms import chain_map_ok
@@ -150,7 +149,7 @@ def _induced(c, chain) -> Structure:
 
 def _chain_map_reference(x, y, xn, yn, iso: bool) -> bool:
     """The chain map judged by the structure-level checkers on induced substructures."""
-    cx, cy = node_chain(x, xn), node_chain(y, yn)
+    cx, cy = x.chain(xn), y.chain(yn)
     m = dict(zip(cx, cy))
     if x.kind == "pebble" and any(x.pebble_fn[a] != y.pebble_fn[m[a]] for a in cx):
         return False
@@ -168,7 +167,7 @@ def _chain_map_agreement(coalgebras) -> set:
                 for yn in ty.nodes:
                     if tx.height[xn] != ty.height[yn]:
                         continue
-                    cx, cy = node_chain(x, xn), node_chain(y, yn)
+                    cx, cy = x.chain(xn), y.chain(yn)
                     for iso in (False, True):
                         got = chain_map_ok(x, y, cx, cy, iso)
                         assert got == _chain_map_reference(x, y, xn, yn, iso), (xn, yn, iso)
