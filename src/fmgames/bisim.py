@@ -17,7 +17,8 @@ dually; with the product order this yields the span
 Every constructed witness is re-verified before being returned; a failure
 there is a bug sentinel, never an expected outcome.  :func:`back_forth`
 returns every live pair reached through live pairs: the largest
-back-and-forth system, strong as built.
+back-and-forth system, which is strong (closed under simultaneous
+predecessors) as built.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ class BisimVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class BackForthSystem:
-    """Compatible path pairs closed under forth/back; strong when closed
-    under simultaneous predecessors."""
+    """Compatible path pairs closed under forth/back and under simultaneous
+    predecessors (strong)."""
 
     pairs: frozenset
-    strong: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,7 @@ def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
         raise CoalgebraError("back_forth needs validated coalgebras")
     pairs = BranchPairs(x, y, iso=mode in ("full", "existential"),
                         back=mode in ("full", "positive")).reached()
-    return None if pairs is None else BackForthSystem(frozenset(pairs), strong=True)
+    return None if pairs is None else BackForthSystem(frozenset(pairs))
 
 
 def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCoalgebra,
@@ -106,12 +106,11 @@ def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCo
             for yc in ty.children[yn]:
                 if not any((xc, yc) in system.pairs for xc in tx.children[xn]):
                     out.append(f"back fails at ({xn!r}, {yn!r}) on {yc!r}")
-    if system.strong:
-        for xn, yn in system.pairs:
-            if xn is BOTTOM or yn is BOTTOM:
-                continue
-            if (tx.parent[xn], ty.parent[yn]) not in system.pairs:
-                out.append(f"strength fails below ({xn!r}, {yn!r})")
+    for xn, yn in system.pairs:
+        if xn is BOTTOM or yn is BOTTOM:
+            continue
+        if (tx.parent[xn], ty.parent[yn]) not in system.pairs:
+            out.append(f"strength fails below ({xn!r}, {yn!r})")
     return out
 
 
@@ -228,4 +227,4 @@ def extract_back_forth(w: PositiveBisimWitness) -> BackForthSystem:
     pairs = {(BOTTOM, BOTTOM)}
     for z in w.z1.universe:
         pairs.add((w.p[z], w.q[w.h[z]]))
-    return BackForthSystem(frozenset(pairs), strong=True)
+    return BackForthSystem(frozenset(pairs))

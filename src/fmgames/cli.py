@@ -24,7 +24,7 @@ from .oracle import FragmentSpec, oracle_preserves
 from .structures import Structure, iter_homomorphisms, parse_structure
 from .synthesis import distinguish
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FRAGMENT_OF_FAMILY = {"ef": "fo_rank", "pebble": "l_vars", "modal": "ml_depth"}
 
@@ -71,8 +71,7 @@ def _emit(report: dict, fmt: str, text_lines):
 
 
 def _spec_from_args(args) -> GameSpec:
-    rounds = getattr(args, "n", None) if args.family == "pebble" else None
-    return GameSpec(args.family, args.mode, args.k, rounds)
+    return GameSpec(args.family, args.mode, args.k, args.n)
 
 
 def _game_direction(args, a: Structure, b: Structure) -> dict:
@@ -80,8 +79,8 @@ def _game_direction(args, a: Structure, b: Structure) -> dict:
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
     if verdict.stage and args.format == "json":
-        out["stageTable"] = dict(sorted((repr(sorted(pl)), s)
-                                        for pl, s in verdict.stage.items()))
+        out["stageTable"] = {repr(sorted(pairs)): s
+                             for pairs, s in verdict.stage.pair_sets().items()}
     if not verdict.duplicator_wins:
         phi = distinguish(spec, a, b, verdict)
         _assert_witness(phi, spec, a, b)
@@ -95,7 +94,7 @@ def _assert_witness(phi, spec: GameSpec, a: Structure, b: Structure):
 
 
 def _oracle_direction(args, a: Structure, b: Structure) -> dict:
-    if args.family == "pebble" and getattr(args, "n", None) is not None:
+    if getattr(args, "n", None) is not None:
         raise CliError("the oracle decides the unbounded k-variable fragment; "
                        "-n (bounded rounds) needs --via game")
     frag = FragmentSpec(_FRAGMENT_OF_FAMILY[args.family], args.k, args.mode)
@@ -133,6 +132,7 @@ _DIRECTIONS = {"game": _game_direction, "oracle": _oracle_direction,
 
 
 def cmd_check(args) -> int:
+    _spec_from_args(args)  # -k and -n are checked alike for every route
     a, b = _load_structure(args.file_a), _load_structure(args.file_b)
     direction = _DIRECTIONS[args.via]
     forward = direction(args, a, b)
@@ -312,6 +312,14 @@ def _status_lines(spec: GameSpec, verdict, history) -> list[str]:
     return [head, f"condition: {'holds' if ok else 'violated'}"]
 
 
+def _read_line(prompt: str) -> str:
+    """One line of play input; the end of input reads as ``quit``."""
+    try:
+        return input(prompt).strip()
+    except EOFError:
+        return "quit"
+
+
 def cmd_play(args) -> int:
     a, b = _load_structure(args.file_a), _load_structure(args.file_b)
     spec = _spec_from_args(args)
@@ -342,7 +350,7 @@ def cmd_play(args) -> int:
                 print("Spoiler has no move: Duplicator wins the remaining rounds")
                 return 0
             print(f"engine (Spoiler) plays {move}")
-            line = input("your response> ").strip()
+            line = _read_line("your response> ")
             if line in ("quit", "q"):
                 return 0
             responses = verdict.responses(history, move)
@@ -351,7 +359,7 @@ def cmd_play(args) -> int:
                 continue
             response = next(r for r in responses if str(r) == line)
         else:
-            line = input("spoiler> ").strip()
+            line = _read_line("spoiler> ")
             if not line:
                 continue
             words = line.split()

@@ -640,9 +640,8 @@ def parse_coalgebra(text: str) -> ForestCoalgebra:
     else:
         kind = "ef"
         k_bound = 0
-    c = ForestCoalgebra(carrier, parent, max(k_bound, 1), kind, pebble or None)
     try:
-        depth = max(c.height.values(), default=0)
+        depth = max(_heights(carrier.universe, parent).values(), default=0)
     except CoalgebraError:  # a parent cycle, which validate_coalgebra reports
         depth = 0
     k_bound = max(k_bound, depth, 1)

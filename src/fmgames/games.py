@@ -21,9 +21,10 @@ maps of at most k pairs that satisfy the condition, not over the
 placements.  The conditions are also local: one fails on a pair set iff it
 fails on a subset of at most max(2, largest arity) pairs, the empty subset
 covering 0-ary relations, so those sets are enumerated level by level and
-the condition is tested only up to that size.  The same ``placement_cap``
-bounds the n^k placements of the unbounded game and the positions the
-backward induction memoizes.
+the condition is tested only up to that size.  The stage table is keyed
+by those pair sets.  The same ``placement_cap`` bounds the attractor's work
+(candidate sets tried and counter rows) and the positions the backward
+induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -36,10 +37,10 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .formulas import Formula, NegProp, Prop
 from .structures import Structure, StructureError, same_vocab
 
 FAMILIES = ("ef", "pebble", "modal")
@@ -120,6 +121,22 @@ def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
         if iso and not _preserves(bwd, arity, b.interp[rel], a.interp[rel]):
             return False
     return True
+
+
+def modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Optional[Formula]:
+    """The proposition the worlds x of a and y of b violate, or None.
+
+    Per unary relation in vocabulary order: ``Prop(rel)`` when x has it and
+    y has not, and (iso) ``NegProp(rel)`` when y has it and x has not.
+    """
+    for rel in a.vocab.unary:
+        in_a = (x,) in a.interp[rel]
+        in_b = (y,) in b.interp[rel]
+        if in_a and not in_b:
+            return Prop(rel)
+        if iso and in_b and not in_a:
+            return NegProp(rel)
+    return None
 
 
 def _preserves(f: dict, arity: int, src, dst) -> bool:
@@ -242,14 +259,7 @@ class _ModalRules(_Rules):
 
     def _holds(self, state) -> bool:
         x, y = state
-        for rel in self.a.vocab.unary:
-            in_a = (x,) in self.a.interp[rel]
-            in_b = (y,) in self.b.interp[rel]
-            if self.iso and in_a != in_b:
-                return False
-            if not self.iso and in_a and not in_b:
-                return False
-        return True
+        return modal_literal(x, y, self.a, self.b, self.iso) is None
 
     def _successors(self, side, rel, w) -> list:
         out = self._succ.get((side, rel, w))
@@ -341,7 +351,7 @@ class Verdict:
         self.b = b
         self.rules = _RULES[spec.family](spec, a, b)
         self.duplicator_wins: bool = False
-        self.stage: Mapping | None = None
+        self.stage: _StageTable | None = None
         self._alive = None
 
     # -- histories ------------------------------------------------------------
@@ -432,8 +442,9 @@ def solve(spec: GameSpec, a: Structure, b: Structure,
           *, placement_cap: int = 200_000) -> Verdict:
     """Decide the game and extract positional strategies.
 
-    ``placement_cap`` bounds the placement space of the unbounded pebble
-    game and the positions the round-bounded solver memoizes (also while
+    ``placement_cap`` bounds the attractor's work in the unbounded pebble
+    game (candidate pair sets and counter rows, see ``_solve_attractor``)
+    and the positions the round-bounded solver memoizes (also while
     strategies are read off later); beyond it ``GameResourceError`` is
     raised instead of a verdict.
     """
@@ -493,26 +504,21 @@ class _Backward:
         return res
 
 
-class _StageTable(Mapping):
-    """Death stages of the dead placements, read-only, keyed by frozenset
-    placements ``{(pebble, (a, b)), ...}``.
+class _StageTable:
+    """Death stages of the unbounded pebble game, keyed by the sets of placed
+    pairs the attractor solves over, with lookups by placement
+    ``{(pebble, (a, b)), ...}``.
 
     A placement's stage is the stage of its set of placed pairs (see
     ``_solve_attractor``).  So the table holds one stage per pair set that
     satisfies the condition (-1 while alive), keyed by its bit mask over
     ``pairs``; every other pair set fails the condition and has stage 0.
-    Lookups are memoized per placement because strategy extraction asks for
-    the same placements again and again.  ``spoiler_move`` reads the
-    stages of a move's responses off the masks, and walking ``items``
-    fills no memo.
-
-    Iteration runs in placement-id order: placement ``{(p, pairs[d - 1]),
-    ...}`` has id ``sum(d * n ** (p - 1))`` with ``n = len(pairs) + 1``,
-    digit p being 0 while pebble p is off the board.  The length is counted,
-    not walked: the placements whose pairs are exactly an alive set of j
-    pairs are the maps from the k pebbles onto that set plus "off the
-    board", ``sum((-1) ** i * C(j, i) * (j - i + 1) ** k)`` of them by
-    inclusion-exclusion, and every other placement is dead.
+    ``pair_sets`` lists the kept sets; ``spoiler_move`` reads the stages of
+    a move's responses off the masks.  The length counts the dead
+    placements without walking them: the placements whose pairs are exactly
+    an alive set of j pairs are the maps from the k pebbles onto that set
+    plus "off the board", ``sum((-1) ** i * C(j, i) * (j - i + 1) ** k)`` of
+    them by inclusion-exclusion, and every other placement is dead.
     """
 
     def __init__(self, stages: dict, pairs: list, k: int):
@@ -527,23 +533,27 @@ class _StageTable(Mapping):
         for i, (x, y) in enumerate(pairs):
             self._replies.setdefault(("A", x), []).append(1 << i)
             self._replies.setdefault(("B", y), []).append(1 << i)
-        self._memo: dict = {}
         onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
                 for j in range(k + 1)]
         self._len = (len(pairs) + 1) ** k - sum(
             onto[mask.bit_count()] for mask, s in stages.items() if s < 0)
 
+    def pair_sets(self) -> dict:
+        """Every pair set the attractor kept, a frozenset of ``(a, b)`` pairs,
+        mapped to its death stage (-1 while alive).  A set of at most k
+        pairs that is not listed fails the condition: its stage is 0."""
+        pairs = self._pairs
+        return {frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1): s
+                for mask, s in self._stages.items()}
+
     def death_stage(self, placement) -> int:
         """The placement's death stage, -1 while it is alive."""
-        s = self._memo.get(placement)
-        if s is None:
-            if len(dict(placement)) != len(placement):
-                raise KeyError(placement)  # two positions for one pebble
-            mask = 0
-            for item in placement:
-                mask |= self._bit[item]
-            s = self._memo[placement] = self._stages.get(mask, 0)
-        return s
+        if len(dict(placement)) != len(placement):
+            raise KeyError(placement)  # two positions for one pebble
+        mask = 0
+        for item in placement:
+            mask |= self._bit[item]
+        return self._stages.get(mask, 0)
 
     def spoiler_move(self, placement, moves):
         """Spoiler's best move ``(pebble, side, element)`` from ``placement``
@@ -598,35 +608,9 @@ class _StageTable(Mapping):
             return default
         return default if s < 0 else s
 
-    def _walk(self):
-        """``(placement, stage)`` for each dead placement, in id order."""
-        k, pairs, stages = self._k, self._pairs, self._stages
-        # the digit of pebble k varies slowest, so ids ascend
-        for digits in itertools.product(range(len(pairs) + 1), repeat=k):
-            mask = 0
-            for d in digits:
-                if d:
-                    mask |= 1 << (d - 1)
-            s = stages.get(mask, 0)
-            if s >= 0:
-                yield frozenset((k - q, pairs[d - 1]) for q, d in enumerate(digits) if d), s
-
-    def __iter__(self):
-        return (placement for placement, _ in self._walk())
-
-    def items(self):
-        return _StageItems(self)
-
     def __len__(self) -> int:
+        """The number of dead placements."""
         return self._len
-
-
-class _StageItems(ItemsView):
-    """The stage table's items, each stage read off the mask the walk has
-    just built instead of looked up again (and memoized) per placement."""
-
-    def __iter__(self):
-        return self._mapping._walk()
 
 
 def _solve_attractor(v: Verdict, cap: int):
@@ -674,25 +658,32 @@ def _solve_attractor(v: Verdict, cap: int):
     in the next layer.  So a set's layer is its death stage, every stage-s
     death sees only stage-<s deaths, death stages decrease strictly along
     Spoiler's strategy, and synthesized formulas stay within rank = death
-    stage.  ``placement_cap`` still bounds the n^k placements, which the
-    stage table's iteration (the JSON ``stageTable``) enumerates.
+    stage.
+
+    ``placement_cap`` bounds this work: every candidate set the level
+    enumeration tries, plus a row of |A| + |B| counters per kept set of
+    fewer than k pairs.  The count is kept as the levels grow, so a refusal
+    comes before the table is built, not after.
     """
     rules, k = v.rules, v.spec.k
     na, nb = len(v.a.universe), len(v.b.universe)
     pairs = [(x, y) for x in v.a.universe for y in v.b.universe]
-    total = (len(pairs) + 1) ** k
-    if total > cap:
-        raise GameResourceError(f"pebble placement space {total} exceeds cap {cap}")
     m = max(2, max((r for _, r in v.a.vocab.relations), default=0))
     # per kept set, in level order: its mask and its pair indices in ascending order
     masks = [0] if rules.pairs_cond(frozenset()) else []
     members = [()] * len(masks)
     ids = {mask: c for c, mask in enumerate(masks)}
     start = [0, len(masks)]  # the sets of j pairs have ids start[j] .. start[j + 1] - 1
+    work = 0
     for j in range(1, k + 1):
         for c in range(start[j - 1], start[j]):
             mask, idx = masks[c], members[c]
-            for i in range(idx[-1] + 1 if idx else 0, len(pairs)):
+            first = idx[-1] + 1 if idx else 0
+            # a base: one counter row, and the candidates that extend it
+            work += na + nb + len(pairs) - first
+            if work > cap:
+                raise GameResourceError(f"pebble game: attractor work exceeds cap {cap}")
+            for i in range(first, len(pairs)):
                 new = mask | 1 << i
                 if all((new ^ 1 << b) in ids for b in idx) and (
                         j > m or rules.pairs_cond(frozenset(pairs[b] for b in (*idx, i)))):

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import (Atom, Box, Dia, Eq, Formula, NegAtom, NegEq, NegProp,
-                       Prop, Exists, Forall, and_, or_)
-from .games import GameSpec, Verdict, solve
+from .formulas import (Atom, Box, Dia, Eq, Formula, NegAtom, NegEq, Exists,
+                       Forall, and_, or_)
+from .games import GameSpec, Verdict, modal_literal, solve
 from .structures import Structure
 
 
@@ -50,17 +50,6 @@ def _violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formul
     raise RuntimeError("no violated literal found at a condition-violating position")
 
 
-def _modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Formula:
-    for rel in a.vocab.unary:
-        in_a = (x,) in a.interp[rel]
-        in_b = (y,) in b.interp[rel]
-        if in_a and not in_b:
-            return Prop(rel)
-        if iso and in_b and not in_a:
-            return NegProp(rel)
-    raise RuntimeError("no violated proposition at a condition-violating pair")
-
-
 def distinguish(spec: GameSpec, a: Structure, b: Structure,
                 verdict: Verdict | None = None) -> Formula:
     """Synthesize a formula of the matching fragment separating a from b.
@@ -91,10 +80,13 @@ class _Synthesis:
         verdict = self.verdict
         if not verdict.condition_holds(history):
             bindings = verdict.bindings(history)
-            if self.modal:
-                _, x, y = bindings[-1]
-                return _modal_literal(x, y, self.a, self.b, self.iso)
-            return _violated_literal(bindings, self.a, self.b, self.iso)
+            if not self.modal:
+                return _violated_literal(bindings, self.a, self.b, self.iso)
+            _, x, y = bindings[-1]
+            literal = modal_literal(x, y, self.a, self.b, self.iso)
+            if literal is None:
+                raise RuntimeError("no violated proposition at a condition-violating pair")
+            return literal
         move = verdict.spoiler_move(history)
         if move is None:
             raise RuntimeError("dead position without a winning move")

@@ -119,7 +119,6 @@ def test_roundtrip_backforth_and_positive_bisim():
         seen_win += 1
         extracted = extract_back_forth(w)
         assert validate_back_forth(extracted, x, y, "positive") == []
-        assert extracted.strong
     assert seen_win and seen_loss
 
 

@@ -230,6 +230,57 @@ def test_play_rejects_illegal_side_in_forth_only(files, capsys, monkeypatch):
     assert "only in A" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("prompt_side", ["spoiler", "duplicator"])
+def test_play_ends_on_end_of_input(files, capsys, monkeypatch, prompt_side):
+    def closed(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed)
+    code = main(["play", "--family", "ef", "--mode", "existential", "-k", "2",
+                 "--as", prompt_side, files["edge"], files["loop"]])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("via", ["game", "oracle", "coalgebra"])
+def test_check_rejects_k_zero_on_every_route(files, capsys, via):
+    code = main(["check", "--family", "ef", "-k", "0", "--via", via,
+                 files["edge"], files["loop"]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "distinguish", "play"])
+@pytest.mark.parametrize("family,a,b", [("ef", "L3", "L4"), ("modal", "modal_a", "modal_b")])
+def test_rounds_outside_the_pebble_family_exit_two(files, capsys, monkeypatch,
+                                                   command, family, a, b):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "quit")
+    code = main([command, "--family", family, "-k", "2", "-n", "3", files[a], files[b]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rounds applies to the pebble family only" in captured.err
+
+
+def test_check_stage_table_by_pair_set(tmp_path, capsys):
+    # K4/K5 at k=5 covers 4,084,101 placements but only 501 pair sets
+    paths = []
+    for m in (4, 5):
+        paths.append(tmp_path / f"K{m}.fms")
+        paths[-1].write_text(serialize_structure(clique(m)))
+    code = main(["check", "--family", "pebble", "--mode", "full", "-k", "5",
+                 "--format", "json", *map(str, paths)])
+    out = capsys.readouterr().out
+    assert code == 1 and len(out) < 100_000
+    report = json.loads(out)
+    assert report["schemaVersion"] == 2
+    table = report["forward"]["stageTable"]
+    assert len(table) == 501 and table["[]"] == 5
+    assert table["[('c0', 'c0')]"] == 4
+    assert report["forward"]["witness"]
+
+
 def test_all_vias_agree_on_regression_corpus(files):
     cases = [
         ("ef", m, k, files[a], files[b])

@@ -207,11 +207,14 @@ def test_replay_rejects_illegal_moves(edge, loop):
 
 
 def test_pebble_stage_table(cliques):
-    v = solve(GameSpec("pebble", "full", 3), cliques[2], cliques[3])
+    spec = GameSpec("pebble", "full", 3)
+    v = solve(spec, cliques[2], cliques[3])
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
     # stages are finite on dead positions and absent on alive ones
-    assert all(isinstance(s, int) for s in v.stage.values())
+    stage = reference_pebble(spec, cliques[2], cliques[3])
+    assert all(v.stage[pl] == s for pl, s in stage.items())
+    assert len(v.stage) == len(stage)
 
 
 def test_replay_truly_exhaustive_scripts(orders):
@@ -226,8 +229,18 @@ def test_replay_truly_exhaustive_scripts(orders):
 
 def test_pebble_placement_cap(cliques):
     from fmgames import GameResourceError
-    with pytest.raises(GameResourceError):
-        solve(GameSpec("pebble", "full", 9), cliques[3], cliques[3], placement_cap=1000)
+    # the cap counts candidate pair sets and counter rows, not the 10^9
+    # placements: 34 partial isomorphisms of K3, each a row of 6 counters
+    # and at most 9 candidates
+    spec = GameSpec("pebble", "full", 9)
+    assert solve(spec, cliques[3], cliques[3], placement_cap=1000).duplicator_wins
+    with pytest.raises(GameResourceError, match="attractor work exceeds cap 100"):
+        solve(spec, cliques[3], cliques[3], placement_cap=100)
+    for k in (3, 4):
+        start = time.perf_counter()
+        with pytest.raises(GameResourceError, match="exceeds cap 200000"):
+            solve(GameSpec("pebble", "full", k), linear_order(15), linear_order(16))
+        assert time.perf_counter() - start < 2
 
 
 def test_round_bounded_solver_caps_memoized_positions(orders):
@@ -341,7 +354,9 @@ def assert_matches_reference(spec, a, b):
     v = solve(spec, a, b)
     stage = reference_pebble(spec, a, b)
     assert v.duplicator_wins == (frozenset() not in stage)
-    assert dict(v.stage.items()) == stage
+    # the same dead placements with the same stages: each one the reference
+    # lists, and no more
+    assert all(v.stage[pl] == s for pl, s in stage.items())
     assert len(v.stage) == len(stage)
     ref = ReferenceVerdict(spec, a, b, stage)
     # every position distinguish visits, the violating ones included
@@ -462,34 +477,47 @@ def test_pebble_attractor_empty_universes(edge):
                 assert v.stage[frozenset()] == 1
 
 
-def test_pebble_stage_table_is_a_read_only_mapping(cliques):
+def test_pebble_stage_table_lookups_are_read_only(cliques):
     v = solve(GameSpec("pebble", "full", 2), cliques[2], cliques[3])
     assert v.duplicator_wins and v.stage
-    stage = dict(v.stage.items())
-    assert len(v.stage) == len(stage) == len(list(v.stage.values()))
-    # iteration runs in placement-id order: pebble p is digit p - 1 in base n
-    pairs = [(x, y) for x in cliques[2].universe for y in cliques[3].universe]
-    ids = [sum((pairs.index(pair) + 1) * (len(pairs) + 1) ** (p - 1) for p, pair in pl)
-           for pl in v.stage]
-    assert ids == sorted(set(ids))
     alive = frozenset({(1, ("c0", "c1"))})
     dead = frozenset({(1, ("c0", "c1")), (2, ("c1", "c1"))})
-    assert alive not in v.stage and v.stage.get(alive, -1) == -1
-    assert v.stage[dead] == 0 and dead in stage
+    assert v.stage.get(alive) is None and v.stage.get(alive, -1) == -1
+    assert v.stage.death_stage(alive) == -1
+    with pytest.raises(KeyError):
+        v.stage[alive]
+    assert v.stage[dead] == 0 and v.stage.get(dead) == 0
     with pytest.raises(TypeError):
         v.stage[dead] = 1
     for bad in (frozenset({(3, ("c0", "c1"))}), frozenset({(1, ("c0", "c9"))}),
                 frozenset({(1, ("c0", "c1")), (1, ("c1", "c0"))})):
-        assert bad not in v.stage
+        assert v.stage.get(bad, "absent") == "absent"
         with pytest.raises(KeyError):
             v.stage[bad]
 
 
-def test_pebble_stage_table_items_fill_no_memo():
-    v = solve(GameSpec("pebble", "full", 3), clique(3), clique(4))
-    items = list(v.stage.items())
-    assert len(items) == len(v.stage) and not v.stage._memo
-    assert items == [(pl, v.stage[pl]) for pl in v.stage]
+def test_pebble_stage_table_by_pair_set():
+    """The listed pair sets are exactly those of at most k pairs that satisfy
+    the condition, and a placement's stage is its pair set's listed stage,
+    or 0 when the set is not listed."""
+    graphs = all_digraphs(2)
+    rnd = random.Random(79)
+    for _ in range(40):
+        a, b = rnd.choice(graphs), rnd.choice(graphs)
+        pairs = [(x, y) for x in a.universe for y in b.universe]
+        for mode in MODES:
+            for k in (1, 2, 3):
+                spec = GameSpec("pebble", mode, k)
+                v = solve(spec, a, b)
+                listed = v.stage.pair_sets()
+                kept = {frozenset(chosen) for j in range(k + 1)
+                        for chosen in itertools.combinations(pairs, j)
+                        if pairs_condition(chosen, a, b, spec.iso_condition)}
+                assert set(listed) == kept, spec
+                for combo in itertools.product([None, *pairs], repeat=k):
+                    placement = frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair)
+                    expected = listed.get(frozenset(pair for _, pair in placement), 0)
+                    assert v.stage.death_stage(placement) == expected, (spec, placement)
 
 
 def test_pebble_clique_calibration_at_four_pebbles():
@@ -499,6 +527,15 @@ def test_pebble_clique_calibration_at_four_pebbles():
     assert time.perf_counter() - start < 2
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
+
+
+def test_pebble_clique_calibration_at_five_pebbles():
+    # 4,084,101 placements, which the cap refused when it counted them
+    start = time.perf_counter()
+    v = solve(GameSpec("pebble", "full", 5), clique(4), clique(5))
+    assert time.perf_counter() - start < 2
+    assert not v.duplicator_wins
+    assert v.stage[frozenset()] == 5
 
 
 # ---------------------------------------------------------------------------
