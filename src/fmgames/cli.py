@@ -74,11 +74,10 @@ def _spec_from_args(args) -> GameSpec:
     return GameSpec(args.family, args.mode, args.k, args.n)
 
 
-def _game_direction(args, a: Structure, b: Structure) -> dict:
-    spec = _spec_from_args(args)
+def _game_direction(spec: GameSpec, fmt: str, a: Structure, b: Structure) -> dict:
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
-    if verdict.stage and args.format == "json":
+    if verdict.stage and fmt == "json":
         out["stageTable"] = {repr(sorted(pairs)): s
                              for pairs, s in verdict.stage.pair_sets().items()}
     if not verdict.duplicator_wins:
@@ -127,15 +126,17 @@ def _coalgebra_direction(args, a: Structure, b: Structure) -> dict:
     return {"preserved": found is not None, "witness": None}
 
 
-_DIRECTIONS = {"game": _game_direction, "oracle": _oracle_direction,
-               "coalgebra": _coalgebra_direction}
+_DIRECTIONS = {"oracle": _oracle_direction, "coalgebra": _coalgebra_direction}
 
 
 def cmd_check(args) -> int:
-    _spec_from_args(args)  # -k and -n are checked alike for every route
+    spec = _spec_from_args(args)  # -k and -n are checked alike for every route
     a, b = _load_structure(args.file_a), _load_structure(args.file_b)
-    direction = _DIRECTIONS[args.via]
-    forward = direction(args, a, b)
+    if args.via == "game":
+        direction = lambda x, y: _game_direction(spec, args.format, x, y)
+    else:
+        direction = lambda x, y: _DIRECTIONS[args.via](args, x, y)
+    forward = direction(a, b)
     report = {
         "schemaVersion": SCHEMA_VERSION, "command": "check",
         "family": args.family, "mode": args.mode, "k": args.k,
@@ -148,7 +149,7 @@ def cmd_check(args) -> int:
         lines.append(f"witness: {forward['witness']}")
     ok = forward["preserved"]
     if args.both:
-        backward = direction(args, b, a)
+        backward = direction(b, a)
         report["backward"] = backward
         report["equivalent"] = forward["preserved"] and backward["preserved"]
         lines.append(f"{b.name} => {a.name}: "

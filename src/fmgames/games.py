@@ -525,18 +525,17 @@ class _StageTable:
         self._stages = stages
         self._pairs = pairs
         self._k = k
-        self._bit = {(p, pair): 1 << i for p in range(1, k + 1)
-                     for i, pair in enumerate(pairs)}
+        self._index = {pair: i for i, pair in enumerate(pairs)}
         # per Spoiler move ``(side, element)``, the bits of the pairs its
         # responses place, in response order
         self._replies: dict = {}
         for i, (x, y) in enumerate(pairs):
             self._replies.setdefault(("A", x), []).append(1 << i)
             self._replies.setdefault(("B", y), []).append(1 << i)
+        alive = [mask.bit_count() for mask, s in stages.items() if s < 0]
         onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
-                for j in range(k + 1)]
-        self._len = (len(pairs) + 1) ** k - sum(
-            onto[mask.bit_count()] for mask, s in stages.items() if s < 0)
+                for j in range(max(alive, default=0) + 1)]
+        self._len = (len(pairs) + 1) ** k - sum(onto[j] for j in alive)
 
     def pair_sets(self) -> dict:
         """Every pair set the attractor kept, a frozenset of ``(a, b)`` pairs,
@@ -546,13 +545,18 @@ class _StageTable:
         return {frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1): s
                 for mask, s in self._stages.items()}
 
+    def _bit(self, item) -> int:
+        if item[0] not in range(1, self._k + 1):
+            raise KeyError(item)
+        return 1 << self._index[item[1]]
+
     def death_stage(self, placement) -> int:
         """The placement's death stage, -1 while it is alive."""
         if len(dict(placement)) != len(placement):
             raise KeyError(placement)  # two positions for one pebble
         mask = 0
         for item in placement:
-            mask |= self._bit[item]
+            mask |= self._bit(item)
         return self._stages.get(mask, 0)
 
     def spoiler_move(self, placement, moves):
@@ -569,18 +573,17 @@ class _StageTable:
         or the position would have died earlier, so the first move reaching
         it is returned at once.
         """
-        held = {item[0]: self._bit[item] for item in placement}
-        others = dict.fromkeys(range(1, self._k + 1), 0)
-        for p in others:
-            for q, bit in held.items():
-                if q != p:
-                    others[p] |= bit
+        held = {item[0]: self._bit(item) for item in placement}
+        full = shared = 0  # the pairs placed, and those placed by two pebbles
+        for bit in held.values():
+            shared |= full & bit
+            full |= bit
         floor = max(self.death_stage(placement) - 1, 0)
         stages, replies = self._stages, self._replies
         best, cutoff = None, math.inf
         for move in moves:
             p, side, e = move
-            base, worst = others[p], 0
+            base, worst = full ^ (held.get(p, 0) & ~shared), 0
             for bit in replies.get((side, e), ()):
                 s = stages.get(base | bit, 0)
                 if not 0 <= s < cutoff:
@@ -611,6 +614,9 @@ class _StageTable:
     def __len__(self) -> int:
         """The number of dead placements."""
         return self._len
+
+    def __bool__(self) -> bool:
+        return self._len > 0  # ``len`` overflows past sys.maxsize; this does not
 
 
 def _solve_attractor(v: Verdict, cap: int):
@@ -663,7 +669,8 @@ def _solve_attractor(v: Verdict, cap: int):
     ``placement_cap`` bounds this work: every candidate set the level
     enumeration tries, plus a row of |A| + |B| counters per kept set of
     fewer than k pairs.  The count is kept as the levels grow, so a refusal
-    comes before the table is built, not after.
+    comes before the table is built, not after.  The levels stop at the first
+    empty one (at most |A||B| + 1), so past that the work does not grow with k.
     """
     rules, k = v.rules, v.spec.k
     na, nb = len(v.a.universe), len(v.b.universe)
@@ -676,6 +683,8 @@ def _solve_attractor(v: Verdict, cap: int):
     start = [0, len(masks)]  # the sets of j pairs have ids start[j] .. start[j + 1] - 1
     work = 0
     for j in range(1, k + 1):
+        if start[j - 1] == start[j]:
+            break  # no set of j - 1 pairs, so none of j or more
         for c in range(start[j - 1], start[j]):
             mask, idx = masks[c], members[c]
             first = idx[-1] + 1 if idx else 0
@@ -691,7 +700,7 @@ def _solve_attractor(v: Verdict, cap: int):
                     masks.append(new)
                     members.append((*idx, i))
         start.append(len(masks))
-    bases = start[k]
+    bases = start[k] if k < len(start) else len(masks)
     back = not v.spec.forth_only
     width = na + nb if back else na
     # the entries pair i answers in a row: its A-element's, then its B-element's

@@ -281,6 +281,23 @@ def test_check_stage_table_by_pair_set(tmp_path, capsys):
     assert report["forward"]["witness"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_pebble_many_pebbles(tmp_path, capsys, fmt):
+    # K2/K3 at k=40 has about 7^40 dead placements and 13 pair sets
+    paths = []
+    for m in (2, 3):
+        paths.append(tmp_path / f"K{m}.fms")
+        paths[-1].write_text(serialize_structure(clique(m)))
+    code = main(["check", "--family", "pebble", "-k", "40", "--format", fmt, *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    if fmt == "json":
+        table = json.loads(captured.out)["forward"]["stageTable"]
+        assert len(table) == 13 and table["[]"] == 3
+    else:
+        assert "not preserved" in captured.out and "witness: " in captured.out
+
+
 def test_all_vias_agree_on_regression_corpus(files):
     cases = [
         ("ef", m, k, files[a], files[b])

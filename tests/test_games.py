@@ -524,18 +524,28 @@ def test_pebble_clique_calibration_at_four_pebbles():
     start = time.perf_counter()
     assert solve(GameSpec("pebble", "full", 4), clique(4), clique(5)).duplicator_wins
     v = solve(GameSpec("pebble", "full", 4), clique(3), clique(4))
+    # and one pebble more: 4,084,101 placements, which the cap refused when
+    # it counted them
+    w = solve(GameSpec("pebble", "full", 5), clique(4), clique(5))
     assert time.perf_counter() - start < 2
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
+    assert not w.duplicator_wins
+    assert w.stage[frozenset()] == 5
 
 
-def test_pebble_clique_calibration_at_five_pebbles():
-    # 4,084,101 placements, which the cap refused when it counted them
+def test_pebble_many_pebbles_on_small_cliques():
+    """Past |A||B| pebbles no new pair set arises, so the attractor's work
+    stops growing with k; only the k-long move list still does."""
     start = time.perf_counter()
-    v = solve(GameSpec("pebble", "full", 5), clique(4), clique(5))
+    for k in (1000, 20000):
+        v = solve(GameSpec("pebble", "full", k), clique(1), clique(2))
+        assert not v.duplicator_wins and v.stage[frozenset()] == 2
+        assert v.stage  # more dead placements than fit an index
+        v = solve(GameSpec("pebble", "full", k), clique(2), clique(3))
+        assert not v.duplicator_wins and v.stage[frozenset()] == 3
+        assert solve(GameSpec("pebble", "full", k), clique(3), clique(3)).duplicator_wins
     assert time.perf_counter() - start < 2
-    assert not v.duplicator_wins
-    assert v.stage[frozenset()] == 5
 
 
 # ---------------------------------------------------------------------------
