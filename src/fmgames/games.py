@@ -21,10 +21,10 @@ maps of at most k pairs that satisfy the condition, not over the
 placements.  The conditions are also local: one fails on a pair set iff it
 fails on a subset of at most max(2, largest arity) pairs, the empty subset
 covering 0-ary relations, so those sets are enumerated level by level and
-the condition is tested only up to that size.  The stage table is keyed
-by those pair sets.  The same ``placement_cap`` bounds the attractor's work
-(candidate sets tried and counter rows) and the positions the backward
-induction memoizes.
+the condition is tested only up to that size, up to two pairs by bit tests
+on per-structure pair types.  The stage table is keyed by those pair sets.
+The same ``placement_cap`` bounds the attractor's work (candidate sets
+tried and counter rows) and the positions the backward induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements.
@@ -139,6 +139,86 @@ def modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Optional[Formu
     return None
 
 
+#: Relations of larger arity get no word bits in the pair types: 2^arity
+#: bits per pair would not fit in memory.  The attractor then tests
+#: ``pairs_condition`` from one pair up.
+_TYPE_ARITY = 8
+
+
+def _pair_types(st: Structure) -> list:
+    """The atomic type of every ordered pair ``(x1, x2)`` of ``st`` as one
+    int, at ``i1 * |U| + i2`` for the elements' indices: bit 0 when
+    x1 = x2, then per relation of arity r <= ``_TYPE_ARITY``, in vocabulary
+    order, 2^r bits, one per word over {x1, x2} of length r (bit c of the
+    word set: position c holds x2), set when the tuple the word spells is in
+    the relation.  The map x1 -> y1, x2 -> y2 is a partial homomorphism iff
+    the type of (x1, x2) is a subset of that of (y1, y2), and a partial
+    isomorphism iff they are equal, up to the relations left out.  Built
+    once per structure, from the tuples over at most two elements."""
+    types = st.memo.get("pair types")
+    if types is not None:
+        return types
+    n, index = st.size, st.index
+    types = [0] * (n * n)
+    for u in range(n):
+        types[u * n + u] = 1
+    offset = 1
+    for rel, arity in st.vocab.relations:
+        if arity > _TYPE_ARITY:
+            continue
+        top = (1 << arity) - 1  # the word of x2 only
+        for tup in st.interp[rel]:
+            held = list(dict.fromkeys(index[x] for x in tup))
+            if not held:  # a true 0-ary relation: every pair spells ()
+                types = [t | 1 << offset for t in types]
+            elif len(held) == 1:
+                u = held[0]
+                for x in range(n):
+                    types[u * n + x] |= 1 << offset
+                    types[x * n + u] |= 1 << (offset + top)
+                types[u * n + u] |= ((1 << (top + 1)) - 1) << offset  # every word
+            elif len(held) == 2:
+                u, w = held
+                word = sum(1 << c for c, x in enumerate(tup) if index[x] == w)
+                types[u * n + w] |= 1 << (offset + word)
+                types[w * n + u] |= 1 << (offset + (top ^ word))
+        offset += top + 1
+    st.memo["pair types"] = types
+    return types
+
+
+def _compatibility(a: Structure, b: Structure, iso: bool) -> tuple:
+    """The pair-type test over the pairs of A x B, pair (x, y) at
+    ``ix * |B| + iy``: the mask of the pairs i whose singleton {i} passes,
+    and a function giving per pair i the mask of the pairs j for which
+    {i, j} passes.  The test is the type of (x, x') equal to (iso) or a
+    subset of (hom) the type of (y, y'), singletons comparing (x, x) with
+    (y, y)."""
+    ta, tb = _pair_types(a), _pair_types(b)
+    na, nb = a.size, b.size
+    lift = 0 if iso else -1  # s | (t & lift) == t: s == t, or s a subset of t
+    singles = 0
+    for x in range(na):
+        s = ta[x * na + x]
+        for y in range(nb):
+            t = tb[y * nb + y]
+            if s | (t & lift) == t:
+                singles |= 1 << (x * nb + y)
+
+    def compatible(i: int) -> int:
+        x, y = divmod(i, nb)
+        row = tb[y * nb:(y + 1) * nb]
+        mask, bit = 0, 1
+        for s in ta[x * na:(x + 1) * na]:
+            for t in row:
+                if s | (t & lift) == t:
+                    mask |= bit
+                bit <<= 1
+        return mask
+
+    return singles, compatible
+
+
 def _preserves(f: dict, arity: int, src, dst) -> bool:
     """Every tuple of ``src`` over the domain of ``f`` maps into ``dst``;
     scans whichever is smaller, the relation or the tuples over the domain."""
@@ -196,8 +276,9 @@ class _Rules:
     def label(self, history, move):
         return move[0]
 
-    def _universe_moves(self, labels) -> list:
-        return [(*label, side, e) for label in labels for side in self.sides
+    def _spoiler_elements(self) -> list:
+        """``(side, element)`` for every element Spoiler may pebble."""
+        return [(side, e) for side in self.sides
                 for e in (self.a if side == "A" else self.b).universe]
 
     @staticmethod
@@ -215,7 +296,7 @@ class _EFRules(_Rules):
         super().__init__(spec, a, b)
         self.root = (frozenset(), spec.k)
         self.initial = ((), ())
-        self._moves = self._universe_moves([()])
+        self._moves = self._spoiler_elements()
 
     def step(self, state, move, response):
         side, e = move
@@ -299,16 +380,24 @@ class _ModalRules(_Rules):
 class _PebbleRules(_Rules):
     """Pebble: the state is the placement, a frozenset of ``(pebble, (a, b))``;
     histories are tuples of ``(pebble, a, b)`` triples.  The condition is
-    memoized on the set of placed pairs, which placements share."""
+    memoized on the set of placed pairs, which placements share.
+    ``elements`` lists the ``(side, element)`` pairs Spoiler may pebble,
+    the same for every pebble."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         super().__init__(spec, a, b)
         self.rounds = spec.rounds
         self.root = (frozenset(), spec.rounds)
         self.initial = ()
-        self._moves = self._universe_moves([(p,) for p in range(1, spec.k + 1)])
+        self.elements = self._spoiler_elements()
 
     pairs_cond = _Rules.cond
+
+    def moves(self, state):
+        """Spoiler's k x (|A| + |B|) moves ``(pebble, side, element)`` in
+        canonical order, yielded one at a time: a strategy lookup usually
+        stops after a few, and k is not bounded by any cap."""
+        return ((p, side, e) for p in range(1, self.k + 1) for side, e in self.elements)
 
     def cond(self, state) -> bool:
         return self.pairs_cond(frozenset(pair for _, pair in state))
@@ -372,8 +461,18 @@ class Verdict:
         """The variable (EF, pebble) or relation (modal) a move binds."""
         return self.rules.label(history, move)
 
+    def key(self, history):
+        """The positional key ``(state, remaining)`` a history reduces to.
+        ``condition_at``, ``spoiler_move_at`` and ``children`` take keys, for
+        callers that follow the positions themselves and so reduce each
+        history once."""
+        return self.rules.key(history)
+
     def condition_holds(self, history) -> bool:
-        state = self.rules.key(history)[0]
+        return self.condition_at(self.rules.key(history))
+
+    def condition_at(self, key) -> bool:
+        state = key[0]
         if self.stage is not None:
             # the attractor kept exactly the pair sets that satisfy the condition
             return self.stage.get(state, -1) != 0
@@ -384,11 +483,13 @@ class Verdict:
 
     # -- moves --------------------------------------------------------------
 
-    def _moves(self, key) -> list:
+    def _moves(self, key):
         state, rem = key
         return [] if rem is not None and rem <= 0 else self.rules.moves(state)
 
-    def _children(self, key, move) -> list:
+    def children(self, key, move) -> list:
+        """``(response, key it leads to)`` for Duplicator's responses to a
+        move from ``key``, in canonical order."""
         state, rem = key
         rem = None if rem is None else rem - 1
         return [(r, (self.rules.step(state, move, r), rem))
@@ -404,7 +505,7 @@ class Verdict:
 
     def duplicator_response(self, history, move):
         """First response (canonical order) keeping the position alive."""
-        for r, child in self._children(self.rules.key(history), move):
+        for r, child in self.children(self.rules.key(history), move):
             if self._alive(child):
                 return r
         return None
@@ -419,11 +520,13 @@ class Verdict:
         bound is what keeps synthesized distinguishing formulas within
         rank = death stage.
         """
-        key = self.rules.key(history)
+        return self.spoiler_move_at(self.rules.key(history))
+
+    def spoiler_move_at(self, key):
         if self.stage is not None:
-            return self.stage.spoiler_move(key[0], self._moves(key))
+            return self.stage.spoiler_move(key[0], self.rules.elements)
         for move in self._moves(key):
-            if not any(self._alive(child) for _, child in self._children(key, move)):
+            if not any(self._alive(child) for _, child in self.children(key, move)):
                 return move
         return None
 
@@ -559,9 +662,12 @@ class _StageTable:
             mask |= self._bit(item)
         return self._stages.get(mask, 0)
 
-    def spoiler_move(self, placement, moves):
-        """Spoiler's best move ``(pebble, side, element)`` from ``placement``
-        among ``moves``, or None when each move has an alive response.
+    def spoiler_move(self, placement, elements):
+        """Spoiler's best move ``(pebble, side, element)`` from ``placement``,
+        or None when each move has an alive response.  The moves are taken
+        in canonical order, pebble by pebble over the ``(side, element)``
+        pairs of ``elements``; a move's tuple is built only when it becomes
+        the best so far.
 
         Moving pebble p leaves the pairs of the other pebbles, and each
         response adds one pair, so a response's stage is the stage filed
@@ -581,19 +687,20 @@ class _StageTable:
         floor = max(self.death_stage(placement) - 1, 0)
         stages, replies = self._stages, self._replies
         best, cutoff = None, math.inf
-        for move in moves:
-            p, side, e = move
-            base, worst = full ^ (held.get(p, 0) & ~shared), 0
-            for bit in replies.get((side, e), ()):
-                s = stages.get(base | bit, 0)
-                if not 0 <= s < cutoff:
-                    break
-                if s > worst:
-                    worst = s
-            else:
-                if worst <= floor:
-                    return move
-                best, cutoff = move, worst
+        for p in range(1, self._k + 1):
+            base = full ^ (held.get(p, 0) & ~shared)
+            for side, e in elements:
+                worst = 0
+                for bit in replies.get((side, e), ()):
+                    s = stages.get(base | bit, 0)
+                    if not 0 <= s < cutoff:
+                        break
+                    if s > worst:
+                        worst = s
+                else:
+                    if worst <= floor:
+                        return p, side, e
+                    best, cutoff = (p, side, e), worst
         return best
 
     def __getitem__(self, placement) -> int:
@@ -643,15 +750,26 @@ def _solve_attractor(v: Verdict, cap: int):
     pebble acts like an off-board one.
 
     The sets of at most k pairs that satisfy the condition are enumerated
-    level by level as bit masks over the pairs: a j-set is kept iff all its
-    (j-1)-subsets were kept and, for j <= m = max(2, largest arity),
-    ``pairs_cond`` holds on it.  Above m the subset test is enough because
-    the condition is local: it fails on a pair set iff it fails on a subset
-    of at most m pairs (two pairs witness a non-function or a non-injection;
-    otherwise the pairs form a map, and a tuple of arity r that it fails to
-    preserve or reflect uses at most r of them; a false 0-ary relation fails
-    already on the empty set), and every such subset of a j-set lies in one
-    of its (j-1)-subsets.
+    level by level as bit masks over the pairs, each set extended only by
+    pairs above its last one.  The condition is local: it fails on a pair
+    set iff it fails on a subset of at most m = max(2, largest arity) pairs
+    (two pairs witness a non-function or a non-injection; otherwise the
+    pairs form a map, and a tuple of arity r that it fails to preserve or
+    reflect uses at most r of them; a false 0-ary relation fails already on
+    the empty set, the one set ``pairs_cond`` always decides).  The subsets
+    of at most two pairs are decided by bit tests: ``_pair_types`` gives
+    each ordered pair of elements of a structure its atomic type, once per
+    structure, and ``_compatibility`` gives, per query, the mask of the
+    pairs whose singleton passes and per pair i the mask of the pairs j for
+    which {i, j} does (type of the A elements equal to, or a subset of,
+    that of the B elements), built when a base first ends with i.  A kept
+    set carries the AND of its members' masks, so a candidate passes its
+    two-pair subsets on one bit test.  When m > 2, ``pairs_cond`` decides
+    the candidates of 3..m pairs, and above m a candidate is kept only if
+    all its (j-1)-subsets were, since every subset of at most m pairs lies
+    in one of them.  A relation of arity above ``_TYPE_ARITY`` has no bits
+    in the types, so then ``pairs_cond`` decides every candidate from one
+    pair up to m.
 
     One counter row per base (a kept set of fewer than k pairs) holds, per
     element of A (and of B when Spoiler may play there), how many responses
@@ -668,17 +786,27 @@ def _solve_attractor(v: Verdict, cap: int):
 
     ``placement_cap`` bounds this work: every candidate set the level
     enumeration tries, plus a row of |A| + |B| counters per kept set of
-    fewer than k pairs.  The count is kept as the levels grow, so a refusal
-    comes before the table is built, not after.  The levels stop at the first
-    empty one (at most |A||B| + 1), so past that the work does not grow with k.
+    fewer than k pairs.  A compatibility mask (|A||B| type comparisons) is
+    built only after the cap has counted a base ending with its pair.  The
+    count is kept as the levels grow, so a refusal comes before the table
+    is built, not after.  The levels stop at the first empty one (at most
+    |A||B| + 1), so past that the work does not grow with k.
     """
     rules, k = v.rules, v.spec.k
     na, nb = len(v.a.universe), len(v.b.universe)
     pairs = [(x, y) for x in v.a.universe for y in v.b.universe]
     m = max(2, max((r for _, r in v.a.vocab.relations), default=0))
-    # per kept set, in level order: its mask and its pair indices in ascending order
+    # pairs_cond decides the sets of lo..m pairs; the types decide up to two
+    lo = 3 if m <= _TYPE_ARITY else 1
+    singles, compatible = _compatibility(v.a, v.b, rules.iso)
+    # per pair, its compatibility mask, built when a base first ends with
+    # it, so the base's work count covers it
+    compat = [None] * len(pairs)
+    # per kept set, in level order: its mask, its pair indices in ascending
+    # order and the AND of the compatibility masks of all but its last
     masks = [0] if rules.pairs_cond(frozenset()) else []
     members = [()] * len(masks)
+    carry = [singles] * len(masks)
     ids = {mask: c for c, mask in enumerate(masks)}
     start = [0, len(masks)]  # the sets of j pairs have ids start[j] .. start[j + 1] - 1
     work = 0
@@ -686,19 +814,31 @@ def _solve_attractor(v: Verdict, cap: int):
         if start[j - 1] == start[j]:
             break  # no set of j - 1 pairs, so none of j or more
         for c in range(start[j - 1], start[j]):
-            mask, idx = masks[c], members[c]
+            mask, idx, fit = masks[c], members[c], carry[c]
             first = idx[-1] + 1 if idx else 0
             # a base: one counter row, and the candidates that extend it
             work += na + nb + len(pairs) - first
             if work > cap:
                 raise GameResourceError(f"pebble game: attractor work exceeds cap {cap}")
-            for i in range(first, len(pairs)):
-                new = mask | 1 << i
-                if all((new ^ 1 << b) in ids for b in idx) and (
-                        j > m or rules.pairs_cond(frozenset(pairs[b] for b in (*idx, i)))):
-                    ids[new] = len(masks)
-                    masks.append(new)
-                    members.append((*idx, i))
+            if idx:
+                if compat[idx[-1]] is None:
+                    compat[idx[-1]] = compatible(idx[-1])
+                fit &= compat[idx[-1]]
+            cand = fit >> first << first
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                new = mask | low
+                if lo <= j <= m:
+                    if not rules.pairs_cond(frozenset(pairs[b] for b in (*idx, i))):
+                        continue
+                elif j > m > 2 and not all((new ^ 1 << b) in ids for b in idx):
+                    continue
+                ids[new] = len(masks)
+                masks.append(new)
+                members.append((*idx, i))
+                carry.append(fit)
         start.append(len(masks))
     bases = start[k] if k < len(start) else len(masks)
     back = not v.spec.forth_only

@@ -62,13 +62,17 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
         verdict = solve(spec, a, b)
     if verdict.duplicator_wins:
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
-    return _Synthesis(spec, a, b, verdict).formula(verdict.initial_history())
+    history = verdict.initial_history()
+    return _Synthesis(spec, a, b, verdict).formula(history, verdict.key(history))
 
 
 class _Synthesis:
     """The recursion of ``distinguish`` along Spoiler's strategy.  A method,
     not a recursive closure: a closure holds itself through its cell, and
-    that cycle would leave the verdict to the cyclic garbage collector."""
+    that cycle would leave the verdict to the cyclic garbage collector.
+    Each node carries its history (for the bindings of a violating leaf)
+    and its positional key, which a child gets from its parent's by one
+    step instead of reducing its history again."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure, verdict: Verdict):
         self.a, self.b, self.verdict = a, b, verdict
@@ -76,9 +80,9 @@ class _Synthesis:
         self.modal = spec.family == "modal"
         self.forth, self.back = (Dia, Box) if self.modal else (Exists, Forall)
 
-    def formula(self, history) -> Formula:
+    def formula(self, history, key) -> Formula:
         verdict = self.verdict
-        if not verdict.condition_holds(history):
+        if not verdict.condition_at(key):
             bindings = verdict.bindings(history)
             if not self.modal:
                 return _violated_literal(bindings, self.a, self.b, self.iso)
@@ -87,11 +91,11 @@ class _Synthesis:
             if literal is None:
                 raise RuntimeError("no violated proposition at a condition-violating pair")
             return literal
-        move = verdict.spoiler_move(history)
+        move = verdict.spoiler_move_at(key)
         if move is None:
             raise RuntimeError("dead position without a winning move")
-        parts = [self.formula(verdict.extend(history, move, r))
-                 for r in verdict.responses(history, move)]
+        parts = [self.formula(verdict.extend(history, move, r), child)
+                 for r, child in verdict.children(key, move)]
         label = verdict.label(history, move)
         if move[-2] == "A":
             return self.forth(label, and_(parts))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -241,6 +242,12 @@ def test_pebble_placement_cap(cliques):
         with pytest.raises(GameResourceError, match="exceeds cap 200000"):
             solve(GameSpec("pebble", "full", k), linear_order(15), linear_order(16))
         assert time.perf_counter() - start < 2
+    # 10,100 pairs: the per-pair compatibility masks are built only for the
+    # bases the cap lets through, not all 10^8 comparisons up front
+    start = time.perf_counter()
+    with pytest.raises(GameResourceError, match="exceeds cap 200000"):
+        solve(GameSpec("pebble", "full", 3), linear_order(100), linear_order(101))
+    assert time.perf_counter() - start < 2
 
 
 def test_round_bounded_solver_caps_memoized_positions(orders):
@@ -271,17 +278,17 @@ def random_mixed(rnd, size, name, density, vocab=MIXED):
     return Structure.make(vocab, elems, interp, name=name)
 
 
-def mixed_pairs(seed, count):
+def mixed_pairs(seed, count, largest=3):
     """Seeded pairs over a vocabulary with 0-ary, unary, binary and ternary
-    relations, sizes 0-3.  Half of the B sides are copies of A with some
-    ternary tuples of three distinct elements flipped: there a placement can
-    pass every test on two pairs and fail only on three."""
+    relations, sizes 0 to ``largest``.  Half of the B sides are copies of A
+    with some ternary tuples of three distinct elements flipped: there a
+    placement can pass every test on two pairs and fail only on three."""
     rnd = random.Random(seed)
     out = []
     for _ in range(count):
-        a = random_mixed(rnd, rnd.randint(0, 3), "a", rnd.choice((0.3, 0.5, 0.7)))
+        a = random_mixed(rnd, rnd.randint(0, largest), "a", rnd.choice((0.3, 0.5, 0.7)))
         if rnd.random() < 0.5:
-            b = random_mixed(rnd, rnd.randint(0, 3), "b", rnd.choice((0.3, 0.5, 0.7)))
+            b = random_mixed(rnd, rnd.randint(0, largest), "b", rnd.choice((0.3, 0.5, 0.7)))
         else:
             rename = dict(zip(a.universe, (f"b{i}" for i in itertools.count())))
             interp = {rel: {tuple(map(rename.get, t)) for t in a.interp[rel]}
@@ -332,14 +339,13 @@ class ReferenceVerdict(Verdict):
         self.stage, self.duplicator_wins = stage, frozenset() not in stage
         self._alive = lambda key: key[0] not in stage
 
-    def condition_holds(self, history) -> bool:
-        return self.rules.cond(self.rules.key(history)[0])
+    def condition_at(self, key) -> bool:
+        return self.rules.cond(key[0])
 
-    def spoiler_move(self, history):
-        key = self.rules.key(history)
+    def spoiler_move_at(self, key):
         best = best_stage = None
         for move in self._moves(key):
-            stages = [self.stage.get(child[0], -1) for _, child in self._children(key, move)]
+            stages = [self.stage.get(child[0], -1) for _, child in self.children(key, move)]
             if -1 in stages:
                 continue
             worst = max(stages, default=0)
@@ -496,28 +502,83 @@ def test_pebble_stage_table_lookups_are_read_only(cliques):
             v.stage[bad]
 
 
-def test_pebble_stage_table_by_pair_set():
+def assert_pair_sets(spec, a, b, placements=True):
     """The listed pair sets are exactly those of at most k pairs that satisfy
-    the condition, and a placement's stage is its pair set's listed stage,
-    or 0 when the set is not listed."""
+    the condition, and (``placements``) a placement's stage is its pair
+    set's listed stage, or 0 when the set is not listed."""
+    pairs = [(x, y) for x in a.universe for y in b.universe]
+    v = solve(spec, a, b)
+    listed = v.stage.pair_sets()
+    kept = {frozenset(chosen) for j in range(spec.k + 1)
+            for chosen in itertools.combinations(pairs, j)
+            if pairs_condition(chosen, a, b, spec.iso_condition)}
+    assert set(listed) == kept, (spec, serialize_structure(a), serialize_structure(b))
+    for combo in itertools.product([None, *pairs], repeat=spec.k if placements else 0):
+        placement = frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair)
+        expected = listed.get(frozenset(pair for _, pair in placement), 0)
+        assert v.stage.death_stage(placement) == expected, (spec, placement)
+
+
+def test_pebble_stage_table_by_pair_set():
     graphs = all_digraphs(2)
     rnd = random.Random(79)
     for _ in range(40):
         a, b = rnd.choice(graphs), rnd.choice(graphs)
-        pairs = [(x, y) for x in a.universe for y in b.universe]
         for mode in MODES:
             for k in (1, 2, 3):
-                spec = GameSpec("pebble", mode, k)
-                v = solve(spec, a, b)
-                listed = v.stage.pair_sets()
-                kept = {frozenset(chosen) for j in range(k + 1)
-                        for chosen in itertools.combinations(pairs, j)
-                        if pairs_condition(chosen, a, b, spec.iso_condition)}
-                assert set(listed) == kept, spec
-                for combo in itertools.product([None, *pairs], repeat=k):
-                    placement = frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair)
-                    expected = listed.get(frozenset(pair for _, pair in placement), 0)
-                    assert v.stage.death_stage(placement) == expected, (spec, placement)
+                assert_pair_sets(GameSpec("pebble", mode, k), a, b)
+
+
+def test_pebble_pair_sets_on_mixed_arities_and_benchmark_sizes():
+    # the pair types decide the sets of up to two pairs; with a ternary
+    # relation ``pairs_condition`` still decides those of three, and the
+    # unary-only vocabulary has no relation to catch a non-function
+    rnd = random.Random(83)
+    urnd = random.Random(89)
+    unary = [tuple(random_mixed(urnd, urnd.randint(0, 3), name, 0.5, UNARY) for name in "ab")
+             for _ in range(40)]
+    for a, b in mixed_pairs(97, 120) + unary:
+        for mode in MODES:
+            assert_pair_sets(GameSpec("pebble", mode, rnd.choice((1, 2, 3))), a, b)
+    # four pairs over four elements of A: a set whose three-pair subsets are
+    # not all kept must be refused although its pairs are compatible
+    for a, b in mixed_pairs(109, 30, largest=4):
+        for mode in MODES:
+            assert_pair_sets(GameSpec("pebble", mode, 4), a, b, placements=False)
+    for _ in range(3):
+        a, b = random_digraph(rnd, 4, "a"), random_digraph(rnd, 4, "b")
+        for mode in MODES:
+            assert_pair_sets(GameSpec("pebble", mode, 3), a, b)
+
+
+def test_pebble_pair_sets_past_the_pair_type_arity():
+    """A relation of arity above ``_TYPE_ARITY`` gets no bits in the pair
+    types, so ``pairs_condition`` decides every set up to the arity; at
+    arity 40 the types would need 2^40 bits per pair."""
+    rnd = random.Random(101)
+    for arity in (9, 40):
+        vocab = Vocabulary((("U", 1), ("R", arity)))
+        for _ in range(12):
+            side = []
+            for name in "ab":
+                elems = [f"{name}{i}" for i in range(rnd.randint(1, 3))]
+                # tuples over one, two and three elements
+                tuples = [tuple(rnd.choice(elems[:rnd.randint(1, len(elems))]) for _ in range(arity))
+                          for _ in range(rnd.randint(0, 4))]
+                units = [(e,) for e in elems if rnd.random() < 0.5]
+                side.append(Structure.make(vocab, elems, {"R": tuples, "U": units}, name=name))
+            for mode in MODES:
+                assert_pair_sets(GameSpec("pebble", mode, rnd.choice((1, 2, 3))), *side)
+
+
+def test_pebble_pair_types_are_built_once_per_structure():
+    rnd = random.Random(103)
+    a, b = random_digraph(rnd, 4, "a"), random_digraph(rnd, 4, "b")
+    solve(GameSpec("pebble", "full", 2), a, b)
+    types = a.memo["pair types"], b.memo["pair types"]
+    solve(GameSpec("pebble", "positive", 3), a, b)
+    solve(GameSpec("pebble", "ep", 2), b, a)
+    assert a.memo["pair types"] is types[0] and b.memo["pair types"] is types[1]
 
 
 def test_pebble_clique_calibration_at_four_pebbles():
@@ -536,7 +597,9 @@ def test_pebble_clique_calibration_at_four_pebbles():
 
 def test_pebble_many_pebbles_on_small_cliques():
     """Past |A||B| pebbles no new pair set arises, so the attractor's work
-    stops growing with k; only the k-long move list still does."""
+    stops growing with k, and Spoiler's moves are yielded one at a time;
+    only the count of dead placements, an integer of about k digits, still
+    grows with k."""
     start = time.perf_counter()
     for k in (1000, 20000):
         v = solve(GameSpec("pebble", "full", k), clique(1), clique(2))
@@ -546,6 +609,22 @@ def test_pebble_many_pebbles_on_small_cliques():
         assert not v.duplicator_wins and v.stage[frozenset()] == 3
         assert solve(GameSpec("pebble", "full", k), clique(3), clique(3)).duplicator_wins
     assert time.perf_counter() - start < 2
+
+
+def test_pebble_move_list_does_not_grow_with_k():
+    # the k x (|A| + |B|) moves were once built as a list before any cap ran:
+    # a 58 MB tracemalloc peak and 1.13 s here
+    spec = GameSpec("pebble", "full", 200_000)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        phi = distinguish(spec, clique(1), clique(2), solve(spec, clique(1), clique(2)))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert serialize_formula(phi) == "E x1. A x2. x1=x2"
+    assert peak < 5 * 2 ** 20 and elapsed < 0.5, (peak, elapsed)
 
 
 # ---------------------------------------------------------------------------
