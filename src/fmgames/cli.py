@@ -77,7 +77,7 @@ def _spec_from_args(args) -> GameSpec:
 def _game_direction(spec: GameSpec, fmt: str, a: Structure, b: Structure) -> dict:
     verdict = solve(spec, a, b)
     out = {"preserved": verdict.duplicator_wins, "witness": None}
-    if verdict.stage and fmt == "json":
+    if fmt == "json" and verdict.stage:  # ``bool`` counts the dead placements
         out["stageTable"] = {repr(sorted(pairs)): s
                              for pairs, s in verdict.stage.pair_sets().items()}
     if not verdict.duplicator_wins:
@@ -387,7 +387,7 @@ def cmd_play(args) -> int:
             except IllegalMoveError as exc:
                 print(exc)
                 continue
-            if move not in verdict.legal_moves(history):
+            if not verdict.is_legal(history, move):
                 print("illegal move (element unknown, wrong side, or no such transition)")
                 continue
             response = verdict.duplicator_response(history, move)

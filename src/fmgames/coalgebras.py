@@ -157,6 +157,11 @@ class Violation:
     message: str
 
 
+def _repr_key(pair) -> tuple:
+    """The order violations over Gaifman pairs are reported in."""
+    return repr(pair[0]), repr(pair[1])
+
+
 def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
     """Every violated coalgebra invariant, each with a witness tuple."""
     out: list[Violation] = []
@@ -183,10 +188,10 @@ def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
                 out.append(Violation("height", (e,), f"height {x.height[e]} exceeds bound {x.k_bound}"))
 
     if x.kind in ("ef", "pebble"):
-        for a, b in sorted(gaifman(x.carrier), key=lambda p: (repr(p[0]), repr(p[1]))):
-            if not x.comparable(a, b):
-                out.append(Violation("branch-compat", (a, b),
-                                     "Gaifman-adjacent elements on different branches"))
+        split = [(a, b) for a, b in gaifman(x.carrier) if not x.comparable(a, b)]
+        for a, b in sorted(split, key=_repr_key):
+            out.append(Violation("branch-compat", (a, b),
+                                 "Gaifman-adjacent elements on different branches"))
 
     if x.kind == "pebble":
         pf = x.pebble_fn
@@ -194,14 +199,16 @@ def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
             if e not in pf or not (1 <= pf[e] <= x.k_bound):
                 out.append(Violation("pebble-range", (e,), "pebbling function out of range"))
                 return out
-        for a, b in sorted(gaifman(x.carrier), key=lambda p: (repr(p[0]), repr(p[1]))):
+        reused = []
+        for a, b in gaifman(x.carrier):
             chain_b = x.chain(b)
             if a in chain_b and a != b:
                 after = chain_b[chain_b.index(a) + 1:]
-                for mid in after:
-                    if pf[a] == pf[mid]:
-                        out.append(Violation("pebble-reuse", (a, mid, b),
-                                             "pebble index reused between adjacent elements"))
+                reused += [(a, mid, b) for mid in after if pf[a] == pf[mid]]
+        # a stable sort on (a, b) keeps each pair's witnesses in chain order
+        for a, mid, b in sorted(reused, key=lambda t: _repr_key((t[0], t[2]))):
+            out.append(Violation("pebble-reuse", (a, mid, b),
+                                 "pebble index reused between adjacent elements"))
 
     if x.kind == "modal":
         if not x.carrier.vocab.modal_flag:

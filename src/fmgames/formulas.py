@@ -12,9 +12,11 @@ left-associative inside one pair of parentheses and may not be mixed there.
 
 ``classify``, ``free_vars`` and ``model_check`` read a formula's syntactic
 facts (node kinds, free and all variables, quantifier rank, modal depth and
-the symbols of its atoms) off one walk with an explicit stack, ``_walk``, so
-they answer on formulas of any depth.  The evaluation in ``model_check``,
-``serialize_formula`` and ``dualize`` still recurse.
+the symbols of its atoms) off one walk with an explicit stack, ``_walk``.
+``model_check`` then evaluates first-order and modal formulas alike with a
+second explicit stack, ``_evaluate``, so all three answer on formulas of any
+depth.  The parser, ``serialize_formula``, ``dualize`` and the dataclass
+``hash`` and ``==`` of a formula still recurse.
 """
 
 from __future__ import annotations
@@ -311,13 +313,13 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
             raise FormulaError("modal formula needs a point or an evaluation world")
         if world not in a.index:
             raise StructureError(f"world {world!r} not in universe")
-        return _check_modal(phi, a, world)
+        return _evaluate(phi, a, assignment, world)
     if vocab_error:
         raise FormulaError(vocab_error)
     missing = free - set(assignment)
     if missing:
         raise FormulaError(f"unbound free variable x{min(missing)}")
-    return _check_fo(phi, a, assignment)
+    return _evaluate(phi, a, assignment, None)
 
 
 def _vocab_error(symbols: list, arities: Mapping[str, int]) -> Optional[str]:
@@ -330,65 +332,83 @@ def _vocab_error(symbols: list, arities: Mapping[str, int]) -> Optional[str]:
     return None
 
 
-def _check_modal(phi: Formula, a: Structure, w) -> bool:
-    match phi:
-        case TrueC():
-            return True
-        case FalseC():
-            return False
-        case Prop(name):
-            return (w,) in a.interp[name]
-        case NegProp(name):
-            return (w,) not in a.interp[name]
-        case And(parts):
-            return all(_check_modal(p, a, w) for p in parts)
-        case Or(parts):
-            return any(_check_modal(p, a, w) for p in parts)
-        case Dia(rel, body):
-            return any(_check_modal(body, a, v) for v in a.successors(rel, w))
-        case Box(rel, body):
-            return all(_check_modal(body, a, v) for v in a.successors(rel, w))
-    raise FormulaError(f"unexpected node {phi!r}")
+# in ``_evaluate``: an unbound variable's old binding, a frame slot left
+# empty, and the end of an iterator
+_UNBOUND = object()
 
 
-_UNBOUND = object()  # a variable's old binding in ``_check_fo`` when it had none
+def _evaluate(phi: Formula, a: Structure, env: dict, w) -> bool:
+    """Whether ``phi`` holds in ``a`` under the assignment ``env`` at the
+    world ``w``, by a walk with an explicit stack.
 
-
-def _check_fo(phi: Formula, a: Structure, env: dict) -> bool:
-    match phi:
-        case TrueC():
-            return True
-        case FalseC():
-            return False
-        case Atom(rel, vs):
-            return tuple(env[v] for v in vs) in a.interp[rel]
-        case NegAtom(rel, vs):
-            return tuple(env[v] for v in vs) not in a.interp[rel]
-        case Eq(l, r):
-            return env[l] == env[r]
-        case NegEq(l, r):
-            return env[l] != env[r]
-        case And(parts):
-            return all(_check_fo(p, a, env) for p in parts)
-        case Or(parts):
-            return any(_check_fo(p, a, env) for p in parts)
-        case Exists(v, body) | Forall(v, body):
-            # an Exists holds iff some element makes the body true, a Forall
-            # fails iff some element makes it false
-            decisive = type(phi) is Exists
-            holds = not decisive
-            old = env.get(v, _UNBOUND)
-            for e in a.universe:
-                env[v] = e
-                if _check_fo(body, a, env) == decisive:
-                    holds = decisive
+    Each And, Or, quantifier and modal node under evaluation has a frame:
+    the value that decides it (True for Or, Exists and Dia, False for And,
+    Forall and Box), an iterator over what is left to try (its parts, the
+    universe or the successors of the current world), its body and variable
+    (both ``_UNBOUND`` for a connective, the variable for a modal node), and
+    what to restore on exit (the variable's old binding, or the old world).
+    A node's value is handed up until a frame has something left to try; a
+    decided or exhausted frame pops, so And and Or short-circuit and an
+    empty one is its own unit.
+    """
+    interp = a.interp
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    f = phi
+    while True:
+        t = type(f)
+        if t is Atom or t is NegAtom:
+            vs = f.vars
+            # binary atoms, the common case, skip building a tuple by map
+            held = ((env[vs[0]], env[vs[1]]) if len(vs) == 2
+                    else tuple(map(env.__getitem__, vs))) in interp[f.rel]
+            val = held if t is Atom else not held
+        elif t is And or t is Or:
+            val = t is And
+            push((not val, iter(f.parts), _UNBOUND, _UNBOUND, None))
+        elif t is Eq:
+            val = env[f.left] == env[f.right]
+        elif t is NegEq:
+            val = env[f.left] != env[f.right]
+        elif t is Exists or t is Forall:
+            val = t is Forall
+            push((not val, iter(a.universe), f.body, f.var, env.get(f.var, _UNBOUND)))
+        elif t is TrueC:
+            val = True
+        elif t is FalseC:
+            val = False
+        elif t is Prop:
+            val = (w,) in interp[f.name]
+        elif t is NegProp:
+            val = (w,) not in interp[f.name]
+        elif t is Dia or t is Box:
+            val = t is Box
+            push((not val, iter(a.successors(f.rel, w)), f.body, _UNBOUND, w))
+        else:
+            raise FormulaError(f"unexpected node {f!r}")
+        while stack:
+            decisive, it, body, var, old = stack[-1]
+            if val is not decisive:
+                nxt = next(it, _UNBOUND)
+                if nxt is not _UNBOUND:
+                    if body is _UNBOUND:
+                        f = nxt
+                    elif var is _UNBOUND:
+                        w, f = nxt, body
+                    else:
+                        env[var] = nxt
+                        f = body
                     break
-            if old is _UNBOUND:
-                env.pop(v, None)
-            else:
-                env[v] = old
-            return holds
-    raise FormulaError(f"unexpected node {phi!r}")
+            pop()
+            if var is not _UNBOUND:
+                if old is _UNBOUND:
+                    env.pop(var, None)
+                else:
+                    env[var] = old
+            elif body is not _UNBOUND:
+                w = old
+        else:
+            return val
 
 
 def standard_translation(phi: Formula, var: int = 1) -> Formula:

@@ -34,13 +34,14 @@ modal family requires them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .formulas import Formula, NegProp, Prop
+from .formulas import Atom, Eq, Formula, NegAtom, NegEq, NegProp, Prop
 from .structures import Structure, StructureError, same_vocab
 
 FAMILIES = ("ef", "pebble", "modal")
@@ -219,6 +220,66 @@ def _compatibility(a: Structure, b: Structure, iso: bool) -> tuple:
     return singles, compatible
 
 
+def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula:
+    """A literal refuting the condition at a first-order position, over its
+    ``(variable, a, b)`` bindings.
+
+    Scan order is fixed: functionality, then (iso) injectivity, then per
+    relation the preserved atoms and (iso) the reflected ones, over the
+    tuples of bindings in ``itertools.product`` order.  A binary atom over
+    bindings p, q is a bit of the pair types (see ``_pair_types``) of
+    ``(x_p, x_q)`` in A and ``(y_p, y_q)`` in B, a unary one over p a bit of
+    those of ``(x_p, x_p)`` and ``(y_p, y_p)``; 0-ary relations and larger
+    arities are tested on tuples.
+    """
+    na, nb, ia, ib = a.size, b.size, a.index, b.index
+    cells = [(v, ia[x], ib[y]) for v, x, y in bindings]  # elements by index
+    for n, (i, xi, yi) in enumerate(cells):
+        for j, xj, yj in cells[n + 1:]:
+            if xi == xj and yi != yj:
+                return Eq(i, j)
+    if iso:
+        for n, (i, xi, yi) in enumerate(cells):
+            for j, xj, yj in cells[n + 1:]:
+                if xi != xj and yi == yj:
+                    return NegEq(i, j)
+    ta, tb = _pair_types(a), _pair_types(b)
+    offset = 1
+    for rel, arity in a.vocab.relations:
+        if arity == 2:
+            bit = 1 << (offset + 2)  # the word x1 x2
+            for i, xi, yi in cells:
+                row_a, row_b = xi * na, yi * nb
+                for j, xj, yj in cells:
+                    held = ta[row_a + xj] & bit
+                    if held != tb[row_b + yj] & bit:
+                        if held:
+                            return Atom(rel, (i, j))
+                        if iso:
+                            return NegAtom(rel, (i, j))
+        elif arity == 1:
+            bit = 1 << offset  # the word x1
+            for i, xi, yi in cells:
+                held = ta[xi * na + xi] & bit
+                if held != tb[yi * nb + yi] & bit:
+                    if held:
+                        return Atom(rel, (i,))
+                    if iso:
+                        return NegAtom(rel, (i,))
+        else:
+            rel_a, rel_b = a.interp[rel], b.interp[rel]
+            for combo in itertools.product(bindings, repeat=arity):
+                in_a = tuple(x for _, x, _ in combo) in rel_a
+                in_b = tuple(y for _, _, y in combo) in rel_b
+                if in_a and not in_b:
+                    return Atom(rel, tuple(i for i, _, _ in combo))
+                if iso and in_b and not in_a:
+                    return NegAtom(rel, tuple(i for i, _, _ in combo))
+        if arity <= _TYPE_ARITY:
+            offset += 1 << arity
+    raise RuntimeError("no violated literal found at a condition-violating position")
+
+
 def _preserves(f: dict, arity: int, src, dst) -> bool:
     """Every tuple of ``src`` over the domain of ``f`` maps into ``dst``;
     scans whichever is smaller, the relation or the tuples over the domain."""
@@ -272,6 +333,10 @@ class _Rules:
 
     def responses(self, state, move) -> list:
         return self._answers[move[-2]]
+
+    def legal(self, state, move) -> bool:
+        """Whether ``move`` is one of ``moves(state)``."""
+        return move in self.moves(state)
 
     def label(self, history, move):
         return move[0]
@@ -399,6 +464,11 @@ class _PebbleRules(_Rules):
         stops after a few, and k is not bounded by any cap."""
         return ((p, side, e) for p in range(1, self.k + 1) for side, e in self.elements)
 
+    def legal(self, state, move) -> bool:
+        """Tested without listing the k x (|A| + |B|) moves."""
+        return (isinstance(move, tuple) and len(move) == 3
+                and move[0] in range(1, self.k + 1) and move[1:] in self.elements)
+
     def cond(self, state) -> bool:
         return self.pairs_cond(frozenset(pair for _, pair in state))
 
@@ -497,6 +567,11 @@ class Verdict:
 
     def legal_moves(self, history) -> list:
         return list(self._moves(self.rules.key(history)))
+
+    def is_legal(self, history, move) -> bool:
+        """Whether ``move`` is in ``legal_moves(history)``, without building it."""
+        state, rem = self.rules.key(history)
+        return (rem is None or rem > 0) and self.rules.legal(state, move)
 
     def responses(self, history, move) -> list:
         return list(self.rules.responses(self.rules.key(history)[0], move))
@@ -635,10 +710,6 @@ class _StageTable:
         for i, (x, y) in enumerate(pairs):
             self._replies.setdefault(("A", x), []).append(1 << i)
             self._replies.setdefault(("B", y), []).append(1 << i)
-        alive = [mask.bit_count() for mask, s in stages.items() if s < 0]
-        onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
-                for j in range(max(alive, default=0) + 1)]
-        self._len = (len(pairs) + 1) ** k - sum(onto[j] for j in alive)
 
     def pair_sets(self) -> dict:
         """Every pair set the attractor kept, a frozenset of ``(a, b)`` pairs,
@@ -718,12 +789,22 @@ class _StageTable:
             return default
         return default if s < 0 else s
 
+    @functools.cached_property
+    def _dead(self) -> int:
+        """The number of dead placements, counted on first use: its powers
+        have about k digits, and only ``len`` and ``bool`` read it."""
+        k = self._k
+        alive = [mask.bit_count() for mask, s in self._stages.items() if s < 0]
+        onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
+                for j in range(max(alive, default=0) + 1)]
+        return (len(self._pairs) + 1) ** k - sum(onto[j] for j in alive)
+
     def __len__(self) -> int:
         """The number of dead placements."""
-        return self._len
+        return self._dead
 
     def __bool__(self) -> bool:
-        return self._len > 0  # ``len`` overflows past sys.maxsize; this does not
+        return self._dead > 0  # ``len`` overflows past sys.maxsize; this does not
 
 
 def _solve_attractor(v: Verdict, cap: int):
@@ -911,16 +992,14 @@ class Transcript:
 
 
 def _validate_move(verdict: Verdict, history, move, round_no: int):
-    spec = verdict.spec
-    legal = verdict.legal_moves(history)
-    if move not in legal:
-        if spec.family == "ef" and not isinstance(move, tuple):
-            # bare element shorthand for forth-only play
-            move = ("A", move)
-            if move in legal:
-                return move
-        raise IllegalMoveError(f"illegal move {move!r}", round_no)
-    return move
+    if verdict.is_legal(history, move):
+        return move
+    if verdict.spec.family == "ef" and not isinstance(move, tuple):
+        # bare element shorthand for forth-only play
+        move = ("A", move)
+        if verdict.is_legal(history, move):
+            return move
+    raise IllegalMoveError(f"illegal move {move!r}", round_no)
 
 
 def replay(spec: GameSpec, a: Structure, b: Structure, verdict: Verdict,

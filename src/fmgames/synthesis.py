@@ -12,42 +12,13 @@ diamonds and boxes (over an empty response family these degenerate to
 
 from __future__ import annotations
 
-import itertools
-
-from .formulas import (Atom, Box, Dia, Eq, Formula, NegAtom, NegEq, Exists,
-                       Forall, and_, or_)
-from .games import GameSpec, Verdict, modal_literal, solve
+from .formulas import Box, Dia, Formula, Exists, Forall, and_, or_
+from .games import GameSpec, Verdict, modal_literal, solve, violated_literal
 from .structures import Structure
 
 
 class DuplicatorWinsError(ValueError):
     """distinguish() called on a pair where Duplicator wins."""
-
-
-def _violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula:
-    """A literal refuting the condition, over (variable index, a, b) triples.
-
-    Scan order is fixed: functionality, then (iso) injectivity, then per
-    relation the preserved atoms and (iso) the reflected ones.
-    """
-    items = list(bindings)
-    for (i, ai, bi), (j, aj, bj) in itertools.combinations(items, 2):
-        if ai == aj and bi != bj:
-            return Eq(i, j)
-    if iso:
-        for (i, ai, bi), (j, aj, bj) in itertools.combinations(items, 2):
-            if ai != aj and bi == bj:
-                return NegEq(i, j)
-    for rel, arity in a.vocab.relations:
-        for combo in itertools.product(items, repeat=arity):
-            idx = tuple(i for i, _, _ in combo)
-            ta = tuple(x for _, x, _ in combo)
-            tb = tuple(y for _, _, y in combo)
-            if ta in a.interp[rel] and tb not in b.interp[rel]:
-                return Atom(rel, idx)
-            if iso and ta not in a.interp[rel] and tb in b.interp[rel]:
-                return NegAtom(rel, idx)
-    raise RuntimeError("no violated literal found at a condition-violating position")
 
 
 def distinguish(spec: GameSpec, a: Structure, b: Structure,
@@ -85,7 +56,7 @@ class _Synthesis:
         if not verdict.condition_at(key):
             bindings = verdict.bindings(history)
             if not self.modal:
-                return _violated_literal(bindings, self.a, self.b, self.iso)
+                return violated_literal(bindings, self.a, self.b, self.iso)
             _, x, y = bindings[-1]
             literal = modal_literal(x, y, self.a, self.b, self.iso)
             if literal is None:

@@ -8,7 +8,9 @@ against an implementation that shares no code path with the engine.
 prunes all pairs of equal-height branches at once, judging each pair on
 every tuple over the two branches, with no signatures and no pair tree.
 ``reference_classify`` and ``reference_free_vars`` are the recursive
-walkers that ``formulas._walk`` replaced, one walk per fact.
+walkers that ``formulas._walk`` replaced, one walk per fact, and
+``reference_model_check`` the recursive evaluation ``formulas._evaluate``
+replaced.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import itertools
 
 import pytest
 
-from fmgames import (And, Atom, BOTTOM, Box, Dia, Eq, Exists, Forall, NegAtom, NegEq,
-                     NegProp, Or, Prop, Structure, Vocabulary, path_tree)
+from fmgames import (And, Atom, BOTTOM, Box, Dia, Eq, Exists, FalseC, Forall,
+                     FormulaError, NegAtom, NegEq, NegProp, Or, Prop, Structure, TrueC,
+                     Vocabulary, path_tree)
 from fmgames.formulas import Classification
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
@@ -317,6 +320,77 @@ def reference_classify(phi):
     }
     md = depth(phi) if _reference_is_modal(phi) else None
     return Classification(rank(phi), len(all_vars(phi)), md, in_mode)
+
+
+# ---------------------------------------------------------------------------
+# Recursive evaluation (reference for formulas._evaluate)
+
+_UNBOUND = object()
+
+
+def _reference_check_modal(phi, a, w):
+    match phi:
+        case TrueC():
+            return True
+        case FalseC():
+            return False
+        case Prop(name):
+            return (w,) in a.interp[name]
+        case NegProp(name):
+            return (w,) not in a.interp[name]
+        case And(parts):
+            return all(_reference_check_modal(p, a, w) for p in parts)
+        case Or(parts):
+            return any(_reference_check_modal(p, a, w) for p in parts)
+        case Dia(rel, body):
+            return any(_reference_check_modal(body, a, v) for v in a.successors(rel, w))
+        case Box(rel, body):
+            return all(_reference_check_modal(body, a, v) for v in a.successors(rel, w))
+    raise FormulaError(f"unexpected node {phi!r}")
+
+
+def _reference_check_fo(phi, a, env):
+    match phi:
+        case TrueC():
+            return True
+        case FalseC():
+            return False
+        case Atom(rel, vs):
+            return tuple(env[v] for v in vs) in a.interp[rel]
+        case NegAtom(rel, vs):
+            return tuple(env[v] for v in vs) not in a.interp[rel]
+        case Eq(l, r):
+            return env[l] == env[r]
+        case NegEq(l, r):
+            return env[l] != env[r]
+        case And(parts):
+            return all(_reference_check_fo(p, a, env) for p in parts)
+        case Or(parts):
+            return any(_reference_check_fo(p, a, env) for p in parts)
+        case Exists(v, body) | Forall(v, body):
+            decisive = type(phi) is Exists
+            holds = not decisive
+            old = env.get(v, _UNBOUND)
+            for e in a.universe:
+                env[v] = e
+                if _reference_check_fo(body, a, env) == decisive:
+                    holds = decisive
+                    break
+            if old is _UNBOUND:
+                env.pop(v, None)
+            else:
+                env[v] = old
+            return holds
+    raise FormulaError(f"unexpected node {phi!r}")
+
+
+def reference_model_check(phi, a, assignment=None, *, world=None):
+    """Satisfaction by plain recursion: at ``world`` with Kripke semantics
+    when it is given, else first-order under ``assignment``.  It assumes
+    the checks ``model_check`` makes before evaluating have passed."""
+    if world is not None:
+        return _reference_check_modal(phi, a, world)
+    return _reference_check_fo(phi, a, dict(assignment or {}))
 
 
 def small_structures(max_size=2, vocab=E2):

@@ -11,8 +11,9 @@ from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra
                      validate_coalgebra)
 
 from fmgames.coalgebras import branch_tuples, pull_back
+from fmgames.structures import gaifman
 
-from conftest import kripke
+from conftest import E2, kripke
 
 
 def test_build_ef_loop(loop):
@@ -170,6 +171,33 @@ def test_validate_detects_pebble_reuse(loop):
                           {e: 1 for e in c.universe})
     codes = {v.code for v in validate_coalgebra(bad)}
     assert "pebble-reuse" in codes
+
+
+def test_validate_reports_gaifman_violations_in_pair_order():
+    """Violations over Gaifman pairs come sorted by the reprs of the pair,
+    each pair's pebble-reuse witnesses in chain order, as when every pair
+    was sorted before testing."""
+    c = build_pebble_truncated(Structure.make(E2, ["u", "v"], {"E": [("u", "v"), ("v", "v")]},
+                                              name="uv"), 2, 3)
+    # edges between branches, on top of the carrier's own
+    cross = {(x, y) for x, y in itertools.combinations(c.universe[::3], 2)
+             if not c.comparable(x, y)}
+    carrier = Structure.make(E2, c.carrier.universe, {"E": c.carrier.interp["E"] | cross})
+    bad = ForestCoalgebra(carrier, c.parent, c.k_bound, "pebble", {e: 1 for e in c.universe})
+    expected = []
+    pairs = sorted(gaifman(carrier), key=lambda p: (repr(p[0]), repr(p[1])))
+    for x, y in pairs:
+        if not bad.comparable(x, y):
+            expected.append(("branch-compat", (x, y)))
+    for x, y in pairs:
+        chain = bad.chain(y)
+        if x in chain and x != y:
+            expected += [("pebble-reuse", (x, mid, y)) for mid in chain[chain.index(x) + 1:]
+                         if bad.pebble_fn[x] == bad.pebble_fn[mid]]
+    got = [(v.code, v.witness) for v in validate_coalgebra(bad)]
+    assert got == expected
+    assert {"branch-compat", "pebble-reuse"} <= {code for code, _ in got}
+    assert len(got) > 10
 
 
 def test_path_tree_shape(edge):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from fmgames import (And, Atom, Box, Dia, Eq, Exists, FALSE, FalseC, Forall,
                      solve, standard_translation)
 from fmgames.corpus import all_digraphs, all_pointed_kripke
 
-from conftest import kripke, reference_classify, reference_free_vars
+from conftest import (E2, kripke, reference_classify, reference_free_vars,
+                      reference_model_check, small_structures)
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -259,3 +261,99 @@ def test_classify_and_free_vars_answer_on_deep_formulas():
     assert (c.rank, c.var_count, c.modal_depth) == (0, 0, 5000)
     assert c.in_mode["existential"] and not c.in_mode["positive"]
     assert free_vars(diamonds) == frozenset()
+
+
+#: Z/0, P/1, E/2 and T/3: every arity the evaluator reads an atom at.
+MIXED = Vocabulary((("Z", 0), ("P", 1), ("E", 2), ("T", 3)))
+
+
+def _random_fo(rnd, height, vocab):
+    """A seeded first-order tree over the relations of ``vocab`` and x1..x3."""
+    if height == 0 or rnd.random() < 0.25:
+        rel, arity = rnd.choice(vocab.relations)
+        vs = tuple(rnd.randint(1, 3) for _ in range(arity))
+        return rnd.choice([TRUE, FALSE, Atom(rel, vs), NegAtom(rel, vs),
+                           Eq(rnd.randint(1, 3), rnd.randint(1, 3)),
+                           NegEq(rnd.randint(1, 3), rnd.randint(1, 3))])
+    kind = rnd.choice([And, Or, Exists, Forall])
+    if kind in (And, Or):
+        return kind(tuple(_random_fo(rnd, height - 1, vocab) for _ in range(rnd.randint(0, 3))))
+    return kind(rnd.randint(1, 3), _random_fo(rnd, height - 1, vocab))
+
+
+def _random_modal(rnd, height):
+    if height == 0 or rnd.random() < 0.25:
+        return rnd.choice([TRUE, FALSE, Prop("P"), NegProp("P")])
+    kind = rnd.choice([And, Or, Dia, Box])
+    if kind in (And, Or):
+        return kind(tuple(_random_modal(rnd, height - 1) for _ in range(rnd.randint(0, 3))))
+    return kind("R", _random_modal(rnd, height - 1))
+
+
+def _random_structure(rnd, vocab, elems):
+    interp = {rel: [t for t in itertools.product(elems, repeat=arity) if rnd.random() < 0.4]
+              for rel, arity in vocab.relations}
+    return Structure.make(vocab, elems, interp)
+
+
+# quantifiers that rebind a bound variable, and empty connectives under them
+_FO_EDGE_CASES = [And(()), Or(()), Exists(1, And(())), Forall(1, Or(())),
+                  Exists(1, And((Atom("E", (1, 2)), Exists(1, NegAtom("E", (1, 1))),
+                                 Eq(1, 2)))),
+                  Forall(2, Or((Exists(2, Forall(2, Eq(1, 2))), NegEq(1, 2)))),
+                  And((Exists(1, Or(())), Atom("E", (1, 1))))]
+
+
+def _assignments(phi, a):
+    """Every assignment of the free variables, and one binding x1..x3 too."""
+    free = sorted(free_vars(phi))
+    out = [dict(zip(free, es)) for es in itertools.product(a.universe, repeat=len(free))]
+    if a.universe:
+        out.append({v: a.universe[v % a.size] for v in (1, 2, 3)})
+    return out
+
+
+def test_evaluation_matches_the_recursive_reference():
+    rnd = random.Random(31415)
+    e2 = small_structures()  # every digraph on at most 2 elements, the empty one too
+    mixed = [_random_structure(rnd, MIXED, list("abc"[:n])) for n in (0, 1, 2, 3) for _ in range(4)]
+    mixed.append(_random_structure(rnd, MIXED, [None, "b"]))  # an element named None
+    sweeps = [(_FO_EDGE_CASES + [_random_fo(rnd, 5, E2) for _ in range(150)], e2),
+              ([_random_fo(rnd, 5, MIXED) for _ in range(150)], mixed)]
+    checked = 0
+    for formulas, pool in sweeps:
+        for phi in formulas:
+            for a in pool:
+                for env in _assignments(phi, a):
+                    assert model_check(phi, a, env) == reference_model_check(phi, a, env), \
+                        (str(phi), a, env)
+                    checked += 1
+    modal = [And(()), Or(()), Dia("R", And(())), Box("R", Or(())), Box("R", Dia("R", TRUE))]
+    modal += [_random_modal(rnd, 5) for _ in range(150)]
+    for phi in modal:
+        for m in all_pointed_kripke(2):  # worlds with no successors among them
+            for w in m.universe:
+                assert model_check(phi, m, world=w) == reference_model_check(phi, m, world=w), \
+                    (str(phi), m, w)
+                checked += 1
+    assert checked > 20000
+
+
+def test_model_check_answers_on_deep_chains():
+    """Built with constructors: the parser, ``str`` and ``hash`` still recurse."""
+    loop = Structure.make(E2, ["u"], {"E": [("u", "u")]})
+    bare = Structure.make(E2, ["u"], {})
+    chain = Atom("E", (1, 2))
+    for i in range(10_000):
+        v = 1 + i % 2
+        chain = Exists(v, And((Eq(v, v), chain)))
+    assert model_check(chain, loop) and not model_check(chain, bare)
+    forall = NegAtom("E", (1, 1))
+    for _ in range(10_000):
+        forall = Forall(1, Or((FALSE, forall)))
+    assert model_check(forall, bare) and not model_check(forall, loop)
+    m = kripke(["a"], [("a", "a")], ["a"], "a")
+    dia, box = Prop("P"), NegProp("P")
+    for _ in range(10_000):
+        dia, box = Dia("R", dia), Box("R", And((TRUE, box)))
+    assert model_check(dia, m) and not model_check(box, m)
