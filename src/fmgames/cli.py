@@ -17,7 +17,7 @@ from .bisim import build_bisim, build_positive_bisim
 from .coalgebras import (ForestCoalgebra, build_cofree, check_comonad_laws,
                          counit_map, parse_coalgebra, serialize_coalgebra,
                          validate_coalgebra)
-from .formulas import model_check, parse_formula, serialize_formula
+from .formulas import classify, model_check, parse_formula, serialize_formula
 from .games import GameSpec, IllegalMoveError, solve
 from .morphisms import find_morphism
 from .oracle import FragmentSpec, oracle_preserves
@@ -27,6 +27,9 @@ from .synthesis import distinguish
 SCHEMA_VERSION = 2
 
 _FRAGMENT_OF_FAMILY = {"ef": "fo_rank", "pebble": "l_vars", "modal": "ml_depth"}
+
+# the ``classify`` field a fragment family bounds by k
+_BOUNDED_BY_FAMILY = {"fo_rank": "rank", "l_vars": "var_count", "ml_depth": "modal_depth"}
 
 _MORPHISM_KIND_FLAGS = {
     "hom": "hom",
@@ -82,12 +85,12 @@ def _game_direction(spec: GameSpec, fmt: str, a: Structure, b: Structure) -> dic
                              for pairs, s in verdict.stage.pair_sets().items()}
     if not verdict.duplicator_wins:
         phi = distinguish(spec, a, b, verdict)
-        _assert_witness(phi, spec, a, b)
+        _assert_witness(phi, a, b)
         out["witness"] = serialize_formula(phi)
     return out
 
 
-def _assert_witness(phi, spec: GameSpec, a: Structure, b: Structure):
+def _assert_witness(phi, a: Structure, b: Structure):
     if not model_check(phi, a) or model_check(phi, b):
         raise CliError("internal error: distinguishing formula failed verification")
 
@@ -98,8 +101,18 @@ def _oracle_direction(args, a: Structure, b: Structure) -> dict:
                        "-n (bounded rounds) needs --via game")
     frag = FragmentSpec(_FRAGMENT_OF_FAMILY[args.family], args.k, args.mode)
     res = oracle_preserves(frag, a, b)
-    return {"preserved": res.preserved,
-            "witness": serialize_formula(res.witness) if res.witness else None}
+    phi = res.witness
+    if res.preserved != (phi is None):
+        raise CliError("internal error: oracle verdict and witness disagree")
+    if phi is None:
+        return {"preserved": True, "witness": None}
+    _assert_witness(phi, a, b)
+    c = classify(phi)
+    bounded = getattr(c, _BOUNDED_BY_FAMILY[frag.family])
+    if not c.in_mode[frag.mode] or bounded is None or bounded > frag.k:
+        raise CliError(f"internal error: oracle witness lies outside {frag.family} "
+                       f"k={frag.k} in mode {frag.mode}")
+    return {"preserved": False, "witness": serialize_formula(phi)}
 
 
 def _coalgebra_direction(args, a: Structure, b: Structure) -> dict:
@@ -170,7 +183,7 @@ def cmd_distinguish(args) -> int:
         print("none (Duplicator wins; the structures are not distinguishable here)")
         return 1
     phi = distinguish(spec, a, b, verdict)
-    _assert_witness(phi, spec, a, b)
+    _assert_witness(phi, a, b)
     print(serialize_formula(phi))
     return 0
 

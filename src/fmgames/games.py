@@ -695,21 +695,30 @@ class _StageTable:
     a move's responses off the masks.  The length counts the dead
     placements without walking them: the placements whose pairs are exactly
     an alive set of j pairs are the maps from the k pebbles onto that set
-    plus "off the board", ``sum((-1) ** i * C(j, i) * (j - i + 1) ** k)`` of
-    them by inclusion-exclusion, and every other placement is dead.
+    plus "off the board", counted by inclusion-exclusion (``_onto``), and
+    every other placement is dead.  The indexes that lookups by placement
+    read are built on the first lookup, so a verdict that is never asked
+    about a placement builds none.
     """
 
     def __init__(self, stages: dict, pairs: list, k: int):
         self._stages = stages
         self._pairs = pairs
         self._k = k
-        self._index = {pair: i for i, pair in enumerate(pairs)}
-        # per Spoiler move ``(side, element)``, the bits of the pairs its
-        # responses place, in response order
-        self._replies: dict = {}
-        for i, (x, y) in enumerate(pairs):
-            self._replies.setdefault(("A", x), []).append(1 << i)
-            self._replies.setdefault(("B", y), []).append(1 << i)
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {pair: i for i, pair in enumerate(self._pairs)}
+
+    @functools.cached_property
+    def _replies(self) -> dict:
+        """Per Spoiler move ``(side, element)``, the bits of the pairs its
+        responses place, in response order."""
+        replies: dict = {}
+        for i, (x, y) in enumerate(self._pairs):
+            replies.setdefault(("A", x), []).append(1 << i)
+            replies.setdefault(("B", y), []).append(1 << i)
+        return replies
 
     def pair_sets(self) -> dict:
         """Every pair set the attractor kept, a frozenset of ``(a, b)`` pairs,
@@ -792,11 +801,10 @@ class _StageTable:
     @functools.cached_property
     def _dead(self) -> int:
         """The number of dead placements, counted on first use: its powers
-        have about k digits, and only ``len`` and ``bool`` read it."""
+        have about k digits, and only ``len`` reads it."""
         k = self._k
         alive = [mask.bit_count() for mask, s in self._stages.items() if s < 0]
-        onto = [sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
-                for j in range(max(alive, default=0) + 1)]
+        onto = _onto_row(k) if k <= _SMALL_K else _onto(k, max(alive, default=0))
         return (len(self._pairs) + 1) ** k - sum(onto[j] for j in alive)
 
     def __len__(self) -> int:
@@ -804,7 +812,33 @@ class _StageTable:
         return self._dead
 
     def __bool__(self) -> bool:
-        return self._dead > 0  # ``len`` overflows past sys.maxsize; this does not
+        """Some placement is dead: fewer sets are alive than there are sets
+        of at most k pairs, each the pair set of some placement.  ``len``
+        overflows past sys.maxsize and its count has about k digits; the
+        partial sums of binomials here stop as soon as they pass the alive
+        count."""
+        alive = sum(s < 0 for s in self._stages.values())
+        n = len(self._pairs)
+        total = 0
+        for j in range(min(n, self._k) + 1):
+            total += math.comb(n, j)
+            if total > alive:
+                return True
+        return False
+
+
+def _onto(k: int, top: int) -> tuple:
+    """Per j in 0..top, the maps from k pebbles onto a set of j pairs plus
+    "off the board", by inclusion-exclusion."""
+    return tuple(sum((-1) ** i * math.comb(j, i) * (j - i + 1) ** k for i in range(j + 1))
+                 for j in range(top + 1))
+
+
+# An alive set has at most k pairs.  At k <= _SMALL_K the terms have at most
+# a few hundred bits, so one row per k is kept; a larger k computes its
+# terms afresh, as they have about k digits.
+_SMALL_K = 64
+_onto_row = functools.lru_cache(maxsize=None)(lambda k: _onto(k, k))
 
 
 def _solve_attractor(v: Verdict, cap: int):

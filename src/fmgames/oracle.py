@@ -43,6 +43,14 @@ even when the universe is empty.  There every ext is empty, so E-steps are
 false and A-steps true, and a 0-ary literal keeps its value: the semantics
 of an empty structure, with no special case.
 
+A literal is kept as a descriptor, a ``functools.partial`` that builds its
+formula when called; for ``fo_rank`` and ``l_vars`` the descriptors of a key
+depend on the vocabulary and S only and are built once per (vocabulary, S).
+A run stops at the first round whose preorder puts B's point outside A's
+up-set; the witness is explained from the kept rounds only when the
+result's ``witness`` is first read, so a caller that reads ``preserved``
+alone builds no formula.
+
 Witnesses are read off the generators' back-pointers by a greedy
 minimizer that carries a pair (must hold C, must miss E) down the formula.
 At a conjunction it picks generators that contain C until E is covered,
@@ -69,10 +77,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Optional
 
-from .formulas import (Atom, Eq, Formula, NegAtom, NegEq, NegProp, Prop,
-                       Exists, Forall, Dia, Box, TRUE, FALSE, and_, or_)
+from .formulas import (Atom, Eq, FalseC, Formula, NegAtom, NegEq, NegProp, Prop,
+                       TrueC, Exists, Forall, Dia, Box, and_, or_)
 from .games import canonical_mode
 from .structures import Structure, StructureError, same_vocab
 
@@ -110,10 +119,31 @@ class FragmentSpec:
             raise ValueError("k out of range for fragment family")
 
 
-@dataclass(frozen=True)
 class OracleResult:
-    preserved: bool
-    witness: Optional[Formula] = None
+    """A verdict and, when preservation fails, a witness sentence: true in A,
+    false in B.  ``explain`` builds the witness the first time ``witness`` is
+    read; the result then lets go of it (and of the engine it reads)."""
+
+    __slots__ = ("preserved", "_witness", "_explain")
+
+    def __init__(self, preserved: bool, witness: Optional[Formula] = None, explain=None):
+        self.preserved = preserved
+        self._witness = witness
+        self._explain = explain
+
+    @property
+    def witness(self) -> Optional[Formula]:
+        explain = self._explain
+        if explain is not None:  # the witness is stored before explain is dropped
+            self._witness = explain()
+            self._explain = None
+        return self._witness
+
+    def __repr__(self) -> str:
+        return f"OracleResult(preserved={self.preserved!r}, witness={self.witness!r})"
+
+
+_TRUE, _FALSE = partial(TrueC), partial(FalseC)
 
 
 def _negations_allowed(mode: str) -> bool:
@@ -174,11 +204,12 @@ class _Refinement:
     """Keys with their points, literals and incoming quantifier edges.
 
     ``keys[key] = (full, literals)``: the mask of the key's points,
-    numbered A first, and a dict mask -> literal Formula.
+    numbered A first, and a dict mask -> literal descriptor (a ``partial``
+    that builds the literal's formula).
     ``edges_of(key)`` lists the edges into a key, built on first use, as
     ``(source key, label, pairs)`` where pairs groups the points of the key
     by extension map, ``(ext over the source's points, points)``.  Each
-    round stores, per key, its generators (mask -> literal Formula or
+    round stores, per key, its generators (mask -> literal descriptor or
     ``(universal, label, source, body mask, pairs)``) and its preorder.
     """
 
@@ -220,12 +251,16 @@ class _Refinement:
             cur[key] = (gens, _preorder(gens, full, self.universals))
         self.rounds.append(cur)
 
-    def witness(self) -> Optional[Formula]:
-        """A sentence of the last round true in A and false in B, if any."""
+    def violated(self) -> bool:
+        """B's point lies outside A's up-set in the last round."""
         key, pa, pb = self.root
         up = next(u for c, (u, _) in self.rounds[-1][key][1].items() if c >> pa & 1)
-        if up >> pb & 1:
-            return None
+        return not up >> pb & 1
+
+    def witness(self) -> Formula:
+        """A sentence of the last round true in A and false in B; the last
+        round must be violated."""
+        key, pa, pb = self.root
         return self._explain(len(self.rounds) - 1, key, True, 1 << pa, 1 << pb)
 
     def _explain(self, r: int, key, conj: bool, must: int, avoid: int) -> Formula:
@@ -242,14 +277,14 @@ class _Refinement:
 
         parts = []
         while need:
-            g, how = max(cands, key=lambda c: (hits(c[0]) != 0 and isinstance(c[1], Formula),
+            g, how = max(cands, key=lambda c: (hits(c[0]) != 0 and isinstance(c[1], partial),
                                                hits(c[0]).bit_count()))
             hit = hits(g)
             if not hit:
                 raise RuntimeError("internal error: oracle generators do not cover")
             need &= ~hit
-            if isinstance(how, Formula):
-                parts.append(how)
+            if isinstance(how, partial):
+                parts.append(how())
                 continue
             universal, label, src, body, pairs = how
             sub_must, sub_avoid = (must, hit) if conj else (hit, avoid)
@@ -262,16 +297,17 @@ class _Refinement:
             parts.append(part)
         return and_(parts) if conj else or_(parts)
 
-    def run(self, keys_of, layers: Optional[int]) -> tuple[int, Optional[Formula]]:
+    def run(self, keys_of, layers: Optional[int]) -> tuple[int, bool]:
         """Rounds 0, 1, ... over ``keys_of(round)`` until a violation, the
         round ``layers`` or a round that changes no preorder.  Returns the
-        last round and its witness (None: preserved up to that round)."""
+        last round and whether it is violated (if not, preservation holds
+        up to that round)."""
         r = 0
         while True:
             self.round(keys_of(r))
-            phi = self.witness()
-            if phi is not None or r == layers or (r and self._stable()):
-                return r, phi
+            violated = self.violated()
+            if violated or r == layers or (r and self._stable()):
+                return r, violated
             r += 1
 
     def _stable(self) -> bool:
@@ -285,10 +321,12 @@ class _Refinement:
 class _Assignments:
     """The m-tuples over one structure's universe, numbered from 0, and what
     the FO engine reads off them: ``coord[p][e]``, the tuples with e at
-    position p; ``atoms``, per relation and per tuple of positions (in
-    ``itertools.product`` order) the tuples it holds on; ``eqs``, per pair
-    of positions (in ``itertools.combinations`` order) the tuples equal
-    there; and ``groups``, the extension groups of an edge, by ``(S, j)``."""
+    position p; ``literals``, the tuples each positive literal holds on, in
+    the order of ``_literal_descriptors``: per relation and per tuple of
+    positions (in ``itertools.product`` order) the tuples it holds on, then
+    per pair of positions (in ``itertools.combinations`` order) the tuples
+    equal there; and ``groups``, the extension groups of an edge, by
+    ``(S, j)``."""
 
     def __init__(self, st: Structure, m: int):
         self.tuples = list(itertools.product(st.universe, repeat=m))
@@ -297,7 +335,7 @@ class _Assignments:
         for i, t in enumerate(self.tuples):
             for c, e in zip(coord, t):
                 c[e] |= 1 << i
-        self.atoms = []
+        self.literals = []
         for rel, arity in st.vocab.relations:
             for ps in itertools.product(range(m), repeat=arity):
                 mask = 0
@@ -306,10 +344,10 @@ class _Assignments:
                     for p, e in zip(ps, t):
                         m_t &= coord[p][e]
                     mask |= m_t
-                self.atoms.append(mask)
+                self.literals.append(mask)
         # the masks summed are disjoint: one per element at both positions
-        self.eqs = [sum(coord[p][e] & coord[q][e] for e in st.universe)
-                    for p, q in itertools.combinations(range(m), 2)]
+        self.literals += [sum(coord[p][e] & coord[q][e] for e in st.universe)
+                          for p, q in itertools.combinations(range(m), 2)]
         self.groups: dict = {}
 
 
@@ -346,9 +384,20 @@ def _groups(st: Structure, s: int, j: int) -> list:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _literal_descriptors(relations: tuple, s: int) -> tuple:
+    """The (positive, negative) descriptors of the literals over the
+    variables of S, in the order of ``_Assignments.literals``."""
+    vs = _variables(s)
+    atoms = [(partial(Atom, rel, vars_), partial(NegAtom, rel, vars_))
+             for rel, arity in relations for vars_ in itertools.product(vs, repeat=arity)]
+    eqs = [(partial(Eq, i, j), partial(NegEq, i, j)) for i, j in itertools.combinations(vs, 2)]
+    return tuple(atoms + eqs)
+
+
 def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
-    """Keys are the bitmasks S of free variables x1..xk.  Literals and edges
-    come from the ``_Assignments`` of A and of B, which each structure
+    """Keys are the bitmasks S of free variables x1..xk.  Literal masks and
+    edges come from the ``_Assignments`` of A and of B, which each structure
     keeps in its memo; a key numbers A's points first, then B's."""
     negations = _negations_allowed(mode)
     shifts = {}
@@ -373,22 +422,14 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
     for s, shift in shifts.items():
         ta, tb = _assignments(a, s), _assignments(b, s)
         full = ta.full | tb.full << shift
-        literals = {full: TRUE}
-        literals.setdefault(0, FALSE)
-
-        def add(mask, positive, negative):
-            literals.setdefault(mask, positive)
+        literals = {full: _TRUE}
+        literals.setdefault(0, _FALSE)
+        for (pos, neg), ma, mb in zip(_literal_descriptors(a.vocab.relations, s),
+                                      ta.literals, tb.literals):
+            mask = ma | mb << shift
+            literals.setdefault(mask, pos)
             if negations:
-                literals.setdefault(full & ~mask, negative)
-
-        vs = _variables(s)
-        atoms = zip(ta.atoms, tb.atoms)
-        for rel, arity in a.vocab.relations:
-            for vars_ in itertools.product(vs, repeat=arity):
-                ma, mb = next(atoms)
-                add(ma | mb << shift, Atom(rel, vars_), NegAtom(rel, vars_))
-        for (i, j), ma, mb in zip(itertools.combinations(vs, 2), ta.eqs, tb.eqs):
-            add(ma | mb << shift, Eq(i, j), NegEq(i, j))
+                literals.setdefault(full & ~mask, neg)
         eng.keys[s] = (full, literals)
     return eng
 
@@ -397,16 +438,16 @@ def _modal_engine(a: Structure, b: Structure, mode: str, cap: int) -> _Refinemen
     """One key: the worlds of A, then of B."""
     sides = ((a, 0), (b, a.size))
     full = (1 << (a.size + b.size)) - 1
-    literals = {full: TRUE}
-    literals.setdefault(0, FALSE)
+    literals = {full: _TRUE}
+    literals.setdefault(0, _FALSE)
     for rel in a.vocab.unary:
         m = 0
         for s, shift in sides:
             for (x,) in s.interp[rel]:
                 m |= 1 << (s.index[x] + shift)
-        literals.setdefault(m, Prop(rel))
+        literals.setdefault(m, partial(Prop, rel))
         if _negations_allowed(mode):
-            literals.setdefault(full & ~m, NegProp(rel))
+            literals.setdefault(full & ~m, partial(NegProp, rel))
     edges = []
     for rel in a.vocab.binary:
         group: dict = {}
@@ -424,11 +465,12 @@ def _modal_engine(a: Structure, b: Structure, mode: str, cap: int) -> _Refinemen
 
 
 def _profile(eng: _Refinement, k: int, keys_of) -> list[OracleResult]:
-    """Verdicts for the layers 0..k; a violation holds for every later layer."""
-    r, phi = eng.run(keys_of, k)
-    if phi is None:
+    """Verdicts for the layers 0..k; a violation holds for every later
+    layer, which all share one result and so one witness."""
+    r, violated = eng.run(keys_of, k)
+    if not violated:
         return [OracleResult(True)] * (k + 1)
-    return [OracleResult(True)] * r + [OracleResult(False, phi)] * (k + 1 - r)
+    return [OracleResult(True)] * r + [OracleResult(False, explain=eng.witness)] * (k + 1 - r)
 
 
 def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
@@ -467,5 +509,6 @@ def oracle_preserves(frag: FragmentSpec, a: Structure, b: Structure,
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
     eng = _fo_engine(a, b, frag.k, frag.mode, cap)
-    phi = eng.run(lambda r: eng.keys, None)[1]
-    return OracleResult(phi is None, phi)
+    if eng.run(lambda r: eng.keys, None)[1]:
+        return OracleResult(False, explain=eng.witness)
+    return OracleResult(True)

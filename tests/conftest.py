@@ -10,7 +10,8 @@ every tuple over the two branches, with no signatures and no pair tree.
 ``reference_classify`` and ``reference_free_vars`` are the recursive
 walkers that ``formulas._walk`` replaced, one walk per fact, and
 ``reference_model_check`` the recursive evaluation ``formulas._evaluate``
-replaced.
+replaced.  ``reference_oracle_witness`` is the oracle's eager witness path:
+literal formulas built per pair and a witness explained at every round.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import itertools
 
 import pytest
 
-from fmgames import (And, Atom, BOTTOM, Box, Dia, Eq, Exists, FalseC, Forall,
-                     FormulaError, NegAtom, NegEq, NegProp, Or, Prop, Structure, TrueC,
-                     Vocabulary, path_tree)
+from fmgames import (FALSE, TRUE, And, Atom, BOTTOM, Box, Dia, Eq, Exists, FalseC, Forall,
+                     Formula, FormulaError, NegAtom, NegEq, NegProp, Or, Prop, Structure,
+                     TrueC, Vocabulary, and_, or_, path_tree)
+from fmgames import oracle as _oracle
 from fmgames.formulas import Classification
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
@@ -391,6 +393,112 @@ def reference_model_check(phi, a, assignment=None, *, world=None):
     if world is not None:
         return _reference_check_modal(phi, a, world)
     return _reference_check_fo(phi, a, dict(assignment or {}))
+
+
+# ---------------------------------------------------------------------------
+# Eager oracle witnesses (reference for the lazy ``OracleResult.witness``)
+
+def _reference_fo_literals(a, b, s, full, negations):
+    """Key S's literals as formulas, built for this pair."""
+    shift = a.size ** s.bit_count()
+    ta, tb = _oracle._assignments(a, s), _oracle._assignments(b, s)
+    literals = {full: TRUE}
+    literals.setdefault(0, FALSE)
+
+    def add(mask, positive, negative):
+        literals.setdefault(mask, positive)
+        if negations:
+            literals.setdefault(full & ~mask, negative)
+
+    vs = _oracle._variables(s)
+    masks = zip(ta.literals, tb.literals)  # the atoms' masks, then the equalities'
+    for rel, arity in a.vocab.relations:
+        for vars_ in itertools.product(vs, repeat=arity):
+            ma, mb = next(masks)
+            add(ma | mb << shift, Atom(rel, vars_), NegAtom(rel, vars_))
+    for (i, j), (ma, mb) in zip(itertools.combinations(vs, 2), masks):
+        add(ma | mb << shift, Eq(i, j), NegEq(i, j))
+    return literals
+
+
+def _reference_modal_literals(a, b, full, negations):
+    literals = {full: TRUE}
+    literals.setdefault(0, FALSE)
+    for rel in a.vocab.unary:
+        m = 0
+        for st, shift in ((a, 0), (b, a.size)):
+            for (x,) in st.interp[rel]:
+                m |= 1 << (st.index[x] + shift)
+        literals.setdefault(m, Prop(rel))
+        if negations:
+            literals.setdefault(full & ~m, NegProp(rel))
+    return literals
+
+
+def _reference_explain(eng, r, key, conj, must, avoid):
+    gens = eng.rounds[r][key][0]
+    if conj:
+        cands = [(g, how) for g, how in gens.items() if g & must == must and avoid & ~g]
+        need = avoid
+    else:
+        cands = [(g, how) for g, how in gens.items() if g & must and not g & avoid]
+        need = must
+
+    def hits(g):
+        return need & ~g if conj else need & g
+
+    parts = []
+    while need:
+        g, how = max(cands, key=lambda c: (hits(c[0]) != 0 and isinstance(c[1], Formula),
+                                           hits(c[0]).bit_count()))
+        hit = hits(g)
+        assert hit, "oracle generators do not cover"
+        need &= ~hit
+        if isinstance(how, Formula):
+            parts.append(how)
+            continue
+        universal, label, src, body, pairs = how
+        sub_must, sub_avoid = (must, hit) if conj else (hit, avoid)
+        if universal:
+            part = eng.forall(label, _reference_explain(
+                eng, r - 1, src, False, _oracle._spread(pairs, sub_must),
+                _oracle._pick(pairs, sub_avoid, ~body)))
+        else:
+            part = eng.exists(label, _reference_explain(
+                eng, r - 1, src, True, _oracle._pick(pairs, sub_must, body),
+                _oracle._spread(pairs, sub_avoid)))
+        parts.append(part)
+    return and_(parts) if conj else or_(parts)
+
+
+def reference_oracle_witness(frag, a, b):
+    """The witness of ``oracle_preserves(frag, a, b)``, or None, as the eager
+    path found it: the engine's keys and edges, but formula literals built
+    for the pair and a witness explained after every round until one
+    exists."""
+    negations = frag.mode in ("full", "existential")
+    cap = _oracle.DEFAULT_SIGNATURE_CAP
+    if frag.family == "ml_depth":
+        eng = _oracle._modal_engine(a, b, frag.mode, cap)
+        full = eng.keys[0][0]
+        eng.keys[0] = (full, _reference_modal_literals(a, b, full, negations))
+    else:
+        eng = _oracle._fo_engine(a, b, frag.k, frag.mode, cap)
+        for s, (full, _) in eng.keys.items():
+            eng.keys[s] = (full, _reference_fo_literals(a, b, s, full, negations))
+    if frag.family == "fo_rank":
+        keys_of, layers = (lambda r: [s for s in eng.keys if s.bit_count() <= frag.k - r]), frag.k
+    else:
+        keys_of, layers = (lambda r: list(eng.keys)), (frag.k if frag.family == "ml_depth" else None)
+    key, pa, pb = eng.root
+    r = 0
+    while True:
+        eng.round(keys_of(r))
+        up = next(u for c, (u, _) in eng.rounds[-1][key][1].items() if c >> pa & 1)
+        phi = None if up >> pb & 1 else _reference_explain(eng, r, key, True, 1 << pa, 1 << pb)
+        if phi is not None or r == layers or (r and eng._stable()):
+            return phi
+        r += 1
 
 
 def small_structures(max_size=2, vocab=E2):

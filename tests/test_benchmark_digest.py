@@ -47,9 +47,11 @@ def test_verdict_digest_at_seed_424242(workload, digest):
     assert run_digest(workload, 424242) == [digest]
 
 
-# A held-out seed for the two pebble workloads.  ``perfbench/NOTES.md`` lists
-# seed 424242 only, so these digests are kept here; CHANGES.md records them.
+# A held-out seed for every workload.  ``perfbench/NOTES.md`` lists seed
+# 424242 only, so these digests are kept here; CHANGES.md records them.
 @pytest.mark.parametrize("workload,digest", [("pebble-scale", "27832494cce96fd7"),
-                                             ("fv-crosscheck", "0e9e1866e9c41674")])
+                                             ("fv-crosscheck", "0e9e1866e9c41674"),
+                                             ("ef-crosscheck", "01b79daf610b440b"),
+                                             ("modal-crosscheck", "a52d6bdabf339291")])
 def test_verdict_digest_at_held_out_seed_7(workload, digest):
     assert run_digest(workload, 7) == [digest]

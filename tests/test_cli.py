@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fmgames import FALSE, TRUE, And, Atom, Box, Dia, Exists, NegEq, OracleResult
 from fmgames.cli import main
 from fmgames.corpus import clique, linear_order
 from fmgames.structures import serialize_structure
@@ -158,6 +159,42 @@ def test_oracle_command(files, capsys):
     code = main(["oracle", "--family", "ef", "--mode", "ep", "-k", "2",
                  files["edge"], files["loop"]])
     assert code == 0
+
+
+E_XY = Atom("E", (1, 2))
+DISTINCT_EDGE = Exists(1, Exists(2, And((E_XY, NegEq(1, 2)))))
+
+
+@pytest.mark.parametrize("command, family, mode, k, files_ab, result", [
+    # true in both structures
+    ("oracle", "ef", "existential", 2, ("edge", "loop"),
+     OracleResult(False, Exists(1, Exists(2, E_XY)))),
+    # rank 3 above k = 2
+    ("oracle", "ef", "existential", 2, ("edge", "loop"),
+     OracleResult(False, Exists(3, DISTINCT_EDGE))),
+    # a negation outside ep
+    ("check", "ef", "ep", 2, ("edge", "loop"),
+     OracleResult(False, Exists(1, Exists(2, NegEq(1, 2))))),
+    # two variables above k = 1
+    ("check", "pebble", "existential", 1, ("edge", "loop"), OracleResult(False, DISTINCT_EDGE)),
+    # modal depth 2 above k = 1
+    ("oracle", "modal", "full", 1, ("modal_a", "modal_b"),
+     OracleResult(False, Dia("R", Box("R", FALSE)))),
+    # a verdict with no witness, and a witness with a positive verdict
+    ("oracle", "ef", "existential", 2, ("edge", "loop"), OracleResult(False)),
+    ("oracle", "ef", "existential", 2, ("edge", "loop"), OracleResult(True, TRUE)),
+])
+def test_oracle_witness_is_verified_before_printing(files, capsys, monkeypatch, command,
+                                                     family, mode, k, files_ab, result):
+    monkeypatch.setattr("fmgames.cli.oracle_preserves", lambda frag, a, b: result)
+    args = [command, "--family", family, "--mode", mode, "-k", str(k),
+            *(files[f] for f in files_ab)]
+    if command == "check":
+        args.append("--via=oracle")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ")
 
 
 def test_bounded_pebble_via_oracle_exit_two(tmp_path, capsys):

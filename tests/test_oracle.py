@@ -9,9 +9,9 @@ from fmgames import (FragmentSpec, GameSpec, OracleResourceError, Structure,
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, clique, edge_structure,
                             linear_order, loop_structure)
 from fmgames.formulas import serialize_formula
-from fmgames.oracle import fo_rank_profile, ml_depth_profile
+from fmgames.oracle import _Refinement, fo_rank_profile, ml_depth_profile
 
-from conftest import kripke, small_structures
+from conftest import kripke, reference_oracle_witness, small_structures
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -419,3 +419,66 @@ def test_lvars_variable_monotonicity():
             hi = oracle_preserves(FragmentSpec("l_vars", 2, mode), a, b).preserved
             lo = oracle_preserves(FragmentSpec("l_vars", 1, mode), a, b).preserved
             assert not hi or lo
+
+
+# ---------------------------------------------------------------------------
+# Witnesses explained on first read
+
+PU = Vocabulary((("P", 1), ("E", 2), ("Z", 0)))
+
+
+def _spoiler_win_sweep(seed, n):
+    """Seeded pairs of every family: FO pairs over ``E/2`` and over a mixed
+    vocabulary, and pointed Kripke models."""
+    rnd = random.Random(seed)
+    fo = [small_structures(2), small_structures(2, PU), all_digraphs(3)]
+    models = all_pointed_kripke(2)
+    for _ in range(n):
+        pool = rnd.choice(fo)
+        yield "fo", rnd.choice(pool), rnd.choice(pool)
+        yield "ml", rnd.choice(models), rnd.choice(models)
+
+
+def test_preserved_builds_no_witness(monkeypatch):
+    def explain(*args):
+        raise AssertionError("a witness was explained for .preserved")
+
+    monkeypatch.setattr(_Refinement, "_explain", explain)
+    refuted = 0
+    for kind, a, b in _spoiler_win_sweep(53, 40):
+        for mode in MODES:
+            if kind == "ml":
+                verdicts = [r.preserved for r in ml_depth_profile(a, b, 2, mode)]
+                verdicts.append(oracle_preserves(FragmentSpec("ml_depth", 2, mode), a, b).preserved)
+            else:
+                verdicts = [r.preserved for r in fo_rank_profile(a, b, 2, mode)]
+                verdicts += [oracle_preserves(FragmentSpec(family, k, mode), a, b).preserved
+                             for family in ("fo_rank", "l_vars") for k in (1, 2)]
+            refuted += verdicts.count(False)
+    assert refuted > 100  # the sweep does reach Spoiler wins
+
+
+def test_lazy_witness_matches_the_eager_path():
+    refuted = 0
+    for kind, a, b in _spoiler_win_sweep(59, 40):
+        families = (("ml_depth", (1, 2)),) if kind == "ml" else (("fo_rank", (1, 2)),
+                                                                  ("l_vars", (1, 2)))
+        for (family, ks), mode in itertools.product(families, MODES):
+            for k in ks:
+                frag = FragmentSpec(family, k, mode)
+                res = oracle_preserves(frag, a, b)
+                eager = reference_oracle_witness(frag, a, b)
+                assert res.preserved == (eager is None), (frag, a, b)
+                if eager is not None:
+                    refuted += 1
+                    assert serialize_formula(res.witness) == serialize_formula(eager)
+                    assert res.witness is res.witness  # explained once, then kept
+    assert refuted > 100
+
+
+def test_a_violated_profile_shares_one_witness(edge, loop):
+    profile = fo_rank_profile(edge, loop, 3, "existential")
+    assert [r.preserved for r in profile] == [True, False, False, False]
+    assert profile[1] is profile[2] is profile[3]
+    assert serialize_formula(profile[3].witness) == serialize_formula(
+        reference_oracle_witness(FragmentSpec("fo_rank", 3, "existential"), edge, loop))
