@@ -84,15 +84,36 @@ def _game_direction(spec: GameSpec, fmt: str, a: Structure, b: Structure) -> dic
         out["stageTable"] = {repr(sorted(pairs)): s
                              for pairs, s in verdict.stage.pair_sets().items()}
     if not verdict.duplicator_wins:
-        phi = distinguish(spec, a, b, verdict)
-        _assert_witness(phi, a, b)
-        out["witness"] = serialize_formula(phi)
+        out["witness"] = _game_witness(spec, a, b, verdict)
     return out
 
 
-def _assert_witness(phi, a: Structure, b: Structure):
+def _game_witness(spec: GameSpec, a: Structure, b: Structure, verdict) -> str:
+    """The distinguishing formula of a Spoiler win, verified and serialized.
+    Its bounds: rank <= k (EF), modal depth <= k (modal), and k variables
+    with rank <= n (``-n``) or <= the empty placement's death stage."""
+    phi = distinguish(spec, a, b, verdict)
+    if spec.family == "ef":
+        bounds = {"rank": spec.k}
+    elif spec.family == "modal":
+        bounds = {"modal_depth": spec.k}
+    else:
+        rounds = verdict.stage[frozenset()] if spec.rounds is None else spec.rounds
+        bounds = {"var_count": spec.k, "rank": rounds}
+    _verify_witness(phi, a, b, spec.mode, bounds, "distinguishing formula")
+    return serialize_formula(phi)
+
+
+def _verify_witness(phi, a: Structure, b: Structure, mode: str, bounds: dict, what: str):
+    """Exit 2 unless ``phi`` is true in ``a``, false in ``b``, inside ``mode``
+    and within ``bounds``, a limit per ``classify`` field."""
     if not model_check(phi, a) or model_check(phi, b):
-        raise CliError("internal error: distinguishing formula failed verification")
+        raise CliError(f"internal error: {what} failed verification")
+    c = classify(phi)
+    values = {field: getattr(c, field) for field in bounds}
+    if not c.in_mode[mode] or any(v is None or v > bounds[f] for f, v in values.items()):
+        raise CliError(f"internal error: {what} lies outside mode {mode} or its bounds: "
+                       + ", ".join(f"{f} {v}, bound {bounds[f]}" for f, v in values.items()))
 
 
 def _oracle_direction(args, a: Structure, b: Structure) -> dict:
@@ -106,12 +127,8 @@ def _oracle_direction(args, a: Structure, b: Structure) -> dict:
         raise CliError("internal error: oracle verdict and witness disagree")
     if phi is None:
         return {"preserved": True, "witness": None}
-    _assert_witness(phi, a, b)
-    c = classify(phi)
-    bounded = getattr(c, _BOUNDED_BY_FAMILY[frag.family])
-    if not c.in_mode[frag.mode] or bounded is None or bounded > frag.k:
-        raise CliError(f"internal error: oracle witness lies outside {frag.family} "
-                       f"k={frag.k} in mode {frag.mode}")
+    _verify_witness(phi, a, b, frag.mode, {_BOUNDED_BY_FAMILY[frag.family]: frag.k},
+                    "oracle witness")
     return {"preserved": False, "witness": serialize_formula(phi)}
 
 
@@ -182,9 +199,7 @@ def cmd_distinguish(args) -> int:
     if verdict.duplicator_wins:
         print("none (Duplicator wins; the structures are not distinguishable here)")
         return 1
-    phi = distinguish(spec, a, b, verdict)
-    _assert_witness(phi, a, b)
-    print(serialize_formula(phi))
+    print(_game_witness(spec, a, b, verdict))
     return 0
 
 

@@ -12,7 +12,8 @@ left-associative inside one pair of parentheses and may not be mixed there.
 
 ``classify``, ``free_vars`` and ``model_check`` read a formula's syntactic
 facts (node kinds, free and all variables, quantifier rank, modal depth and
-the symbols of its atoms) off one walk with an explicit stack, ``_walk``.
+the symbols of its atoms) off one walk with an explicit stack, ``_walk``,
+made once per formula object and kept on it outside its dataclass fields.
 ``model_check`` then evaluates first-order and modal formulas alike with a
 second explicit stack, ``_evaluate``, so all three answer on formulas of any
 depth.  The parser, ``serialize_formula``, ``dualize`` and the dataclass
@@ -253,12 +254,24 @@ def _walk(phi: Formula) -> tuple:
         elif t is Prop or t is NegProp:
             symbols.append((f.name, 1))
     # a variable of an atom is free there or bound by a quantifier above it
-    return kinds, free, free | quantified, rank, depth, symbols
+    free = frozenset(free)
+    return frozenset(kinds), free, free | quantified, rank, depth, tuple(symbols)
+
+
+def _facts(phi: Formula) -> tuple:
+    """``_walk(phi)``, walked once per formula object: the facts are kept in
+    the object's ``__dict__``, which the dataclass ``==``, ``hash`` and
+    ``repr`` do not read, and a formula never changes."""
+    facts = phi.__dict__.get("_facts")
+    if facts is None:
+        facts = _walk(phi)
+        object.__setattr__(phi, "_facts", facts)  # past the frozen dataclass guard
+    return facts
 
 
 def free_vars(phi: Formula) -> frozenset[int]:
     """The variables that occur free outside modal nodes."""
-    return frozenset(_walk(phi)[1])
+    return _facts(phi)[1]
 
 
 @dataclass(frozen=True)
@@ -274,7 +287,7 @@ MODES = ("full", "existential", "positive", "ep")
 
 def classify(phi: Formula) -> Classification:
     """Quantifier rank, distinct-variable count, modal depth, mode membership."""
-    kinds, _, variables, rank, depth, _ = _walk(phi)
+    kinds, _, variables, rank, depth, _ = _facts(phi)
     existential = kinds.isdisjoint(_UNIVERSALS)
     positive = kinds.isdisjoint(_NEGATIONS)
     in_mode = {"full": True, "existential": existential, "positive": positive,
@@ -295,7 +308,7 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
     the structure.
     """
     assignment = dict(assignment or {})
-    kinds, free, _, _, _, symbols = _walk(phi)
+    kinds, free, _, _, _, symbols = _facts(phi)
     vocab_error = _vocab_error(symbols, a.vocab.arities)
     if not kinds.isdisjoint(_MODAL_NODES):
         if not kinds <= _NOT_FIRST_ORDER:

@@ -27,7 +27,9 @@ The same ``placement_cap`` bounds the attractor's work (candidate sets
 tried and counter rows) and the positions the backward induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
-modal states are pairs of current worlds; pebble states are placements.
+modal states are pairs of current worlds; pebble states of the history API
+(``play``, ``replay``, strategy lookups) are placements, while the unbounded
+game's stage table, and the synthesis that walks it, work on pair-set masks.
 Points of the structures are ignored by the EF and pebble families; the
 modal family requires them.
 """
@@ -590,10 +592,10 @@ class Verdict:
 
         EF, modal and bounded pebble verdicts return the first such move in
         canonical order.  Unbounded pebble verdicts read the move off the
-        stage table (``_StageTable.spoiler_move``): the lowest worst death
-        stage among the responses wins, then canonical order; the stage
-        bound is what keeps synthesized distinguishing formulas within
-        rank = death stage.
+        stage table (``_StageTable.move``, which synthesis calls too): the
+        lowest worst death stage among the responses wins, then canonical
+        order; the stage bound is what keeps synthesized distinguishing
+        formulas within rank = death stage.
         """
         return self.spoiler_move_at(self.rules.key(history))
 
@@ -688,34 +690,40 @@ class _StageTable:
     ``{(pebble, (a, b)), ...}``.
 
     A placement's stage is the stage of its set of placed pairs (see
-    ``_solve_attractor``).  So the table holds one stage per pair set that
+    ``_solve_attractor``).  So ``stages`` holds one stage per pair set that
     satisfies the condition (-1 while alive), keyed by its bit mask over
     ``pairs``; every other pair set fails the condition and has stage 0.
-    ``pair_sets`` lists the kept sets; ``spoiler_move`` reads the stages of
-    a move's responses off the masks.  The length counts the dead
-    placements without walking them: the placements whose pairs are exactly
-    an alive set of j pairs are the maps from the k pebbles onto that set
-    plus "off the board", counted by inclusion-exclusion (``_onto``), and
+    ``pair_sets`` lists the kept sets.  Spoiler's move is read off the
+    masks (``move``), and ``replies`` gives the bits a move's responses
+    place, so synthesis walks Spoiler's strategy on masks alone; placements
+    are only what the lookups by placement (``death_stage``,
+    ``spoiler_move``, ``get``, ``[]``) of the history API take.  The
+    length counts the dead placements without walking them: the placements
+    whose pairs are exactly an alive set of j pairs are the maps from the k
+    pebbles onto that set plus "off the board", counted by
+    inclusion-exclusion (``_onto``) from the alive sets per level, and
     every other placement is dead.  The indexes that lookups by placement
     read are built on the first lookup, so a verdict that is never asked
     about a placement builds none.
     """
 
-    def __init__(self, stages: dict, pairs: list, k: int):
-        self._stages = stages
-        self._pairs = pairs
+    def __init__(self, stages: dict, levels: array, start: list, pairs: list, k: int):
+        self.stages = stages
+        self.pairs = pairs
+        self._levels = levels  # the stages in level order, level j at start[j]..start[j + 1] - 1
+        self._start = start
         self._k = k
 
     @functools.cached_property
     def _index(self) -> dict:
-        return {pair: i for i, pair in enumerate(self._pairs)}
+        return {pair: i for i, pair in enumerate(self.pairs)}
 
     @functools.cached_property
-    def _replies(self) -> dict:
+    def replies(self) -> dict:
         """Per Spoiler move ``(side, element)``, the bits of the pairs its
         responses place, in response order."""
         replies: dict = {}
-        for i, (x, y) in enumerate(self._pairs):
+        for i, (x, y) in enumerate(self.pairs):
             replies.setdefault(("A", x), []).append(1 << i)
             replies.setdefault(("B", y), []).append(1 << i)
         return replies
@@ -724,9 +732,9 @@ class _StageTable:
         """Every pair set the attractor kept, a frozenset of ``(a, b)`` pairs,
         mapped to its death stage (-1 while alive).  A set of at most k
         pairs that is not listed fails the condition: its stage is 0."""
-        pairs = self._pairs
+        pairs = self.pairs
         return {frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1): s
-                for mask, s in self._stages.items()}
+                for mask, s in self.stages.items()}
 
     def _bit(self, item) -> int:
         if item[0] not in range(1, self._k + 1):
@@ -740,14 +748,33 @@ class _StageTable:
         mask = 0
         for item in placement:
             mask |= self._bit(item)
-        return self._stages.get(mask, 0)
+        return self.stages.get(mask, 0)
+
+    @staticmethod
+    def placed(bits) -> tuple:
+        """``(full, shared)``: the OR of ``bits``, and the bits that at least
+        two of them set."""
+        full = shared = 0
+        for bit in bits:
+            shared |= full & bit
+            full |= bit
+        return full, shared
 
     def spoiler_move(self, placement, elements):
-        """Spoiler's best move ``(pebble, side, element)`` from ``placement``,
-        or None when each move has an alive response.  The moves are taken
-        in canonical order, pebble by pebble over the ``(side, element)``
-        pairs of ``elements``; a move's tuple is built only when it becomes
-        the best so far.
+        """``move`` from a placement ``{(pebble, (a, b)), ...}``."""
+        held = {item[0]: self._bit(item) for item in placement}
+        if len(held) != len(placement):
+            raise KeyError(placement)  # two positions for one pebble
+        return self.move(held, *self.placed(held.values()), elements)
+
+    def move(self, held: dict, full: int, shared: int, elements):
+        """Spoiler's best move ``(pebble, side, element)`` from the position
+        where pebble p holds the pair of bit ``held[p]`` (the other pebbles
+        are off the board), or None when each move has an alive response.
+        ``full`` is the mask of the placed pairs and ``shared`` that of the
+        pairs two pebbles hold.  The moves are taken in canonical order,
+        pebble by pebble over the ``(side, element)`` pairs of ``elements``;
+        a move's tuple is built only when it becomes the best so far.
 
         Moving pebble p leaves the pairs of the other pebbles, and each
         response adds one pair, so a response's stage is the stage filed
@@ -759,13 +786,8 @@ class _StageTable:
         or the position would have died earlier, so the first move reaching
         it is returned at once.
         """
-        held = {item[0]: self._bit(item) for item in placement}
-        full = shared = 0  # the pairs placed, and those placed by two pebbles
-        for bit in held.values():
-            shared |= full & bit
-            full |= bit
-        floor = max(self.death_stage(placement) - 1, 0)
-        stages, replies = self._stages, self._replies
+        stages, replies = self.stages, self.replies
+        floor = max(stages.get(full, 0) - 1, 0)
         best, cutoff = None, math.inf
         for p in range(1, self._k + 1):
             base = full ^ (held.get(p, 0) & ~shared)
@@ -798,18 +820,22 @@ class _StageTable:
             return default
         return default if s < 0 else s
 
-    @functools.cached_property
-    def _dead(self) -> int:
-        """The number of dead placements, counted on first use: its powers
-        have about k digits, and only ``len`` reads it."""
-        k = self._k
-        alive = [mask.bit_count() for mask, s in self._stages.items() if s < 0]
-        onto = _onto_row(k) if k <= _SMALL_K else _onto(k, max(alive, default=0))
-        return (len(self._pairs) + 1) ** k - sum(onto[j] for j in alive)
-
     def __len__(self) -> int:
-        """The number of dead placements."""
-        return self._dead
+        """The number of dead placements, counted per call from the alive
+        sets of each level; nothing is kept, as the count has about k
+        digits."""
+        k, levels, start = self._k, self._levels, self._start
+        if k <= _SMALL_K:
+            onto = _onto_row(k)
+        else:  # terms only up to the top level that has an alive set
+            onto = _onto(k, max((j for j in range(len(start) - 1)
+                                 if -1 in levels[start[j]:start[j + 1]]), default=0))
+        dead = (len(self.pairs) + 1) ** k
+        for j in range(len(start) - 1):
+            alive = levels[start[j]:start[j + 1]].count(-1)
+            if alive:
+                dead -= alive * onto[j]
+        return dead
 
     def __bool__(self) -> bool:
         """Some placement is dead: fewer sets are alive than there are sets
@@ -817,8 +843,8 @@ class _StageTable:
         overflows past sys.maxsize and its count has about k digits; the
         partial sums of binomials here stop as soon as they pass the alive
         count."""
-        alive = sum(s < 0 for s in self._stages.values())
-        n = len(self._pairs)
+        alive = self._levels.count(-1)
+        n = len(self.pairs)
         total = 0
         for j in range(min(n, self._k) + 1):
             total += math.comb(n, j)
@@ -998,7 +1024,7 @@ def _solve_attractor(v: Verdict, cap: int):
                             nxt.append(u)
         layer = nxt
     filed = dict(zip(masks, stages))
-    table = _StageTable(filed, pairs, k)
+    table = _StageTable(filed, stages, start, pairs, k)
     v._alive = lambda key: table.death_stage(key[0]) < 0
     v.stage = table
     v.duplicator_wins = filed.get(0, 0) < 0  # the empty pair set has mask 0

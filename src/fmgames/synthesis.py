@@ -8,12 +8,19 @@ violated literal is emitted.  EF rounds reuse variable indices 1..k in play
 order, the pebble game reuses the pebble index, and the modal game uses
 diamonds and boxes (over an empty response family these degenerate to
 ``<R> true`` and ``[R] false``).
+
+EF, modal and bounded pebble verdicts are walked through their histories
+(``_Synthesis``).  An unbounded pebble verdict is walked on its stage
+table's own data instead (``_PebbleSynthesis``): a node is the pair bit each
+placed pebble holds and the mask of the placed pairs, a leaf is a mask of
+stage 0, Spoiler's move is ``_StageTable.move`` and a move's responses are
+the bits of ``_StageTable.replies``, so no placement or history is built.
 """
 
 from __future__ import annotations
 
 from .formulas import Box, Dia, Formula, Exists, Forall, and_, or_
-from .games import GameSpec, Verdict, modal_literal, solve, violated_literal
+from .games import GameSpec, Verdict, _StageTable, modal_literal, solve, violated_literal
 from .structures import Structure
 
 
@@ -33,6 +40,8 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
         verdict = solve(spec, a, b)
     if verdict.duplicator_wins:
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
+    if isinstance(verdict.stage, _StageTable):
+        return _PebbleSynthesis(a, b, verdict).formula({}, 0)
     history = verdict.initial_history()
     return _Synthesis(spec, a, b, verdict).formula(history, verdict.key(history))
 
@@ -71,3 +80,37 @@ class _Synthesis:
         if move[-2] == "A":
             return self.forth(label, and_(parts))
         return self.back(label, or_(parts))
+
+
+class _PebbleSynthesis:
+    """The recursion of ``distinguish`` on an unbounded pebble verdict's
+    stage table.  A node is ``held``, pebble -> bit of the pair it holds
+    (only the placed pebbles, so nothing grows with k), and ``mask``, the
+    OR of those bits; the table files its stage under the mask."""
+
+    def __init__(self, a: Structure, b: Structure, verdict: Verdict):
+        self.a, self.b = a, b
+        self.iso = verdict.spec.iso_condition
+        self.table = verdict.stage
+        self.elements = verdict.rules.elements
+
+    def formula(self, held: dict, mask: int) -> Formula:
+        table = self.table
+        if table.stages.get(mask, 0) == 0:
+            pairs = table.pairs
+            bindings = [(p, *pairs[bit.bit_length() - 1]) for p, bit in sorted(held.items())]
+            return violated_literal(bindings, self.a, self.b, self.iso)
+        shared = table.placed(held.values())[1]
+        move = table.move(held, mask, shared, self.elements)
+        if move is None:
+            raise RuntimeError("dead position without a winning move")
+        p, side, e = move
+        base = mask ^ (held.get(p, 0) & ~shared)  # the pairs of the other pebbles
+        parts = []
+        for bit in table.replies.get((side, e), ()):
+            child = dict(held)
+            child[p] = bit
+            parts.append(self.formula(child, base | bit))
+        if side == "A":
+            return Exists(p, and_(parts))
+        return Forall(p, or_(parts))

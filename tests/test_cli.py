@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fmgames import FALSE, TRUE, And, Atom, Box, Dia, Exists, NegEq, OracleResult
+from fmgames import (FALSE, TRUE, And, Atom, Box, Dia, Exists, NegEq, OracleResult, model_check,
+                     parse_formula, parse_structure)
 from fmgames.cli import main
 from fmgames.corpus import clique, linear_order
 from fmgames.structures import serialize_structure
@@ -195,6 +196,45 @@ def test_oracle_witness_is_verified_before_printing(files, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: ")
+
+
+@pytest.mark.parametrize("family, mode, k, n, files_ab, witness", [
+    # rank 3 above k = 2
+    ("ef", "existential", 2, None, ("edge", "loop"), "E x1. E x2. E x3. !E(x1,x1)"),
+    # a universal outside existential
+    ("ef", "existential", 2, None, ("edge", "loop"), "A x1. E x1. !E(x1,x1)"),
+    # a negation outside ep
+    ("ef", "ep", 1, None, ("loop", "edge"), "E x1. (E(x1,x1) & (x1=x1 | !(x1=x1)))"),
+    # modal depth 2 above k = 1, and a first-order formula with no modal depth
+    ("modal", "full", 1, None, ("modal_a", "modal_b"), "<R> [R] false"),
+    ("modal", "full", 1, None, ("modal_a", "modal_b"), "E x1. E x2. R(x1,x2)"),
+    # two variables above k = 1 (the death stage is 1)
+    ("pebble", "existential", 1, None, ("edge", "loop"), "E x1. E x2. (E(x1,x2) & !(x1=x2))"),
+    # rank 2 above the death stage 1, inside k = 2 variables
+    ("pebble", "full", 2, None, ("edge", "loop"), "E x1. E x1. !E(x1,x1)"),
+    # a universal outside ep
+    ("pebble", "ep", 1, None, ("loop", "edge"), "A x1. E(x1,x1)"),
+    # -n: rank 2 above n = 1, and three variables above k = 2 at rank n = 3
+    ("pebble", "full", 2, 1, ("edge", "loop"), "E x1. E x1. !E(x1,x1)"),
+    ("pebble", "full", 2, 3, ("edge", "loop"), "E x1. E x2. E x3. !E(x1,x1)"),
+])
+@pytest.mark.parametrize("command", ["check", "distinguish"])
+def test_game_witness_is_verified_before_printing(files, capsys, monkeypatch, command,
+                                                  family, mode, k, n, files_ab, witness):
+    # each witness is true in A and false in B, so only its mode or its
+    # bound can refuse it
+    a, b = (parse_structure(open(files[f]).read()) for f in files_ab)
+    phi = parse_formula(witness)
+    assert model_check(phi, a) and not model_check(phi, b)
+    monkeypatch.setattr("fmgames.cli.distinguish", lambda spec, a, b, verdict: phi)
+    args = [command, "--family", family, "--mode", mode, "-k", str(k),
+            *(files[f] for f in files_ab)]
+    if n is not None:
+        args += ["-n", str(n)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: distinguishing formula lies outside")
 
 
 def test_bounded_pebble_via_oracle_exit_two(tmp_path, capsys):

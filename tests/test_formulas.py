@@ -9,6 +9,7 @@ from fmgames import (And, Atom, Box, Dia, Eq, Exists, FALSE, FalseC, Forall,
                      classify, distinguish, dualize, free_vars, model_check,
                      oracle_preserves, or_, parse_formula, serialize_formula,
                      solve, standard_translation)
+from fmgames import formulas
 from fmgames.corpus import all_digraphs, all_pointed_kripke
 
 from conftest import (E2, kripke, reference_classify, reference_free_vars,
@@ -337,6 +338,72 @@ def test_evaluation_matches_the_recursive_reference():
                     (str(phi), m, w)
                 checked += 1
     assert checked > 20000
+
+
+def _counting_walks(monkeypatch) -> list:
+    """Patch ``formulas._walk`` to record each formula it walks."""
+    walked = []
+    walk = formulas._walk
+    monkeypatch.setattr(formulas, "_walk", lambda phi: walked.append(phi) or walk(phi))
+    return walked
+
+
+def test_one_walk_per_witness_across_its_checks(monkeypatch):
+    # re-verifying a witness: model_check on A, on B, then classify
+    walked = _counting_walks(monkeypatch)
+    graphs = all_digraphs(2)
+    rnd = random.Random(1618)
+    checked = 0
+    for family, k in (("ef", 2), ("pebble", 2), ("pebble", 3)):
+        for mode in MODES:
+            spec = GameSpec(family, mode, k)
+            for _ in range(8):
+                a, b = rnd.choice(graphs), rnd.choice(graphs)
+                v = solve(spec, a, b)
+                if v.duplicator_wins:
+                    continue
+                phi = distinguish(spec, a, b, v)
+                del walked[:]
+                assert model_check(phi, a) and not model_check(phi, b)
+                c = classify(phi)
+                assert free_vars(phi) == frozenset()
+                assert walked == [phi] and walked[0] is phi
+                assert c == reference_classify(phi), str(phi)
+                checked += 1
+    assert checked > 20
+    # the kept facts are no field: an equal formula built afresh compares,
+    # hashes, prints and serializes alike, and is walked once itself
+    twin = parse_formula(serialize_formula(phi))
+    assert twin == phi and hash(twin) == hash(phi) and repr(twin) == repr(phi)
+    assert serialize_formula(twin) == serialize_formula(phi)
+    assert classify(twin) == c and len(walked) == 2
+
+
+def test_kept_facts_match_the_recursive_references(monkeypatch):
+    # each formula object is walked at most once (TRUE and FALSE may have
+    # been walked before) however often it is checked, and every answer
+    # after the first still matches the references
+    walked = _counting_walks(monkeypatch)
+    rnd = random.Random(2236)
+    phis = _FO_EDGE_CASES + [_random_fo(rnd, 5, E2) for _ in range(120)]
+    pool = small_structures()
+    for phi in phis:
+        for _ in range(2):
+            assert classify(phi) == reference_classify(phi), str(phi)
+            assert free_vars(phi) == reference_free_vars(phi), str(phi)
+            for a in pool:
+                for env in _assignments(phi, a):
+                    assert model_check(phi, a, env) == reference_model_check(phi, a, env), \
+                        (str(phi), a, env)
+    assert len({id(phi) for phi in walked}) == len(walked) > 100
+    modal = [_random_modal(rnd, 5) for _ in range(60)]
+    for phi in modal:
+        for _ in range(2):
+            assert classify(phi) == reference_classify(phi), str(phi)
+            for m in all_pointed_kripke(2):
+                for w in m.universe:
+                    assert model_check(phi, m, world=w) == reference_model_check(phi, m, world=w)
+    assert len({id(phi) for phi in walked}) == len(walked) > 150
 
 
 def test_model_check_answers_on_deep_chains():

@@ -1,13 +1,15 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
 
-from fmgames import (DuplicatorWinsError, GameSpec, classify, distinguish,
-                     model_check, solve)
+from fmgames import (DuplicatorWinsError, GameSpec, Verdict, classify, distinguish,
+                     model_check, serialize_formula, solve)
+from fmgames import synthesis
 
-from fmgames.corpus import clique, linear_order
+from fmgames.corpus import all_digraphs, clique, linear_order
 
 from conftest import kripke, small_structures
 
@@ -144,3 +146,46 @@ def test_verdict_is_freed_without_the_cycle_collector(spec, pair):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _history_walk(spec, a, b, v):
+    """The formula ``_Synthesis`` reads off the verdict's history API."""
+    history = v.initial_history()
+    return synthesis._Synthesis(spec, a, b, v).formula(history, v.key(history))
+
+
+def test_unbounded_pebble_distinguish_walks_the_stage_table(monkeypatch):
+    # the formula of the mask walk is the history walk's, byte for byte, and
+    # it answers with the history API's strategy lookups refusing to run
+    rnd = random.Random(89)
+    graphs = all_digraphs(3)
+    cases = []
+    for mode in MODES:
+        for k in (1, 2, 3):
+            for _ in range(4):
+                a, b = rnd.choice(graphs), rnd.choice(graphs)
+                spec = GameSpec("pebble", mode, k)
+                v = solve(spec, a, b)
+                if not v.duplicator_wins:
+                    cases.append((spec, a, b, v, serialize_formula(_history_walk(spec, a, b, v))))
+    assert len(cases) > 20
+
+    def refuse(self, key):
+        raise AssertionError("the history API was read")
+    monkeypatch.setattr(Verdict, "spoiler_move_at", refuse)
+    monkeypatch.setattr(Verdict, "condition_at", refuse)
+    for spec, a, b, v, expected in cases:
+        assert serialize_formula(distinguish(spec, a, b, v)) == expected
+    # a node holds only the placed pebbles, never a structure of length k
+    spec = GameSpec("pebble", "full", 200_000)
+    start = time.perf_counter()
+    small = distinguish(spec, clique(1), clique(2))
+    phi = distinguish(spec, clique(2), clique(3))
+    elapsed = time.perf_counter() - start
+    assert serialize_formula(small) == "E x1. A x2. x1=x2"
+    assert model_check(phi, clique(2)) and not model_check(phi, clique(3))
+    assert classify(phi).var_count == 3 and classify(phi).rank == 3
+    assert elapsed < 0.5, elapsed
+    # the bounded game still walks its histories
+    with pytest.raises(AssertionError, match="history API"):
+        distinguish(GameSpec("pebble", "full", 3, 3), clique(3), clique(2))
