@@ -29,7 +29,8 @@ from typing import Mapping, Optional
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
                          build_modal, path_tree, pull_back,
                          validate_coalgebra)
-from .games import GameSpec, Verdict
+from .formulas import MODES, canonical_mode
+from .games import Verdict
 from .morphisms import (BranchPairs, chain_map_ok, check_bijection,
                         check_coalgebra_morphism, verify_morphism)
 from .structures import Structure
@@ -68,29 +69,26 @@ class BisimWitness:
 # ---------------------------------------------------------------------------
 # Back-and-forth systems on path trees
 
-def back_forth(spec: GameSpec | str, x: ForestCoalgebra, y: ForestCoalgebra
+def back_forth(mode: str, x: ForestCoalgebra, y: ForestCoalgebra
                ) -> Optional[BackForthSystem]:
     """Largest (strong) back-and-forth system between two coalgebras, or None.
 
-    ``spec`` supplies the mode: ``positive`` is back-and-forth on path trees
-    with the homomorphism pair condition; ``existential`` is forth-only with
-    the condition strengthened to chain-map-is-isomorphism; ``full`` is
-    back-and-forth with the isomorphism condition; ``ep`` forth-only with
-    the homomorphism one.
+    Per ``formulas.MODES``, modes with universals go back and forth on the
+    path trees, the others forth only, and modes with negations strengthen
+    the homomorphism pair condition to chain-map-is-isomorphism.  An unknown
+    mode is a ``ValueError``.
     """
-    mode = spec.mode if isinstance(spec, GameSpec) else spec
+    iso, back = MODES[canonical_mode(mode)]
     if validate_coalgebra(x) or validate_coalgebra(y):
         raise CoalgebraError("back_forth needs validated coalgebras")
-    pairs = BranchPairs(x, y, iso=mode in ("full", "existential"),
-                        back=mode in ("full", "positive")).reached()
+    pairs = BranchPairs(x, y, iso, back).reached()
     return None if pairs is None else BackForthSystem(frozenset(pairs))
 
 
 def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCoalgebra,
                         mode: str = "positive") -> list[str]:
     """Check conditions (root pair, forth, back, pair compatibility, strength)."""
-    iso = mode in ("full", "existential")
-    back = mode in ("full", "positive")
+    iso, back = MODES[canonical_mode(mode)]
     out = []
     tx, ty = path_tree(x), path_tree(y)
     if (BOTTOM, BOTTOM) not in system.pairs:

@@ -17,7 +17,7 @@ from .bisim import build_bisim, build_positive_bisim
 from .coalgebras import (ForestCoalgebra, build_cofree, check_comonad_laws,
                          counit_map, parse_coalgebra, serialize_coalgebra,
                          validate_coalgebra)
-from .formulas import classify, model_check, parse_formula, serialize_formula
+from .formulas import MODES, classify, model_check, parse_formula, serialize_formula
 from .games import GameSpec, IllegalMoveError, solve
 from .morphisms import find_morphism
 from .oracle import FragmentSpec, oracle_preserves
@@ -136,7 +136,7 @@ def _coalgebra_direction(args, a: Structure, b: Structure) -> dict:
     family = args.family
     if family == "pebble":
         raise CliError("coalgebra route is available for the ef and modal families only")
-    k, mode = args.k, args.mode
+    k = args.k
     if family == "ef":
         bisim_family = "ef_i"
         build = lambda s: build_cofree(s, "ef", k, with_i=True)
@@ -145,14 +145,12 @@ def _coalgebra_direction(args, a: Structure, b: Structure) -> dict:
         bisim_family = "modal"
         build = lambda s: build_cofree(s, "modal", k)
         hom_kind = "hom"
-    if mode == "ep":
-        found = find_morphism(hom_kind, build(a), build(b))
-    elif mode == "existential":
-        found = find_morphism("pathwise_embedding", build(a), build(b))
-    elif mode == "positive":
-        found = build_positive_bisim(a, b, bisim_family, k)
-    else:
-        found = build_bisim(a, b, bisim_family, k)
+    negations, universals = MODES[args.mode]
+    if universals:  # back and forth: a bisimulation of the cofree coalgebras
+        found = (build_bisim if negations else build_positive_bisim)(a, b, bisim_family, k)
+    else:  # forth only: a morphism between them
+        found = find_morphism("pathwise_embedding" if negations else hom_kind,
+                              build(a), build(b))
     return {"preserved": found is not None, "witness": None}
 
 
@@ -443,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, *, mode=True, k=True):
         p.add_argument("--family", choices=("ef", "pebble", "modal"), required=True)
         if mode:
-            p.add_argument("--mode", choices=("full", "existential", "positive", "ep"),
-                           default="full")
+            p.add_argument("--mode", choices=tuple(MODES), default="full")
         if k:
             p.add_argument("-k", type=int, required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")

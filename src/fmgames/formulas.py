@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .structures import Structure, StructureError
 
@@ -282,16 +282,38 @@ class Classification:
     in_mode: Mapping[str, bool]
 
 
-MODES = ("full", "existential", "positive", "ep")
+class Mode(NamedTuple):
+    negations: bool   # negated atoms: the partial-isomorphism condition
+    universals: bool  # universal quantifiers and boxes: Duplicator's back moves
+
+
+#: What the sentences of each mode may use, read by every engine: without
+#: universals the comparison is forth-only, and without negations partial
+#: isomorphism weakens to partial homomorphism.
+MODES = {
+    "full": Mode(negations=True, universals=True),
+    "existential": Mode(negations=True, universals=False),
+    "positive": Mode(negations=False, universals=True),
+    "ep": Mode(negations=False, universals=False),
+}
+
+_MODE_ALIASES = {"existential-positive": "ep", "exists": "existential"}
+
+
+def canonical_mode(mode: str) -> str:
+    mode = _MODE_ALIASES.get(mode, mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
 
 
 def classify(phi: Formula) -> Classification:
     """Quantifier rank, distinct-variable count, modal depth, mode membership."""
     kinds, _, variables, rank, depth, _ = _facts(phi)
-    existential = kinds.isdisjoint(_UNIVERSALS)
-    positive = kinds.isdisjoint(_NEGATIONS)
-    in_mode = {"full": True, "existential": existential, "positive": positive,
-               "ep": existential and positive}
+    negated = not kinds.isdisjoint(_NEGATIONS)
+    universal = not kinds.isdisjoint(_UNIVERSALS)
+    in_mode = {name: (m.negations or not negated) and (m.universals or not universal)
+               for name, m in MODES.items()}
     return Classification(rank, len(variables),
                           None if kinds.isdisjoint(_MODAL_NODES) else depth, in_mode)
 

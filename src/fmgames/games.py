@@ -43,23 +43,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .formulas import Atom, Eq, Formula, NegAtom, NegEq, NegProp, Prop
+from .formulas import (MODES, Atom, Eq, Formula, NegAtom, NegEq, NegProp, Prop,
+                       canonical_mode)
 from .structures import Structure, StructureError, same_vocab
 
 FAMILIES = ("ef", "pebble", "modal")
-MODES = ("full", "existential", "positive", "ep")
-
-_MODE_ALIASES = {
-    "existential-positive": "ep",
-    "exists": "existential",
-}
-
-
-def canonical_mode(mode: str) -> str:
-    mode = _MODE_ALIASES.get(mode, mode)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return mode
 
 
 class GameResourceError(RuntimeError):
@@ -100,11 +88,11 @@ class GameSpec:
 
     @property
     def forth_only(self) -> bool:
-        return self.mode in ("existential", "ep")
+        return not MODES[self.mode].universals
 
     @property
     def iso_condition(self) -> bool:
-        return self.mode in ("full", "existential")
+        return MODES[self.mode].negations
 
 
 def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:

@@ -80,9 +80,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
-from .formulas import (Atom, Eq, FalseC, Formula, NegAtom, NegEq, NegProp, Prop,
-                       TrueC, Exists, Forall, Dia, Box, and_, or_)
-from .games import canonical_mode
+from .formulas import (MODES, Atom, Eq, FalseC, Formula, NegAtom, NegEq, NegProp, Prop,
+                       TrueC, Exists, Forall, Dia, Box, and_, canonical_mode, or_)
 from .structures import Structure, StructureError, same_vocab
 
 FAMILIES = ("fo_rank", "l_vars", "ml_depth")
@@ -144,14 +143,6 @@ class OracleResult:
 
 
 _TRUE, _FALSE = partial(TrueC), partial(FalseC)
-
-
-def _negations_allowed(mode: str) -> bool:
-    return mode in ("full", "existential")
-
-
-def _universals_allowed(mode: str) -> bool:
-    return mode in ("full", "positive")
 
 
 def _preorder(gens, full: int, with_co: bool) -> dict:
@@ -216,7 +207,7 @@ class _Refinement:
     def __init__(self, quantifiers, mode: str, cap: int, root: tuple[int, int, int],
                  edges_of):
         self.exists, self.forall = quantifiers
-        self.universals = _universals_allowed(mode)
+        self.universals = MODES[mode].universals
         self.cap = cap
         self.root = root   # (key, A's point, B's point) of the sentences
         self.keys: dict = {}
@@ -399,7 +390,7 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
     """Keys are the bitmasks S of free variables x1..xk.  Literal masks and
     edges come from the ``_Assignments`` of A and of B, which each structure
     keeps in its memo; a key numbers A's points first, then B's."""
-    negations = _negations_allowed(mode)
+    negations = MODES[mode].negations
     shifts = {}
 
     def edges_of(s: int) -> list:
@@ -446,7 +437,7 @@ def _modal_engine(a: Structure, b: Structure, mode: str, cap: int) -> _Refinemen
             for (x,) in s.interp[rel]:
                 m |= 1 << (s.index[x] + shift)
         literals.setdefault(m, partial(Prop, rel))
-        if _negations_allowed(mode):
+        if MODES[mode].negations:
             literals.setdefault(full & ~m, partial(NegProp, rel))
     edges = []
     for rel in a.vocab.binary:

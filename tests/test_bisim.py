@@ -8,7 +8,7 @@ from fmgames import (BOTTOM, BisimVerificationError, GameSpec, Structure, back_f
                      build_bisim, build_ef, build_modal, build_positive_bisim,
                      extract_back_forth, find_morphism, solve, validate_back_forth,
                      verify_bisim, verify_positive_bisim)
-from fmgames.corpus import all_pointed_kripke
+from fmgames.corpus import all_digraphs, all_pointed_kripke
 
 from conftest import SIX, kripke, reference_back_forth, small_structures
 
@@ -169,6 +169,30 @@ def test_fixpoint_matches_reference_back_forth_in_every_mode():
             assert _route(mode, family, a, b, x, y, hom_kind) == (expected is not None)
             seen.add((mode, expected is not None))
     assert len(seen) == 2 * len(MODES)
+
+
+def test_mode_aliases_answer_as_their_canonical_mode():
+    """``back_forth`` and ``validate_back_forth`` accept the aliases that
+    ``GameSpec`` accepts, answer for them as for the canonical mode in every
+    mode, and refuse an unknown mode instead of running it as another."""
+    xs = [build_ef(s, 2) for s in all_digraphs(2) if s.size]
+    aliases = {"exists": "existential", "existential-positive": "ep"}
+    pairs = lambda system: None if system is None else system.pairs
+    for x in xs:
+        for y in xs:
+            for alias, mode in aliases.items():
+                assert pairs(back_forth(alias, x, y)) == pairs(back_forth(mode, x, y))
+            system = back_forth("ep", x, y)
+            if system is None:
+                continue
+            for alias, mode in aliases.items():
+                assert (validate_back_forth(system, x, y, alias)
+                        == validate_back_forth(system, x, y, mode))
+    x = xs[0]
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        back_forth("bogus", x, x)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        validate_back_forth(back_forth("full", x, x), x, x, "bogus")
 
 
 @pytest.mark.parametrize("k", [2, 3])
