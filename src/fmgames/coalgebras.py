@@ -243,8 +243,14 @@ def branch_tuples(chain, arity: int):
     """The ``arity``-tuples over a root-first branch that use its last element.
 
     Every tuple over a branch of a forest is found exactly once when the
-    branches of all elements are scanned: at its deepest component.
+    branches of all elements are scanned: at its deepest component.  More
+    of them than ``DEFAULT_CARRIER_CAP`` are refused before any is built.
     """
+    n = len(chain)
+    count = n ** arity - (n - 1) ** arity
+    if count > DEFAULT_CARRIER_CAP:
+        raise CoalgebraSizeError(f"a branch of {n} elements has {count} {arity}-tuples "
+                                 f"through its last one, cap {DEFAULT_CARRIER_CAP}")
     last = chain[-1]
     return [t for t in itertools.product(chain, repeat=arity) if last in t]
 

@@ -18,6 +18,13 @@ made once per formula object and kept on it outside its dataclass fields.
 second explicit stack, ``_evaluate``, so all three answer on formulas of any
 depth.  The parser, ``serialize_formula``, ``dualize`` and the dataclass
 ``hash`` and ``==`` of a formula still recurse.
+
+``MODES`` is the one table of the four modes: per mode, whether its
+sentences may use negated atoms and whether they may use universal
+quantifiers and boxes.  ``classify`` reads mode membership off it, and the
+games (partial isomorphism or homomorphism, forth-only or back-and-forth),
+the oracle engines and the coalgebra routes read their mode from it too;
+``canonical_mode`` maps the aliases onto it and refuses unknown names.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula
     bindings p, q is a bit of the pair types (see ``_pair_types``) of
     ``(x_p, x_q)`` in A and ``(y_p, y_q)`` in B, a unary one over p a bit of
     those of ``(x_p, x_p)`` and ``(y_p, y_p)``; 0-ary relations and larger
-    arities are tested on tuples.
+    arities are tested on tuples by ``_violated_tuple``.
     """
     na, nb, ia, ib = a.size, b.size, a.index, b.index
     cells = [(v, ia[x], ib[y]) for v, x, y in bindings]  # elements by index
@@ -257,17 +257,50 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula
                     if iso:
                         return NegAtom(rel, (i,))
         else:
-            rel_a, rel_b = a.interp[rel], b.interp[rel]
-            for combo in itertools.product(bindings, repeat=arity):
-                in_a = tuple(x for _, x, _ in combo) in rel_a
-                in_b = tuple(y for _, _, y in combo) in rel_b
-                if in_a and not in_b:
-                    return Atom(rel, tuple(i for i, _, _ in combo))
-                if iso and in_b and not in_a:
-                    return NegAtom(rel, tuple(i for i, _, _ in combo))
+            literal = _violated_tuple(rel, arity, bindings, a.interp[rel], b.interp[rel], iso)
+            if literal is not None:
+                return literal
         if arity <= _TYPE_ARITY:
             offset += 1 << arity
     raise RuntimeError("no violated literal found at a condition-violating position")
+
+
+def _violated_tuple(rel: str, arity: int, bindings, rel_a, rel_b, iso: bool):
+    """The first tuple of ``bindings`` in ``itertools.product`` order that
+    ``rel_a`` holds and ``rel_b`` does not, as an ``Atom``, or (iso) the
+    reverse, as a ``NegAtom``; None if there is none.
+
+    Scans whichever is smaller, the product or the relations' tuples.  The
+    bindings are functional (and, iso, injective) here, so the tuples of
+    bindings that spell one tuple of a relation all spell one image: the
+    first of them, binding by binding, stands for them all.
+    """
+    if len(bindings) ** arity <= len(rel_a) + (len(rel_b) if iso else 0):
+        for combo in itertools.product(bindings, repeat=arity):
+            in_a = tuple(x for _, x, _ in combo) in rel_a
+            in_b = tuple(y for _, _, y in combo) in rel_b
+            if in_a and not in_b:
+                return Atom(rel, tuple(i for i, _, _ in combo))
+            if iso and in_b and not in_a:
+                return NegAtom(rel, tuple(i for i, _, _ in combo))
+        return None
+    first_a: dict = {}
+    first_b: dict = {}
+    for n, (_, x, y) in enumerate(bindings):
+        first_a.setdefault(x, n)
+        first_b.setdefault(y, n)
+    found = []
+    sides = ((rel_a, rel_b, first_a, 2, Atom), (rel_b, rel_a, first_b, 1, NegAtom))
+    for src, dst, first, image, literal in sides[:1 + iso]:
+        for tup in src:
+            if all(e in first for e in tup):
+                combo = tuple(first[e] for e in tup)
+                if tuple(bindings[n][image] for n in combo) not in dst:
+                    found.append((combo, literal))
+    if not found:
+        return None
+    combo, literal = min(found, key=lambda f: f[0])
+    return literal(rel, tuple(bindings[n][0] for n in combo))
 
 
 def _preserves(f: dict, arity: int, src, dst) -> bool:

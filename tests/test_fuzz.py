@@ -7,24 +7,29 @@ command line turns into exit 2; any other exception is a defect.  Whatever
 parses must survive its serialize -> parse round trip unchanged.
 
 Seeded structures of size 5-6 also go through ``check --via coalgebra`` and
-``morphism``, each run within a wall budget, so that an exponential search
-on the coalgebra route fails the suite instead of hanging it.
+``morphism``, and seeded small structures over relations of arities 0 to 40
+through every route of ``check`` and through ``distinguish``, each run
+within a wall budget, so that an exponential search fails the suite instead
+of hanging it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
+import json
 import random
 import signal
 import time
 
 import pytest
 
-from fmgames import (Structure, build_ef, build_modal, build_pebble_truncated,
+from fmgames import (Structure, Vocabulary, build_ef, classify, model_check, build_modal, build_pebble_truncated,
                      parse_coalgebra, parse_formula, parse_structure,
                      serialize_coalgebra, serialize_formula,
                      serialize_structure, validate_coalgebra)
+from fmgames import cli
 from fmgames.cli import main
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
@@ -178,7 +183,8 @@ class OverBudget(Exception):
 
 
 def _run(argv: list) -> tuple:
-    """Exit code, wall time and stdout of a command stopped after ``BUDGET_S``."""
+    """Exit code, wall time, stdout and stderr of a command stopped after
+    ``BUDGET_S``."""
     def expire(signum, frame):
         raise OverBudget(f"{argv} ran over {BUDGET_S} s")
 
@@ -192,7 +198,7 @@ def _run(argv: list) -> tuple:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, time.perf_counter() - start, out.getvalue()
+    return code, time.perf_counter() - start, out.getvalue(), err.getvalue()
 
 
 def test_check_via_coalgebra_fuzz_within_budget(tmp_path):
@@ -208,7 +214,7 @@ def test_check_via_coalgebra_fuzz_within_budget(tmp_path):
         k = str(rnd.choice((2, 3)))
         for mode in ("full", "existential", "positive", "ep"):
             argv = ["check", "--family", family, "--mode", mode, "-k", k, "--both", *paths]
-            code, took, _ = _run(argv + ["--via", "coalgebra"])
+            code, took, _, _ = _run(argv + ["--via", "coalgebra"])
             assert took < BUDGET_S, (argv, took)
             assert code == _run(argv)[0], argv
 
@@ -229,6 +235,90 @@ def test_morphism_fuzz_within_budget(tmp_path):
             paths[1] = paths[0]
         kinds = ("hom", "pathwise", "open") + (() if modal else ("i-morphism",))
         for kind in kinds:
-            code, took, out = _run(["morphism", "--kind", kind, *paths])
+            code, took, out, _ = _run(["morphism", "--kind", kind, *paths])
             assert took < BUDGET_S, (kind, paths, took)
             assert code in (0, 1) and out.startswith("morphism" if code == 0 else "none")
+
+
+#: Vocabularies whose arities reach past the pair types (8) and the product
+#: scans a relation of arity 40 would take.
+WIDE_VOCABS = (
+    Vocabulary((("Z", 0), ("U", 1), ("E", 2))),
+    Vocabulary((("E", 2), ("T", 3))),
+    Vocabulary((("U", 1), ("W", 9))),
+    Vocabulary((("Z", 0), ("R", 40))),
+)
+BOUND_OF_FAMILY = {"ef": "rank", "pebble": "var_count", "modal": "modal_depth"}
+
+
+def _random_wide(rnd: random.Random, vocab: Vocabulary, name: str, modal: bool) -> Structure:
+    """A structure of 1-3 elements: dense relations of arity <= 2, a few
+    random tuples in the wider ones."""
+    elems = [f"{name}{i}" for i in range(rnd.randint(1, 3))]
+    interp = {}
+    for rel, arity in vocab.relations:
+        if arity <= 2:
+            interp[rel] = [t for t in itertools.product(elems, repeat=arity) if rnd.random() < 0.4]
+        else:
+            interp[rel] = [tuple(rnd.choice(elems) for _ in range(arity))
+                           for _ in range(rnd.randint(0, 3))]
+    return Structure.make(vocab, elems, interp, point=elems[0] if modal else None, name=name)
+
+
+def _check_witness(text: str, a: Structure, b: Structure, family: str, mode: str, k: int):
+    phi = parse_formula(text)
+    assert model_check(phi, a) and not model_check(phi, b), text
+    c = classify(phi)
+    bound = getattr(c, BOUND_OF_FAMILY[family])
+    assert c.in_mode[mode] and bound is not None and bound <= k, text
+
+
+def test_wide_relations_end_in_a_verdict_or_a_diagnostic(monkeypatch):
+    """Seeded pairs over relations of arity 0, 1, 2, 3, 9 and 40, plus the
+    arity-40 pair whose product scans used to hang, through ``check --via
+    game|oracle|coalgebra --both`` and ``distinguish`` for every family
+    that applies.  Each command exits 0, 1 or 2 within the budget, exit 2
+    with a diagnostic; every printed witness passes ``model_check`` and
+    ``classify``; and the routes that answer agree.  The structures are
+    handed to the command line by name: ``.fms`` text cannot hold a 0-ary
+    relation."""
+    rnd = random.Random(SEED + 6)
+    r40 = Vocabulary((("R", 40),))
+    a40 = Structure.make(r40, ["a", "b"], {"R": [("b",) + ("a",) * 39]}, name="A")
+    b40 = Structure.make(r40, ["c", "d"], {}, name="B")
+    pairs = [(a40, b40, "ef", mode, 2) for mode in ("full", "ep")]
+    pairs += [(a40, b40, "pebble", mode, 2) for mode in ("full", "ep")]
+    for i in range(96):
+        family = ("ef", "pebble", "modal")[i % 3]
+        vocab = MODAL if family == "modal" else WIDE_VOCABS[i // 3 % 4]
+        pairs.append((_random_wide(rnd, vocab, "a", family == "modal"),
+                      _random_wide(rnd, vocab, "b", family == "modal"), family,
+                      rnd.choice(("full", "existential", "positive", "ep")), rnd.choice((1, 2))))
+    codes = set()
+    for n, (a, b, family, mode, k) in enumerate(pairs):
+        loaded = {f"{n}a": a, f"{n}b": b}
+        monkeypatch.setattr(cli, "_load_structure", loaded.__getitem__)
+        common = ["--family", family, "--mode", mode, "-k", str(k), f"{n}a", f"{n}b"]
+        verdicts = {}
+        vias = ("game", "oracle") + (() if family == "pebble" else ("coalgebra",))
+        for via in vias:
+            argv = ["check", "--via", via, "--both", "--format", "json", *common]
+            code, took, out, err = _run(argv)
+            assert code in (0, 1, 2), argv
+            codes.add(code)
+            if code == 2:
+                assert err.startswith("error: ") and "internal error" not in err, (argv, err)
+                continue
+            verdicts[via] = code
+            report = json.loads(out)
+            for key, x, y in (("forward", a, b), ("backward", b, a)):
+                if report[key]["witness"] is not None:
+                    _check_witness(report[key]["witness"], x, y, family, mode, k)
+        assert len(set(verdicts.values())) <= 1, (family, mode, k, a, b, verdicts)
+        code, took, out, err = _run(["distinguish", *common])
+        assert code in (0, 1), (common, err)
+        if code == 0:
+            _check_witness(out.strip(), a, b, family, mode, k)
+        else:
+            assert out.startswith("none"), out
+    assert codes == {0, 1, 2}

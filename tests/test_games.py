@@ -619,6 +619,50 @@ def test_violated_literal_matches_the_tuple_scan():
     assert checked > 1000
 
 
+def test_violated_literal_scans_sparse_relations_in_product_order():
+    """A relation with fewer tuples than the product of the bindings has is
+    scanned by its tuples; the literal stays the first one of the product
+    scan, over arities 0, 3 and 9."""
+    rnd = random.Random(131)
+    vocab = Vocabulary((("Z", 0), ("T", 3), ("W", 9)))
+
+    def sparse(name):
+        elems = [f"{name}{i}" for i in range(rnd.randint(1, 3))]
+        interp = {rel: [tuple(rnd.choice(elems) for _ in range(arity))
+                        for _ in range(rnd.randint(0, 3))]
+                  for rel, arity in vocab.relations}
+        return Structure.make(vocab, elems, interp, name=name)
+
+    checked = 0
+    for _ in range(400):
+        a, b = sparse("a"), sparse("b")
+        bindings = [(v, rnd.choice(a.universe), rnd.choice(b.universe))
+                    for v in rnd.sample(range(1, 6), rnd.randint(1, 3))]
+        for iso in (False, True):
+            if pairs_condition([(x, y) for _, x, y in bindings], a, b, iso):
+                continue
+            assert violated_literal(bindings, a, b, iso) == \
+                reference_violated_literal(bindings, a, b, iso), (a, b, bindings, iso)
+            checked += 1
+    assert checked > 300
+
+
+def test_violated_literal_on_a_wide_relation():
+    """2^24 tuples of bindings, of which the relations hold one, the last
+    but 2^23 in product order (``tests/test_fuzz.py`` takes arity 40
+    through the command line)."""
+    vocab = Vocabulary((("R", 24),))
+    a = Structure.make(vocab, ["a", "b"], {"R": [("b",) + ("a",) * 23]}, name="A")
+    b = Structure.make(vocab, ["c", "d"], {}, name="B")
+    start = time.perf_counter()
+    for iso in (False, True):
+        assert violated_literal([(1, "a", "c"), (2, "b", "d")], a, b, iso) == \
+            Atom("R", (2,) + (1,) * 23)
+    assert violated_literal([(1, "c", "a"), (2, "d", "b")], b, a, True) == \
+        NegAtom("R", (2,) + (1,) * 23)
+    assert time.perf_counter() - start < 1
+
+
 def test_pebble_pair_types_are_built_once_per_structure():
     rnd = random.Random(103)
     a, b = random_digraph(rnd, 4, "a"), random_digraph(rnd, 4, "b")

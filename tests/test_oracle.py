@@ -207,6 +207,19 @@ def test_resource_cap_on_a_warm_memo(cliques):
             oracle_preserves(FragmentSpec(family, 2, "full"), k3, k3, cap=5)
 
 
+def test_literal_positions_beyond_the_cap_are_refused_before_enumeration():
+    """R/21 over two free variables has 2^21 literal positions, past the cap
+    of 2^20 (``tests/test_fuzz.py`` takes arity 40 through the command
+    line)."""
+    r21 = Vocabulary((("R", 21),))
+    a = Structure.make(r21, ["a", "b"], {"R": [("b",) + ("a",) * 20]}, name="A")
+    b = Structure.make(r21, ["c", "d"], {}, name="B")
+    assert oracle_preserves(FragmentSpec("fo_rank", 1, "full"), a, b).preserved
+    for family in ("fo_rank", "l_vars"):
+        with pytest.raises(OracleResourceError, match="literal positions"):
+            oracle_preserves(FragmentSpec(family, 2, "full"), a, b)
+
+
 def _fresh(s):
     """An equal structure with an empty memo."""
     return Structure(s.vocab, s.universe, s.interp, s.point, s.name)
