@@ -243,14 +243,8 @@ def branch_tuples(chain, arity: int):
     """The ``arity``-tuples over a root-first branch that use its last element.
 
     Every tuple over a branch of a forest is found exactly once when the
-    branches of all elements are scanned: at its deepest component.  More
-    of them than ``DEFAULT_CARRIER_CAP`` are refused before any is built.
+    branches of all elements are scanned: at its deepest component.
     """
-    n = len(chain)
-    count = n ** arity - (n - 1) ** arity
-    if count > DEFAULT_CARRIER_CAP:
-        raise CoalgebraSizeError(f"a branch of {n} elements has {count} {arity}-tuples "
-                                 f"through its last one, cap {DEFAULT_CARRIER_CAP}")
     last = chain[-1]
     return [t for t in itertools.product(chain, repeat=arity) if last in t]
 
@@ -258,11 +252,14 @@ def branch_tuples(chain, arity: int):
 def pull_back(chains, image, target: Structure) -> dict:
     """For each relation of ``target``, the branch tuples whose image is related there.
 
-    ``chains`` holds root-first branches and ``image`` maps their elements
-    into ``target``.  This is condition (E) of the cofree EF and pebbling
-    coalgebras, the relations of a positive-bisimulation span, and the
-    middle object of a pathwise-embedding factorization.
+    ``chains`` is a collection of root-first branches and ``image`` maps
+    their elements into ``target``.  This is condition (E) of the cofree EF
+    and pebbling coalgebras, the relations of a positive-bisimulation span,
+    and the middle object of a pathwise-embedding factorization.  A branch
+    with more tuples of a relation's arity through its last element than
+    ``DEFAULT_CARRIER_CAP`` is refused before any tuple is built.
     """
+    longest = max(map(len, chains), default=0)
     interp: dict = {}
     for rel, arity in target.vocab.relations:
         rel_set = target.interp[rel]
@@ -270,6 +267,10 @@ def pull_back(chains, image, target: Structure) -> dict:
             # the empty tuple lies on no branch, and its image is itself
             interp[rel] = rel_set & {()}
             continue
+        count = longest ** arity - (longest - 1) ** arity
+        if count > DEFAULT_CARRIER_CAP:
+            raise CoalgebraSizeError(f"a branch of {longest} elements has {count} {arity}-tuples "
+                                     f"through its last one, cap {DEFAULT_CARRIER_CAP}")
         interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
                                 if tuple(map(image, t)) in rel_set)
     return interp

@@ -409,9 +409,9 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
         m = s.bit_count()
         if a.size ** m + b.size ** m > cap:
             raise OracleResourceError(f"oracle cap {cap} exceeded by a key's points")
-        if sum(m ** arity for _, arity in a.vocab.relations) > cap:
-            raise OracleResourceError(f"oracle cap {cap} exceeded by a key's literal positions")
         shifts[s] = a.size ** m
+    if sum(k ** arity for _, arity in a.vocab.relations) > cap:  # the key of all k
+        raise OracleResourceError(f"oracle cap {cap} exceeded by a key's literal positions")
     for s, shift in shifts.items():
         ta, tb = _assignments(a, s), _assignments(b, s)
         full = ta.full | tb.full << shift

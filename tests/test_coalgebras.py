@@ -303,15 +303,15 @@ def test_branch_tuples_use_the_last_element():
     assert list(branch_tuples(("r",), 0)) == []
 
 
-def test_branch_tuples_beyond_the_cap_are_refused_before_enumeration():
+def test_pull_back_beyond_the_cap_is_refused_before_enumeration():
     """2^17 - 1 tuples through the last element of a 2-element branch, past
     the carrier cap of 100,000 (``tests/test_fuzz.py`` takes arity 40
     through the command line)."""
-    with pytest.raises(CoalgebraSizeError, match="131071 17-tuples"):
-        branch_tuples(("r", "s"), 17)
-    assert branch_tuples(("r",), 17) == [("r",) * 17]
     r17 = Vocabulary((("R", 17),))
     loop = Structure.make(r17, ["a"], {"R": [("a",) * 17]}, name="A")
+    with pytest.raises(CoalgebraSizeError, match="131071 17-tuples"):
+        pull_back([("r",), ("r", "s")], lambda e: "a", loop)
+    assert pull_back([("r",)], lambda e: "a", loop) == {"R": {("r",) * 17}}
     assert build_ef(loop, 1).carrier.interp["R"] == {(("a",),) * 17}
     with pytest.raises(CoalgebraSizeError):
         build_ef(loop, 2)
