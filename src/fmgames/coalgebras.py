@@ -249,7 +249,7 @@ def branch_tuples(chain, arity: int):
     return [t for t in itertools.product(chain, repeat=arity) if last in t]
 
 
-def pull_back(chains, image, target: Structure) -> dict:
+def pull_back(chains, image, target: Structure, cap: int = DEFAULT_CARRIER_CAP) -> dict:
     """For each relation of ``target``, the branch tuples whose image is related there.
 
     ``chains`` is a collection of root-first branches and ``image`` maps
@@ -257,7 +257,7 @@ def pull_back(chains, image, target: Structure) -> dict:
     and pebbling coalgebras, the relations of a positive-bisimulation span,
     and the middle object of a pathwise-embedding factorization.  A branch
     with more tuples of a relation's arity through its last element than
-    ``DEFAULT_CARRIER_CAP`` is refused before any tuple is built.
+    ``cap`` is refused before any tuple is built.
     """
     longest = max(map(len, chains), default=0)
     interp: dict = {}
@@ -268,9 +268,9 @@ def pull_back(chains, image, target: Structure) -> dict:
             interp[rel] = rel_set & {()}
             continue
         count = longest ** arity - (longest - 1) ** arity
-        if count > DEFAULT_CARRIER_CAP:
+        if count > cap:
             raise CoalgebraSizeError(f"a branch of {longest} elements has {count} {arity}-tuples "
-                                     f"through its last one, cap {DEFAULT_CARRIER_CAP}")
+                                     f"through its last one, cap {cap}")
         interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
                                 if tuple(map(image, t)) in rel_set)
     return interp
@@ -298,7 +298,9 @@ def build_ef(a: Structure, k: int, with_i: bool = False,
 
     ``with_i`` builds over the diagonal I-expansion of ``a``.  The result
     is built once per ``(k, with_i)`` and kept in ``a.memo``, so repeated
-    calls return the same object; ``cap`` is checked on every call first.
+    calls return the same object.  ``cap`` bounds the carrier, checked on
+    every call first, and the tuples through the last element of a branch,
+    checked when the coalgebra is built.
     """
     if k < 1:
         raise CoalgebraError("k must be >= 1")
@@ -311,16 +313,16 @@ def build_ef(a: Structure, k: int, with_i: bool = False,
     key = ("ef", k, bool(with_i))
     c = a.memo.get(key)
     if c is None:
-        c = a.memo[key] = _build_ef(expand_i(a) if with_i else a, k)
+        c = a.memo[key] = _build_ef(expand_i(a) if with_i else a, k, cap)
     return c
 
 
-def _build_ef(a: Structure, k: int) -> ForestCoalgebra:
+def _build_ef(a: Structure, k: int, cap: int) -> ForestCoalgebra:
     universe: list[tuple] = []
     for length in range(1, k + 1):
         universe.extend(itertools.product(a.universe, repeat=length))
     parent = {s: s[:-1] for s in universe if len(s) > 1}
-    interp = pull_back([_prefixes(s) for s in universe], _LAST["ef"], a)
+    interp = pull_back([_prefixes(s) for s in universe], _LAST["ef"], a, cap)
     carrier = Structure(a.vocab, tuple(universe), interp, None, f"F{k}({a.name})")
     return ForestCoalgebra(carrier, parent, k, "ef")
 
@@ -394,7 +396,7 @@ def build_pebble_truncated(a: Structure, k: int, n: int, with_i: bool = False,
                         return False
         return True
 
-    pulled = pull_back([_prefixes(s) for s in universe], _LAST["pebble"], a)
+    pulled = pull_back([_prefixes(s) for s in universe], _LAST["pebble"], a, cap)
     interp = {rel: frozenset(filter(suffix_ok, tuples)) for rel, tuples in pulled.items()}
     carrier = Structure(a.vocab, tuple(universe), interp, None, f"P{k}@{n}({a.name})")
     pebble_fn = {s: s[-1][0] for s in universe}

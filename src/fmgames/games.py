@@ -270,20 +270,11 @@ def _violated_tuple(rel: str, arity: int, bindings, rel_a, rel_b, iso: bool):
     ``rel_a`` holds and ``rel_b`` does not, as an ``Atom``, or (iso) the
     reverse, as a ``NegAtom``; None if there is none.
 
-    Scans whichever is smaller, the product or the relations' tuples.  The
-    bindings are functional (and, iso, injective) here, so the tuples of
-    bindings that spell one tuple of a relation all spell one image: the
-    first of them, binding by binding, stands for them all.
+    Scans the relations' tuples, never the product.  The bindings are
+    functional (and, iso, injective) here, so the tuples of bindings that
+    spell one tuple of a relation all spell one image: the first of them,
+    binding by binding, stands for them all.
     """
-    if len(bindings) ** arity <= len(rel_a) + (len(rel_b) if iso else 0):
-        for combo in itertools.product(bindings, repeat=arity):
-            in_a = tuple(x for _, x, _ in combo) in rel_a
-            in_b = tuple(y for _, _, y in combo) in rel_b
-            if in_a and not in_b:
-                return Atom(rel, tuple(i for i, _, _ in combo))
-            if iso and in_b and not in_a:
-                return NegAtom(rel, tuple(i for i, _, _ in combo))
-        return None
     first_a: dict = {}
     first_b: dict = {}
     for n, (_, x, y) in enumerate(bindings):

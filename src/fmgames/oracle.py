@@ -61,8 +61,11 @@ extension outside the body per point of E.  It only leaves nodes out, so
 the rank, variable count, modal depth and mode of the witness stay those
 of its layer.
 
-``cap`` bounds the points of a key and the distinct generators of a key in
-one round; exceeding it raises ``OracleResourceError``.
+``cap`` bounds the points of a key, the distinct generators of a key in
+one round and, for ``fo_rank`` and ``l_vars``, the literal positions of the
+key of all variables (the sum of ``k ** arity`` over the relations, checked
+once per run before any table is built); exceeding it raises
+``OracleResourceError``.
 
 For ``fo_rank`` and ``l_vars``, what depends on one structure alone is
 built once and kept in ``Structure.memo`` by assignment length: the tuples,
@@ -96,8 +99,9 @@ DEFAULT_SIGNATURE_CAP = 2 ** 20
 
 
 class OracleResourceError(RuntimeError):
-    """A key's points or generators exceeded the configured cap; reported
-    distinctly from a verdict, never silently approximated."""
+    """A key's points, generators or literal positions exceeded the
+    configured cap; reported distinctly from a verdict, never silently
+    approximated."""
 
 
 @dataclass(frozen=True)

@@ -313,8 +313,13 @@ def test_pull_back_beyond_the_cap_is_refused_before_enumeration():
         pull_back([("r",), ("r", "s")], lambda e: "a", loop)
     assert pull_back([("r",)], lambda e: "a", loop) == {"R": {("r",) * 17}}
     assert build_ef(loop, 1).carrier.interp["R"] == {(("a",),) * 17}
-    with pytest.raises(CoalgebraSizeError):
+    with pytest.raises(CoalgebraSizeError, match="cap 100000"):
         build_ef(loop, 2)
+    # the builder's own cap reaches the branch bound, both ways
+    assert len(build_ef(loop, 2, cap=200_000).carrier.interp["R"]) == 2 ** 17
+    with pytest.raises(CoalgebraSizeError, match="tuples through its last one, cap 2"):
+        pull_back([("r",), ("r", "s")], lambda e: "a", Structure.make(
+            Vocabulary((("R", 2),)), ["a"], {"R": [("a", "a")]}, name="A"), cap=2)
 
 
 def test_pull_back_is_condition_e(edge):

@@ -25,11 +25,11 @@ import time
 
 import pytest
 
-from fmgames import (Structure, Vocabulary, build_ef, classify, model_check, build_modal, build_pebble_truncated,
+from fmgames import (Structure, Vocabulary, build_ef, build_modal,
+                     build_pebble_truncated, classify, model_check,
                      parse_coalgebra, parse_formula, parse_structure,
                      serialize_coalgebra, serialize_formula,
                      serialize_structure, validate_coalgebra)
-from fmgames import cli
 from fmgames.cli import main
 from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
 
@@ -297,7 +297,7 @@ def test_wide_relations_end_in_a_verdict_or_a_diagnostic(monkeypatch):
     codes = set()
     for n, (a, b, family, mode, k) in enumerate(pairs):
         loaded = {f"{n}a": a, f"{n}b": b}
-        monkeypatch.setattr(cli, "_load_structure", loaded.__getitem__)
+        monkeypatch.setattr("fmgames.cli._load_structure", loaded.__getitem__)
         common = ["--family", family, "--mode", mode, "-k", str(k), f"{n}a", f"{n}b"]
         verdicts = {}
         vias = ("game", "oracle") + (() if family == "pebble" else ("coalgebra",))

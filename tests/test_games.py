@@ -620,9 +620,9 @@ def test_violated_literal_matches_the_tuple_scan():
 
 
 def test_violated_literal_scans_sparse_relations_in_product_order():
-    """A relation with fewer tuples than the product of the bindings has is
-    scanned by its tuples; the literal stays the first one of the product
-    scan, over arities 0, 3 and 9."""
+    """Relations that hold far fewer tuples than the bindings' product, over
+    arities 0, 3 and 9: the literal found by scanning their tuples is the
+    first one of the product scan."""
     rnd = random.Random(131)
     vocab = Vocabulary((("Z", 0), ("T", 3), ("W", 9)))
 
