@@ -18,11 +18,13 @@ joins it is its death stage.  Because the positions where Duplicator
 survives s rounds are closed under restriction, a placement's death stage
 is that of its set of placed pairs, so the attractor runs over the partial
 maps of at most k pairs that satisfy the condition, not over the
-placements.  The conditions are also local: one fails on a pair set iff it
-fails on a subset of at most max(2, largest arity) pairs, the empty subset
-covering 0-ary relations, so those sets are enumerated level by level and
-the condition is tested only up to that size, up to two pairs by bit tests
-on per-structure pair types.  The stage table is keyed by those pair sets.
+placements.  The condition has one definition, ``violated_literal``
+finding no literal over the pairs (``pairs_condition``).  It is local: it
+fails on a pair set iff it fails on a subset of at most max(2, largest
+arity) pairs, the empty subset covering 0-ary relations, so those sets are
+enumerated level by level and the condition is tested only up to that size,
+up to two pairs by bit tests on per-structure pair types.  The stage table
+is keyed by those pair sets.
 The same ``placement_cap`` bounds the attractor's work (candidate sets
 tried and counter rows) and the positions the backward induction memoizes.
 
@@ -37,7 +39,6 @@ modal family requires them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -96,22 +97,15 @@ class GameSpec:
 
 
 def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
-    """Partial-homomorphism (or partial-isomorphism) check on a pair set."""
-    fwd: dict = {}
-    for x, y in pairs:
-        if fwd.setdefault(x, y) != y:
-            return False
-    if iso:
-        bwd: dict = {}
-        for x, y in pairs:
-            if bwd.setdefault(y, x) != x:
-                return False
-    for rel, arity in a.vocab.relations:
-        if not _preserves(fwd, arity, a.interp[rel], b.interp[rel]):
-            return False
-        if iso and not _preserves(bwd, arity, b.interp[rel], a.interp[rel]):
-            return False
-    return True
+    """The partial-homomorphism (or, iso, partial-isomorphism) condition on
+    a set of ``(a, b)`` pairs: no literal over them is violated
+    (``violated_literal``).  A pair naming an element outside A or B raises
+    ``StructureError``."""
+    bindings = [(n, x, y) for n, (x, y) in enumerate(pairs)]
+    try:
+        return violated_literal(bindings, a, b, iso) is None
+    except KeyError as err:  # raised by the element index of A or B
+        raise StructureError(f"pair element {err.args[0]!r} is outside its structure") from None
 
 
 def modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Optional[Formula]:
@@ -131,8 +125,8 @@ def modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Optional[Formu
 
 
 #: Relations of larger arity get no word bits in the pair types: 2^arity
-#: bits per pair would not fit in memory.  The attractor then tests
-#: ``pairs_condition`` from one pair up.
+#: bits per pair would not fit in memory.  ``violated_literal`` tests them
+#: on their tuples, and the attractor asks it from one pair up.
 _TYPE_ARITY = 8
 
 
@@ -210,9 +204,11 @@ def _compatibility(a: Structure, b: Structure, iso: bool) -> tuple:
     return singles, compatible
 
 
-def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula:
+def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Optional[Formula]:
     """A literal refuting the condition at a first-order position, over its
-    ``(variable, a, b)`` bindings.
+    ``(variable, a, b)`` bindings, or None when the condition holds there.
+    This is the one definition of the first-order condition: the game
+    solvers read it through ``pairs_condition``, synthesis for its leaves.
 
     Scan order is fixed: functionality, then (iso) injectivity, then per
     relation the preserved atoms and (iso) the reflected ones, over the
@@ -222,18 +218,22 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula
     those of ``(x_p, x_p)`` and ``(y_p, y_p)``; 0-ary relations and larger
     arities are tested on tuples by ``_violated_tuple``.
     """
-    na, nb, ia, ib = a.size, b.size, a.index, b.index
+    # once per game state: the sizes and pair types are read without a call
+    ia, ib = a.index, b.index
+    na, nb = len(ia), len(ib)
     cells = [(v, ia[x], ib[y]) for v, x, y in bindings]  # elements by index
+    non_injective = None  # the first NegEq, returned only if no Eq is violated
     for n, (i, xi, yi) in enumerate(cells):
         for j, xj, yj in cells[n + 1:]:
-            if xi == xj and yi != yj:
-                return Eq(i, j)
-    if iso:
-        for n, (i, xi, yi) in enumerate(cells):
-            for j, xj, yj in cells[n + 1:]:
-                if xi != xj and yi == yj:
-                    return NegEq(i, j)
-    ta, tb = _pair_types(a), _pair_types(b)
+            if xi == xj:
+                if yi != yj:
+                    return Eq(i, j)
+            elif yi == yj and non_injective is None:
+                non_injective = NegEq(i, j)
+    if iso and non_injective is not None:
+        return non_injective
+    ta = a.memo.get("pair types") or _pair_types(a)
+    tb = b.memo.get("pair types") or _pair_types(b)
     offset = 1
     for rel, arity in a.vocab.relations:
         if arity == 2:
@@ -262,7 +262,7 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Formula
                 return literal
         if arity <= _TYPE_ARITY:
             offset += 1 << arity
-    raise RuntimeError("no violated literal found at a condition-violating position")
+    return None
 
 
 def _violated_tuple(rel: str, arity: int, bindings, rel_a, rel_b, iso: bool):
@@ -292,20 +292,6 @@ def _violated_tuple(rel: str, arity: int, bindings, rel_a, rel_b, iso: bool):
         return None
     combo, literal = min(found, key=lambda f: f[0])
     return literal(rel, tuple(bindings[n][0] for n in combo))
-
-
-def _preserves(f: dict, arity: int, src, dst) -> bool:
-    """Every tuple of ``src`` over the domain of ``f`` maps into ``dst``;
-    scans whichever is smaller, the relation or the tuples over the domain."""
-    if len(f) ** arity < len(src):
-        for tup in itertools.product(f, repeat=arity):
-            if tup in src and tuple(f[x] for x in tup) not in dst:
-                return False
-    else:
-        for tup in src:
-            if all(x in f for x in tup) and tuple(f[x] for x in tup) not in dst:
-                return False
-    return True
 
 
 class _Rules:
@@ -909,7 +895,8 @@ def _solve_attractor(v: Verdict, cap: int):
     (two pairs witness a non-function or a non-injection; otherwise the
     pairs form a map, and a tuple of arity r that it fails to preserve or
     reflect uses at most r of them; a false 0-ary relation fails already on
-    the empty set, the one set ``pairs_cond`` always decides).  The subsets
+    the empty set, the one set ``pairs_cond`` always decides; ``pairs_cond``
+    is ``violated_literal``'s answer, memoized per pair set).  The subsets
     of at most two pairs are decided by bit tests: ``_pair_types`` gives
     each ordered pair of elements of a structure its atomic type, once per
     structure, and ``_compatibility`` gives, per query, the mask of the

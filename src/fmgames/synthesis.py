@@ -46,6 +46,13 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
     return _Synthesis(spec, a, b, verdict).formula(history, verdict.key(history))
 
 
+def _leaf(literal: Formula | None) -> Formula:
+    """The literal of a condition-violating position, which must exist."""
+    if literal is None:
+        raise RuntimeError("no violated literal at a condition-violating position")
+    return literal
+
+
 class _Synthesis:
     """The recursion of ``distinguish`` along Spoiler's strategy.  A method,
     not a recursive closure: a closure holds itself through its cell, and
@@ -64,13 +71,10 @@ class _Synthesis:
         verdict = self.verdict
         if not verdict.condition_at(key):
             bindings = verdict.bindings(history)
-            if not self.modal:
-                return violated_literal(bindings, self.a, self.b, self.iso)
-            _, x, y = bindings[-1]
-            literal = modal_literal(x, y, self.a, self.b, self.iso)
-            if literal is None:
-                raise RuntimeError("no violated proposition at a condition-violating pair")
-            return literal
+            if self.modal:
+                _, x, y = bindings[-1]
+                return _leaf(modal_literal(x, y, self.a, self.b, self.iso))
+            return _leaf(violated_literal(bindings, self.a, self.b, self.iso))
         move = verdict.spoiler_move_at(key)
         if move is None:
             raise RuntimeError("dead position without a winning move")
@@ -99,7 +103,7 @@ class _PebbleSynthesis:
         if table.stages.get(mask, 0) == 0:
             pairs = table.pairs
             bindings = [(p, *pairs[bit.bit_length() - 1]) for p, bit in sorted(held.items())]
-            return violated_literal(bindings, self.a, self.b, self.iso)
+            return _leaf(violated_literal(bindings, self.a, self.b, self.iso))
         shared = table.placed(held.values())[1]
         move = table.move(held, mask, shared, self.elements)
         if move is None:

@@ -773,14 +773,41 @@ def test_pebble_solve_does_not_count_dead_placements_up_front():
 # ---------------------------------------------------------------------------
 # The condition bytes against the condition, placement by placement
 
+def sparse_wide(rnd, vocab, name):
+    """Up to three elements, up to four tuples per relation over one, two
+    or three of them."""
+    elems = [f"{name}{i}" for i in range(rnd.randint(1, 3))]
+    interp = {rel: [tuple(rnd.choice(elems[:rnd.randint(1, len(elems))]) for _ in range(arity))
+                    for _ in range(rnd.randint(0, 4))]
+              for rel, arity in vocab.relations}
+    return Structure.make(vocab, elems, interp, name=name)
+
+
 def test_pairs_condition_matches_reference_on_mixed_arities():
+    """Over 0-ary to ternary relations, a dense W/9 past ``_TYPE_ARITY`` and
+    a sparse R/40."""
     rnd = random.Random(17)
-    for a, b in mixed_pairs(19, 150):
+    wide = Vocabulary((("U", 1), ("W", 9), ("E", 2)))
+    pairs = mixed_pairs(19, 150)
+    pairs += [tuple(random_mixed(rnd, rnd.randint(1, 2), name, 0.5, wide) for name in "ab")
+              for _ in range(40)]
+    forty = Vocabulary((("U", 1), ("R", 40)))
+    pairs += [(sparse_wide(rnd, forty, "a"), sparse_wide(rnd, forty, "b")) for _ in range(40)]
+    outcomes = set()
+    for a, b in pairs:
         for _ in range(20):
             placed = {(rnd.choice(a.universe), rnd.choice(b.universe))
                       for _ in range(rnd.randint(0, 4))} if a.size and b.size else set()
             for iso in (True, False):
-                assert pairs_condition(placed, a, b, iso) == _partial_map_ok(placed, a, b, iso)
+                holds = pairs_condition(placed, a, b, iso)
+                assert holds == _partial_map_ok(placed, a, b, iso), (a, b, placed, iso)
+                outcomes.add((a.vocab, holds))
+    assert len(outcomes) == 6  # each vocabulary both ways
+    a = Structure.make(MIXED, ["a"], {}, name="A")
+    b = Structure.make(MIXED, ["c"], {}, name="B")
+    for pair in (("zz", "c"), ("a", "zz")):
+        with pytest.raises(StructureError, match="'zz'"):
+            pairs_condition({("a", "c"), pair}, a, b, True)
 
 
 def test_stage_zero_iff_pairs_condition_fails_per_placement():
