@@ -45,7 +45,8 @@ of an empty structure, with no special case.
 
 A literal is kept as a descriptor, a ``functools.partial`` that builds its
 formula when called; for ``fo_rank`` and ``l_vars`` the descriptors of a key
-depend on the vocabulary and S only and are built once per (vocabulary, S).
+depend on the vocabulary and S only and are built once per S and kept in
+the memo of A, so they live as long as the structure.
 A run stops at the first round whose preorder puts B's point outside A's
 up-set; the witness is explained from the kept rounds only when the
 result's ``witness`` is first read, so a caller that reads ``preserved``
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
 from .formulas import (MODES, Atom, Eq, FalseC, Formula, NegAtom, NegEq, NegProp, Prop,
@@ -379,15 +380,19 @@ def _groups(st: Structure, s: int, j: int) -> list:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _literal_descriptors(relations: tuple, s: int) -> tuple:
+def _literal_descriptors(st: Structure, s: int) -> tuple:
     """The (positive, negative) descriptors of the literals over the
-    variables of S, in the order of ``_Assignments.literals``."""
-    vs = _variables(s)
-    atoms = [(partial(Atom, rel, vars_), partial(NegAtom, rel, vars_))
-             for rel, arity in relations for vars_ in itertools.product(vs, repeat=arity)]
-    eqs = [(partial(Eq, i, j), partial(NegEq, i, j)) for i, j in itertools.combinations(vs, 2)]
-    return tuple(atoms + eqs)
+    variables of S, in the order of ``_Assignments.literals``, built once
+    per structure and S and kept in its memo."""
+    out = st.memo.get(("descriptors", s))
+    if out is None:
+        vs = _variables(s)
+        atoms = [(partial(Atom, rel, vars_), partial(NegAtom, rel, vars_))
+                 for rel, arity in st.vocab.relations
+                 for vars_ in itertools.product(vs, repeat=arity)]
+        eqs = [(partial(Eq, i, j), partial(NegEq, i, j)) for i, j in itertools.combinations(vs, 2)]
+        out = st.memo["descriptors", s] = tuple(atoms + eqs)
+    return out
 
 
 def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refinement:
@@ -421,7 +426,7 @@ def _fo_engine(a: Structure, b: Structure, k: int, mode: str, cap: int) -> _Refi
         full = ta.full | tb.full << shift
         literals = {full: _TRUE}
         literals.setdefault(0, _FALSE)
-        for (pos, neg), ma, mb in zip(_literal_descriptors(a.vocab.relations, s),
+        for (pos, neg), ma, mb in zip(_literal_descriptors(a, s),
                                       ta.literals, tb.literals):
             mask = ma | mb << shift
             literals.setdefault(mask, pos)

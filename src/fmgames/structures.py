@@ -148,10 +148,10 @@ class Structure:
     def memo(self) -> dict:
         """What builders derive from this structure alone, built once: the
         EF cofree coalgebras (``coalgebras.build_ef``), the oracle's
-        assignment tables (``oracle._fo_engine``) and the atomic types of
-        the ordered pairs of elements that the pebble attractor compares
-        (``games._pair_types``).  It lives as long as the structure and is
-        sound because a structure is never mutated."""
+        assignment tables and literal descriptors (``oracle._fo_engine``)
+        and the atomic types of the ordered pairs of elements that the
+        pebble attractor compares (``games._pair_types``).  It lives as long
+        as the structure and is sound because a structure is never mutated."""
         return {}
 
     @property

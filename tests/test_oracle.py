@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,6 +220,25 @@ def test_literal_positions_beyond_the_cap_are_refused_before_enumeration():
     for family in ("fo_rank", "l_vars"):
         with pytest.raises(OracleResourceError, match="literal positions"):
             oracle_preserves(FragmentSpec(family, 2, "full"), a, b)
+
+
+def test_literal_descriptors_die_with_their_structures():
+    """A k=3 run over U/1 W/9 (3^9 positions per 3-variable key) keeps its
+    literal descriptors in the memo of A, so nothing of them stays once both
+    structures are dropped; a process-wide cache once held 11.9 MB here."""
+    wide = Vocabulary((("U", 1), ("W", 9)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = Structure.make(wide, ["a", "b"], {"U": [("a",)], "W": [("b",) + ("a",) * 8]}, name="A")
+        b = Structure.make(wide, ["c", "d"], {"U": [("d",)]}, name="B")
+        assert not oracle_preserves(FragmentSpec("fo_rank", 3, "full"), a, b).preserved
+        del a, b
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20, held
 
 
 def _fresh(s):
