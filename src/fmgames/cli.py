@@ -21,7 +21,8 @@ from .formulas import MODES, classify, model_check, parse_formula, serialize_for
 from .games import GameSpec, IllegalMoveError, solve
 from .morphisms import find_morphism
 from .oracle import FragmentSpec, oracle_preserves
-from .structures import Structure, iter_homomorphisms, parse_structure
+from .structures import (Structure, element_tokens, expand_i, iter_homomorphisms,
+                         parse_structure)
 from .synthesis import distinguish
 
 SCHEMA_VERSION = 2
@@ -251,7 +252,6 @@ def cmd_morphism(args) -> int:
     if witness is None:
         print("none")
         return 1
-    from .structures import element_tokens
     tok_x = element_tokens(x.universe)
     tok_y = element_tokens(y.universe)
     lines = ["morphism", f"kind {args.kind}",
@@ -267,7 +267,6 @@ def cmd_laws(args) -> int:
     c = build_cofree(a, args.family, args.k, getattr(args, "n", None), args.with_i)
     base = a
     if args.with_i:
-        from .structures import expand_i
         base = expand_i(a)
     eps = counit_map(c)
     maps_f = [eps]

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .structures import (EQUALITY_SYMBOL, Structure, StructureError, expand_i, gaifman,
-                         is_homomorphism)
+from .structures import (EQUALITY_SYMBOL, ParseError, Structure, StructureError,
+                         element_tokens, expand_i, gaifman, is_homomorphism, parse_structure,
+                         serialize_structure)
 
 KINDS = ("ef", "pebble", "modal")
 
@@ -445,7 +446,7 @@ def coextend(c: ForestCoalgebra, f: Mapping, b: Structure) -> tuple[dict, Forest
     """
     if not is_homomorphism(f, c.carrier, b):
         raise CoalgebraError("coextension needs a homomorphism from the carrier")
-    depth = max(len(s) for s in c.universe) if c.kind == "pebble" else None
+    depth = max((len(s) for s in c.universe), default=1) if c.kind == "pebble" else None
     target = build_cofree(b, c.kind, c.k_bound, depth)
     out: dict = {}
     for s in c.universe:
@@ -591,7 +592,6 @@ def forest_shape(nodes, children: Mapping, roots) -> str:
 def serialize_coalgebra(x: ForestCoalgebra) -> str:
     """Emit the coalgebra file grammar: the carrier in the structure grammar,
     then the forest section; bit-exact round trip for canonical order."""
-    from .structures import element_tokens, serialize_structure
     tok = element_tokens(x.universe)
     lines = ["forest"]
     for e in x.universe:
@@ -613,7 +613,6 @@ def parse_coalgebra(text: str) -> ForestCoalgebra:
     a point makes it modal, otherwise it is EF-kind.  The height bound is
     the observed forest height (the pebble bound is the largest index seen).
     """
-    from .structures import ParseError, parse_structure
     lines = text.splitlines()
     split = None
     for i, raw in enumerate(lines):

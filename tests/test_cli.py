@@ -19,6 +19,8 @@ def files(tmp_path):
     for m in (2, 3, 4):
         paths[f"L{m}"] = tmp_path / f"L{m}.fms"
         paths[f"L{m}"].write_text(serialize_structure(linear_order(m)))
+    paths["empty"] = tmp_path / "empty.fms"
+    paths["empty"].write_text("vocab E/2\nstructure empty\nelems\n")
     paths["modal_a"] = tmp_path / "ma.fms"
     paths["modal_a"].write_text(
         "vocab R/2 P/1\nstructure MA\nelems a s\nrel R a s\npoint a\n")
@@ -145,10 +147,15 @@ def test_build_to_stdout_deterministic(files, capsys):
 
 
 def test_laws_command(files, capsys):
-    for family, extra in (("ef", []), ("modal", []), ("pebble", ["-n", "2"])):
-        target = files["modal_a"] if family == "modal" else files["loop"]
+    runs = [("ef", [], files["loop"]), ("modal", [], files["modal_a"]),
+            ("pebble", ["-n", "2"], files["loop"])]
+    # the empty structure, whose pebble coalgebra has an empty carrier
+    runs += [(family, extra + with_i, files["empty"])
+             for family, extra in (("ef", []), ("pebble", ["-n", "1"]))
+             for with_i in ([], ["--with-I"])]
+    for family, extra, target in runs:
         code = main(["laws", "--family", family, "-k", "2", *extra, target])
-        assert code == 0
+        assert code == 0, (family, extra, target)
         assert capsys.readouterr().out.strip() == "all laws hold"
 
 
