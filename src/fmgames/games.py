@@ -99,13 +99,9 @@ class GameSpec:
 def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
     """The partial-homomorphism (or, iso, partial-isomorphism) condition on
     a set of ``(a, b)`` pairs: no literal over them is violated
-    (``violated_literal``).  A pair naming an element outside A or B raises
-    ``StructureError``."""
+    (``violated_literal``)."""
     bindings = [(n, x, y) for n, (x, y) in enumerate(pairs)]
-    try:
-        return violated_literal(bindings, a, b, iso) is None
-    except KeyError as err:  # raised by the element index of A or B
-        raise StructureError(f"pair element {err.args[0]!r} is outside its structure") from None
+    return violated_literal(bindings, a, b, iso) is None
 
 
 def modal_literal(x, y, a: Structure, b: Structure, iso: bool) -> Optional[Formula]:
@@ -209,6 +205,7 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Optiona
     ``(variable, a, b)`` bindings, or None when the condition holds there.
     This is the one definition of the first-order condition: the game
     solvers read it through ``pairs_condition``, synthesis for its leaves.
+    A binding of an element outside A or B raises ``StructureError``.
 
     Scan order is fixed: functionality, then (iso) injectivity, then per
     relation the preserved atoms and (iso) the reflected ones, over the
@@ -221,7 +218,10 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Optiona
     # once per game state: the sizes and pair types are read without a call
     ia, ib = a.index, b.index
     na, nb = len(ia), len(ib)
-    cells = [(v, ia[x], ib[y]) for v, x, y in bindings]  # elements by index
+    try:
+        cells = [(v, ia[x], ib[y]) for v, x, y in bindings]  # elements by index
+    except KeyError as err:
+        raise StructureError(f"pair element {err.args[0]!r} is outside its structure") from None
     non_injective = None  # the first NegEq, returned only if no Eq is violated
     for n, (i, xi, yi) in enumerate(cells):
         for j, xj, yj in cells[n + 1:]:
