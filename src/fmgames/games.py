@@ -96,10 +96,22 @@ class GameSpec:
         return MODES[self.mode].negations
 
 
+def _check_same_vocab(a: Structure, b: Structure):
+    if not same_vocab(a, b):
+        raise StructureError("vocabulary mismatch between the two structures")
+
+
 def pairs_condition(pairs, a: Structure, b: Structure, iso: bool) -> bool:
     """The partial-homomorphism (or, iso, partial-isomorphism) condition on
     a set of ``(a, b)`` pairs: no literal over them is violated
-    (``violated_literal``)."""
+    (``violated_literal``).  Structures over different vocabularies raise
+    ``StructureError``."""
+    _check_same_vocab(a, b)
+    return _pairs_hold(pairs, a, b, iso)
+
+
+def _pairs_hold(pairs, a: Structure, b: Structure, iso: bool) -> bool:
+    """``pairs_condition`` once the vocabularies are known to agree."""
     bindings = [(n, x, y) for n, (x, y) in enumerate(pairs)]
     return violated_literal(bindings, a, b, iso) is None
 
@@ -204,7 +216,8 @@ def violated_literal(bindings, a: Structure, b: Structure, iso: bool) -> Optiona
     """A literal refuting the condition at a first-order position, over its
     ``(variable, a, b)`` bindings, or None when the condition holds there.
     This is the one definition of the first-order condition: the game
-    solvers read it through ``pairs_condition``, synthesis for its leaves.
+    solvers read it through ``_pairs_hold`` (``pairs_condition`` without its
+    vocabulary check, which ``solve`` makes once), synthesis for its leaves.
     A binding of an element outside A or B raises ``StructureError``.
 
     Scan order is fixed: functionality, then (iso) injectivity, then per
@@ -326,7 +339,7 @@ class _Rules:
         return res
 
     def _holds(self, pairs) -> bool:
-        return pairs_condition(pairs, self.a, self.b, self.iso)
+        return _pairs_hold(pairs, self.a, self.b, self.iso)  # solve checked the vocabularies
 
     def moves(self, state) -> list:
         return self._moves
@@ -626,8 +639,7 @@ def solve(spec: GameSpec, a: Structure, b: Structure,
     strategies are read off later); beyond it ``GameResourceError`` is
     raised instead of a verdict.
     """
-    if not same_vocab(a, b):
-        raise StructureError("vocabulary mismatch between the two structures")
+    _check_same_vocab(a, b)
     verdict = Verdict(spec, a, b)
     if verdict.rules.root[1] is None:
         _solve_attractor(verdict, placement_cap)

@@ -12,6 +12,9 @@ walkers that ``formulas._walk`` replaced, one walk per fact, and
 ``reference_model_check`` the recursive evaluation ``formulas._evaluate``
 replaced.  ``reference_oracle_witness`` is the oracle's eager witness path:
 literal formulas built per pair and a witness explained at every round.
+``reference_all_digraphs`` and ``reference_all_pointed_kripke`` build the
+corpora as ``fmgames.corpus`` did before its orbit tables: every encoding is
+compared with its image under every permutation.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from fmgames import (FALSE, TRUE, And, Atom, BOTTOM, Box, Dia, Eq, Exists, False
                      TrueC, Vocabulary, and_, or_, path_tree)
 from fmgames import oracle as _oracle
 from fmgames.formulas import Classification
-from fmgames.corpus import clique, edge_structure, linear_order, loop_structure
+from fmgames.corpus import (DIGRAPH_VOCAB, KRIPKE_VOCAB, clique, edge_structure,
+                            linear_order, loop_structure)
 
 E2 = Vocabulary((("E", 2),))
 MODAL = Vocabulary((("R", 2), ("P", 1)))
@@ -499,6 +503,61 @@ def reference_oracle_witness(frag, a, b):
         if phi is not None or r == layers or (r and eng._stable()):
             return phi
         r += 1
+
+
+# ---------------------------------------------------------------------------
+# Permutation scans (reference for the corpora's orbit tables)
+
+def _reference_edge_bits(n, perm, mask):
+    out = 0
+    for i in range(n):
+        for j in range(n):
+            if mask >> (i * n + j) & 1:
+                out |= 1 << (perm[i] * n + perm[j])
+    return out
+
+
+def reference_all_digraphs(max_size=3, include_empty=True):
+    """``corpus.all_digraphs``: the masks least under every permutation."""
+    out = []
+    if include_empty:
+        out.append(Structure.make(DIGRAPH_VOCAB, [], {}, name="D0"))
+    for n in range(1, max_size + 1):
+        perms = list(itertools.permutations(range(n)))
+        elems = list("abcdefgh"[:n])
+        for mask in range(1 << (n * n)):
+            if min(_reference_edge_bits(n, p, mask) for p in perms) == mask:
+                edges = [(elems[i], elems[j]) for i in range(n) for j in range(n)
+                         if mask >> (i * n + j) & 1]
+                out.append(Structure.make(DIGRAPH_VOCAB, elems, {"E": edges},
+                                          name=f"D{n}_{mask}"))
+    return out
+
+
+def reference_all_pointed_kripke(max_size=3):
+    """``corpus.all_pointed_kripke``: the (edges, props, point) encodings
+    least under every permutation."""
+    out = []
+    for n in range(1, max_size + 1):
+        perms = list(itertools.permutations(range(n)))
+        elems = list("abcdefgh"[:n])
+        for mask in range(1 << (n * n)):
+            for pmask in range(1 << n):
+                for point in range(n):
+                    best = min(
+                        (_reference_edge_bits(n, p, mask),
+                         sum(1 << p[i] for i in range(n) if pmask >> i & 1),
+                         p[point])
+                        for p in perms)
+                    if best != (mask, pmask, point):
+                        continue
+                    edges = [(elems[i], elems[j]) for i in range(n) for j in range(n)
+                             if mask >> (i * n + j) & 1]
+                    props = [(elems[i],) for i in range(n) if pmask >> i & 1]
+                    out.append(Structure.make(
+                        KRIPKE_VOCAB, elems, {"R": edges, "P": props},
+                        point=elems[point], name=f"M{n}_{mask}_{pmask}_{point}"))
+    return out
 
 
 def small_structures(max_size=2, vocab=E2):

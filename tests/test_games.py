@@ -810,6 +810,18 @@ def test_pairs_condition_matches_reference_on_mixed_arities():
             pairs_condition({("a", "c"), pair}, a, b, True)
 
 
+def test_pairs_condition_rejects_a_vocabulary_mismatch():
+    """B's pair types are not read at A's offsets: like ``solve``, the
+    condition refuses structures over different vocabularies."""
+    a = Structure.make(DIGRAPH_VOCAB, ["a"], {"E": [("a", "a")]}, name="A")
+    b = Structure.make(Vocabulary((("U", 1),)), ["b"], {"U": [("b",)]}, name="B")
+    for iso in (True, False):
+        with pytest.raises(StructureError, match="vocabulary mismatch"):
+            pairs_condition({("a", "b")}, a, b, iso)
+    with pytest.raises(StructureError, match="vocabulary mismatch"):
+        solve(GameSpec("ef", "full", 1), a, b)
+
+
 def test_stage_zero_iff_pairs_condition_fails_per_placement():
     """A placement has stage 0 iff ``pairs_condition`` fails on its pairs, for
     every placement id, k <= 4 and every mode."""
