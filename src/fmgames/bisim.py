@@ -4,11 +4,12 @@ All three are read off the branch-pair fixpoint ``morphisms.BranchPairs``
 between the cofree coalgebras, with the homomorphism pair condition for
 positive and the embedding one for full; no game is played.  The span set
 W starts at the root pair and takes, for each child on either side, its
-first live partner.  Z1 holds a tuple of pairs on one branch of W when
-their first components are related in the cofree coalgebra over A, Z2
-dually; with the product order this yields the span
+first live partner.  Its pairs are numbered 0..n-1 breadth-first, and the
+numbers are the elements of both spans.  Z1 holds a tuple of numbers on one
+branch of W when their first components are related in the cofree
+coalgebra over A, Z2 dually; with the product order this yields the span
 
-    Z1 --h--> Z2      with p, q the projections, h the identity of W.
+    Z1 --h--> Z2      with p, q the projections, h the identity.
      |         |
      p         q
      v         v
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
-                         build_modal, path_tree, pull_back,
-                         validate_coalgebra)
+                         build_modal, path_tree, validate_coalgebra)
 from .formulas import MODES, canonical_mode
 from .games import Verdict
 from .morphisms import (BranchPairs, chain_map_ok, check_bijection,
@@ -119,12 +119,16 @@ def _spans(a: Structure, b: Structure, family: str, k: int, iso: bool,
            verdict: Verdict | None, names: tuple):
     """The cofree pair, the span set W and the spans Z1, Z2, or None.
 
-    Z1 and Z2 order W by parent pairs and hold a tuple of pairs on one
-    branch when its projection to ``x`` (for Z1) or ``y`` (for Z2) is
-    related there: the pull back of the cofree coalgebras along the
-    branches of W.  A game verdict of the pair only saves work: a Spoiler
-    win returns None at once, and a Duplicator win that the fixpoint does
-    not confirm is a bug sentinel.
+    Returns ``x, y, z1, p, z2, q``.  The elements of Z1 and Z2 are the
+    numbers of W's pairs, ordered by parent pairs; ``p`` and ``q`` send a
+    number to its pair's first and second component.  A branch of W maps
+    depth for depth onto the branch of each component, so a tuple on it is
+    in Z1 when its projection is related in ``x``: the ``(relation,
+    depths)`` entries of the first component's signature, lifted to the
+    branch, and ``BOTTOM``'s 0-ary facts.  Z2 is read off ``y`` alike.  A
+    game verdict of the pair only saves work: a Spoiler win returns None
+    at once, and a Duplicator win that the fixpoint does not confirm is a
+    bug sentinel.
     """
     if verdict is not None and not verdict.duplicator_wins:
         return None
@@ -140,20 +144,27 @@ def _spans(a: Structure, b: Structure, family: str, k: int, iso: bool,
             raise BisimVerificationError("the game verdict has no back-and-forth system (bug sentinel)")
         return None
     pairs = pairs[1:]
+    number = {(None, None): -1}
+    number.update((w, i) for i, w in enumerate(pairs))
     parent: dict = {}
-    chains: dict = {}
-    for w in pairs:  # breadth-first, so a parent pair precedes its children
-        pw = (x.parent.get(w[0]), y.parent.get(w[1]))
-        if pw in chains:
-            parent[w] = pw
-        chains[w] = chains.get(pw, ()) + (w,)
-    point = pairs[0] if x.kind == "modal" else None
-    spans = []
+    chains = {-1: (BOTTOM,)}  # BOTTOM, then the branch of each pair: depth d at [d]
+    for i, w in enumerate(pairs):  # breadth-first, so a parent pair precedes its children
+        j = number[x.parent.get(w[0]), y.parent.get(w[1])]
+        if j >= 0:
+            parent[i] = j
+        chains[i] = chains[j] + (i,)
+    point = 0 if x.kind == "modal" else None
+    out = [x, y]
     for which, cofree, name in ((0, x, names[0]), (1, y, names[1])):
-        interp = pull_back(chains.values(), lambda w: w[which], cofree.carrier)
-        carrier = Structure(cofree.carrier.vocab, tuple(pairs), interp, point, name)
-        spans.append(ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind))
-    return x, y, pairs, spans[0], spans[1]
+        proj = dict(enumerate(w[which] for w in pairs))
+        sig, interp = cofree.signatures[0], {rel: set() for rel in cofree.carrier.vocab.names}
+        for chain, node in zip(chains.values(), (BOTTOM, *proj.values())):
+            for rel, depths in sig[node]:
+                interp[rel].add(tuple(map(chain.__getitem__, depths)))
+        carrier = Structure(cofree.carrier.vocab, tuple(proj),
+                            {rel: frozenset(tuples) for rel, tuples in interp.items()}, point, name)
+        out += [ForestCoalgebra(carrier, parent, cofree.k_bound, cofree.kind), proj]
+    return out
 
 
 def build_positive_bisim(a: Structure, b: Structure, family: str, k: int,
@@ -167,9 +178,8 @@ def build_positive_bisim(a: Structure, b: Structure, family: str, k: int,
                    (f"Z1({a.name},{b.name})", f"Z2({a.name},{b.name})"))
     if found is None:
         return None
-    x, y, pairs, z1, z2 = found
-    witness = PositiveBisimWitness(z1, z2, {w: w for w in pairs}, {w: w[0] for w in pairs},
-                                   {w: w[1] for w in pairs})
+    x, y, z1, p, z2, q = found
+    witness = PositiveBisimWitness(z1, z2, {i: i for i in p}, p, q)
     ok, reasons = verify_positive_bisim(witness, x, y)
     if not ok:
         raise BisimVerificationError(f"constructed witness failed verification: {reasons}")
@@ -197,10 +207,10 @@ def build_bisim(a: Structure, b: Structure, family: str, k: int,
     found = _spans(a, b, family, k, True, verdict, (f"Z({a.name},{b.name})",) * 2)
     if found is None:
         return None
-    x, y, pairs, z1, z2 = found
+    x, y, z1, p, z2, q = found
     if z1.carrier.interp != z2.carrier.interp:
         raise BisimVerificationError("full span is not symmetric (bug sentinel)")
-    witness = BisimWitness(z1, {w: w[0] for w in pairs}, {w: w[1] for w in pairs})
+    witness = BisimWitness(z1, p, q)
     ok, reasons = verify_bisim(witness, x, y)
     if not ok:
         raise BisimVerificationError(f"constructed bisimulation failed verification: {reasons}")

@@ -13,15 +13,16 @@ expansion of the base structure, which interprets I on sequences exactly as
 comparability plus equal last elements.
 
 The branch layer (:func:`branch_tuples`, :func:`pull_back`) is the one scan of
-tuples over a branch: the builders, the morphism checks and the bisimulation
-spans all obtain their branch relations from it.  The branch-pair fixpoint
-reads ``ForestCoalgebra.signatures`` instead, which files each related tuple
-once, under its deepest component.
+tuples over a branch: the builders and the morphism checks obtain their
+branch relations from it.  The branch-pair fixpoint and the bisimulation
+spans read ``ForestCoalgebra.signatures`` instead, which files each related
+tuple once, under its deepest component.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -189,7 +190,14 @@ def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
                 out.append(Violation("height", (e,), f"height {x.height[e]} exceeds bound {x.k_bound}"))
 
     if x.kind in ("ef", "pebble"):
-        split = [(a, b) for a, b in gaifman(x.carrier) if not x.comparable(a, b)]
+        # a tuple's elements are pairwise comparable iff they all lie on the
+        # branch of its deepest one, so only the other tuples can split a pair
+        branches, split = x._branches, set()
+        for tuples in x.carrier.interp.values():
+            for tup in tuples:
+                top = max(map(branches.__getitem__, tup), key=len, default=())
+                if not all(map(top.__contains__, tup)):
+                    split.update((a, b) for a in tup for b in tup if not x.comparable(a, b))
         for a, b in sorted(split, key=_repr_key):
             out.append(Violation("branch-compat", (a, b),
                                  "Gaifman-adjacent elements on different branches"))
@@ -255,26 +263,35 @@ def pull_back(chains, image, target: Structure, cap: int = DEFAULT_CARRIER_CAP) 
 
     ``chains`` is a collection of root-first branches and ``image`` maps
     their elements into ``target``.  This is condition (E) of the cofree EF
-    and pebbling coalgebras, the relations of a positive-bisimulation span,
+    and pebbling coalgebras, the reflection check of pathwise embeddings,
     and the middle object of a pathwise-embedding factorization.  A branch
     with more tuples of a relation's arity through its last element than
-    ``cap`` is refused before any tuple is built.
+    ``cap`` is refused before any tuple is built.  Each branch is mapped
+    through ``image`` once, and its tuples are read by position getters
+    built per branch length and arity for this call only.
     """
     longest = max(map(len, chains), default=0)
-    interp: dict = {}
-    for rel, arity in target.vocab.relations:
-        rel_set = target.interp[rel]
-        if arity == 0:
-            # the empty tuple lies on no branch, and its image is itself
-            interp[rel] = rel_set & {()}
-            continue
+    for _, arity in target.vocab.relations:
         count = longest ** arity - (longest - 1) ** arity
         if count > cap:
             raise CoalgebraSizeError(f"a branch of {longest} elements has {count} {arity}-tuples "
                                      f"through its last one, cap {cap}")
-        interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
-                                if tuple(map(image, t)) in rel_set)
-    return interp
+    # the empty tuple lies on no branch, and its image is itself
+    found = {rel: set() if arity else target.interp[rel] & {()}
+             for rel, arity in target.vocab.relations}
+    related = [(found[rel], target.interp[rel], arity)
+               for rel, arity in target.vocab.relations if arity]
+    getters: dict = {}  # (branch length, arity) -> the position getters of its tuples
+    for chain in chains:
+        images = tuple(map(image, chain))
+        for out, rel_set, arity in related:
+            key = (len(chain), arity)
+            if key not in getters:
+                getters[key] = [operator.itemgetter(*pos) if arity > 1
+                                else operator.itemgetter(slice(pos[0], None))
+                                for pos in branch_tuples(range(len(chain)), arity)]
+            out.update(get(chain) for get in getters[key] if get(images) in rel_set)
+    return {rel: frozenset(tuples) for rel, tuples in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +359,7 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
         raise CoalgebraError("modal coalgebra needs a modal vocabulary")
     if a.point is None:
         raise CoalgebraError("modal coalgebra needs a pointed structure")
+    succ: dict = {}  # (relation, world) -> its successors in universe order, for this call
     root = (a.point,)
     universe = [root]
     frontier = [root]
@@ -351,7 +369,11 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
         for s in frontier:
             cur = _LAST["modal"](s)
             for rel in a.vocab.binary:
-                for nxt in a.successors(rel, cur):
+                nxts = succ.get((rel, cur))
+                if nxts is None:
+                    edges = a.interp[rel]
+                    nxts = succ[rel, cur] = [v for v in a.universe if (cur, v) in edges]
+                for nxt in nxts:
                     t = s + ((rel, nxt),)
                     parent[t] = s
                     new_frontier.append(t)

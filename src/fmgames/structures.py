@@ -63,7 +63,7 @@ class Vocabulary:
     def arities(self) -> dict[str, int]:
         return dict(self.relations)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.relations)
 
@@ -203,7 +203,7 @@ def is_homomorphism(f: Mapping, a: Structure, b: Structure) -> bool:
     for rel, _ in a.vocab.relations:
         b_rel = b.interp[rel]
         for tup in a.interp[rel]:
-            if tuple(f[x] for x in tup) not in b_rel:
+            if tuple(map(f.__getitem__, tup)) not in b_rel:
                 return False
     return True
 

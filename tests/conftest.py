@@ -14,7 +14,9 @@ replaced.  ``reference_oracle_witness`` is the oracle's eager witness path:
 literal formulas built per pair and a witness explained at every round.
 ``reference_all_digraphs`` and ``reference_all_pointed_kripke`` build the
 corpora as ``fmgames.corpus`` did before its orbit tables: every encoding is
-compared with its image under every permutation.
+compared with its image under every permutation.  ``reference_pull_back``
+maps every tuple over every branch through the image one at a time, and
+``reference_branch_compat`` tests every Gaifman pair for comparability.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from fmgames import (FALSE, TRUE, And, Atom, BOTTOM, Box, Dia, Eq, Exists, False
                      Formula, FormulaError, NegAtom, NegEq, NegProp, Or, Prop, Structure,
                      TrueC, Vocabulary, and_, or_, path_tree)
 from fmgames import oracle as _oracle
+from fmgames.coalgebras import DEFAULT_CARRIER_CAP, CoalgebraSizeError, branch_tuples
 from fmgames.formulas import Classification
 from fmgames.corpus import (DIGRAPH_VOCAB, KRIPKE_VOCAB, clique, edge_structure,
                             linear_order, loop_structure)
+from fmgames.structures import gaifman
 
 E2 = Vocabulary((("E", 2),))
 MODAL = Vocabulary((("R", 2), ("P", 1)))
@@ -229,6 +233,34 @@ def reference_back_forth(mode, x, y):
     return frozenset(p for p in alive
                      if all(q in alive for q in zip((BOTTOM,) + chains_x[p[0]],
                                                     (BOTTOM,) + chains_y[p[1]])))
+
+
+# ---------------------------------------------------------------------------
+# Branch scans (reference for coalgebras.pull_back and validate_coalgebra)
+
+def reference_pull_back(chains, image, target, cap=DEFAULT_CARRIER_CAP):
+    """``coalgebras.pull_back`` before its position getters."""
+    longest = max(map(len, chains), default=0)
+    interp = {}
+    for rel, arity in target.vocab.relations:
+        rel_set = target.interp[rel]
+        if arity == 0:
+            interp[rel] = rel_set & {()}
+            continue
+        count = longest ** arity - (longest - 1) ** arity
+        if count > cap:
+            raise CoalgebraSizeError(f"a branch of {longest} elements has {count} {arity}-tuples "
+                                     f"through its last one, cap {cap}")
+        interp[rel] = frozenset(t for chain in chains for t in branch_tuples(chain, arity)
+                                if tuple(map(image, t)) in rel_set)
+    return interp
+
+
+def reference_branch_compat(x):
+    """The Gaifman pairs on different branches, in the order
+    ``validate_coalgebra`` reports them."""
+    split = [(a, b) for a, b in gaifman(x.carrier) if not x.comparable(a, b)]
+    return sorted(split, key=lambda p: (repr(p[0]), repr(p[1])))
 
 
 # ---------------------------------------------------------------------------

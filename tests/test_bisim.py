@@ -1,16 +1,19 @@
+import itertools
 import random
 import time
 
 import pytest
 
 import fmgames
-from fmgames import (BOTTOM, BisimVerificationError, GameSpec, Structure, back_forth,
-                     build_bisim, build_ef, build_modal, build_positive_bisim,
+from fmgames import (BOTTOM, BisimVerificationError, ForestCoalgebra, GameSpec, Structure,
+                     back_forth, build_bisim, build_ef, build_modal, build_positive_bisim,
                      extract_back_forth, find_morphism, solve, validate_back_forth,
                      verify_bisim, verify_positive_bisim)
+from fmgames.bisim import BisimWitness, PositiveBisimWitness, _spans
 from fmgames.corpus import all_digraphs, all_pointed_kripke
 
-from conftest import SIX, kripke, reference_back_forth, small_structures
+from conftest import (SIX, kripke, reference_back_forth, reference_pull_back,
+                      small_structures)
 
 MODES = ("full", "existential", "positive", "ep")
 
@@ -84,9 +87,7 @@ def test_verify_bisim_detects_missing_child(edge):
     ok, reasons = verify_bisim(w, x, x)
     assert ok, reasons
     # drop a maximal element of Z: the projection stops lifting covers
-    from fmgames.bisim import BisimWitness
-    from fmgames import ForestCoalgebra
-    drop = max(w.z.universe, key=lambda e: len(e[0]))
+    drop = max(w.z.universe, key=lambda e: len(w.p[e]))
     keep = tuple(e for e in w.z.universe if e != drop)
     carrier = Structure.make(w.z.carrier.vocab, keep,
                              {r: {t for t in w.z.carrier.interp[r]
@@ -271,3 +272,92 @@ def test_nullary_facts_reach_the_coalgebra_route():
                 wins = solve(GameSpec("ef", mode, k), a, b).duplicator_wins
                 assert (back_forth(mode, build_ef(a, k), build_ef(b, k)) is not None) == wins
                 assert (routes[mode] is not None) == wins, (a.name, b.name, k, mode)
+
+
+def test_signature_spans_match_the_pulled_back_spans():
+    """Z1 and Z2 read off the signatures, mapped back to W's pairs, are the
+    cofree relations pulled back along the branches of W."""
+    digraphs = [s for s in small_structures(2) if s.size]
+    models = all_pointed_kripke(2)
+    rnd = random.Random(83)
+    built = 0
+    for _ in range(120):
+        family, pool = rnd.choice((("ef_i", digraphs), ("modal", models)))
+        a, b, k, iso = rnd.choice(pool), rnd.choice(pool), rnd.choice((1, 2)), rnd.random() < 0.5
+        found = _spans(a, b, family, k, iso, None, ("Z1", "Z2"))
+        if found is None:
+            continue
+        built += 1
+        x, y, z1, p, z2, q = found
+        pair = {i: (p[i], q[i]) for i in p}
+        parent = {w: (x.parent.get(w[0]), y.parent.get(w[1])) for w in pair.values()}
+        assert {pair[c]: pair[j] for c, j in z1.parent.items()} == {
+            w: v for w, v in parent.items() if v != (None, None)}
+        chains = []
+        for w in pair.values():
+            chain = [w]
+            while chain[0] in parent and parent[chain[0]] != (None, None):
+                chain.insert(0, parent[chain[0]])
+            chains.append(tuple(chain))
+        for which, z, cofree in ((0, z1, x), (1, z2, y)):
+            lifted = {rel: {tuple(pair[i] for i in t) for t in tuples}
+                      for rel, tuples in z.carrier.interp.items()}
+            assert lifted == reference_pull_back(chains, lambda w: w[which], cofree.carrier)
+    assert built > 40
+
+
+def _mutated(z: ForestCoalgebra, drop=None, add=None, parent=None) -> ForestCoalgebra:
+    """``z`` with one tuple dropped or added, or with another parent map."""
+    interp = {rel: set(tuples) for rel, tuples in z.carrier.interp.items()}
+    if drop is not None:
+        interp[drop[0]].discard(drop[1])
+    if add is not None:
+        interp[add[0]].add(add[1])
+    carrier = Structure(z.carrier.vocab, z.universe,
+                        {rel: frozenset(t) for rel, t in interp.items()}, z.carrier.point,
+                        z.carrier.name)
+    return ForestCoalgebra(carrier, z.parent if parent is None else parent, z.k_bound, z.kind)
+
+
+def _dropped(z: ForestCoalgebra) -> ForestCoalgebra:
+    rel, tup = min((rel, t) for rel, tuples in z.carrier.interp.items() for t in tuples)
+    return _mutated(z, drop=(rel, tup))
+
+
+def _added(z: ForestCoalgebra, q, y: ForestCoalgebra) -> ForestCoalgebra:
+    """``z`` with a tuple on one branch whose image under ``q`` is not related in ``y``."""
+    return _mutated(z, add=next(
+        (rel, t) for e in z.universe for rel, arity in z.carrier.vocab.relations
+        for t in itertools.product(z.chain(e), repeat=arity)
+        if tuple(q[c] for c in t) not in y.carrier.interp[rel]))
+
+
+def _reparented(z: ForestCoalgebra) -> ForestCoalgebra:
+    """``z`` with one element moved under another element of its parent's height."""
+    e, other = next((e, o) for e, p in z.parent.items() for o in z.universe
+                    if o != p and z.height[o] == z.height[p])
+    return _mutated(z, parent={**z.parent, e: other})
+
+
+@pytest.mark.parametrize("family, a, b", [
+    ("ef_i", Structure.make([("E", 2)], ["v", "w"], {"E": [("v", "w")]}, name="edge"),
+     Structure.make([("E", 2)], ["v", "w"], {"E": [("v", "w")]}, name="edge")),
+    ("ef_i", Structure.make([("E", 2)], ["p", "r"], {}, name="two"),
+     Structure.make([("E", 2)], ["q", "s"], {"E": [("q", "q"), ("s", "s")]}, name="loops")),
+    ("modal", kripke(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")], ["b"], "a"),
+     kripke(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")], ["b", "c"], "a")),
+])
+def test_verification_rejects_each_mutation_of_a_built_witness(family, a, b):
+    """Every witness the builders return passes its verifier; dropping a
+    tuple, adding an unrelated one or re-parenting an element is rejected."""
+    x, y = (build_ef(s, 2, with_i=True) if family == "ef_i" else build_modal(s, 2) for s in (a, b))
+    w = build_positive_bisim(a, b, family, 2)
+    assert verify_positive_bisim(w, x, y) == (True, [])
+    mutated = [PositiveBisimWitness(_dropped(w.z1), w.z2, w.h, w.p, w.q),
+               PositiveBisimWitness(w.z1, _added(w.z2, w.q, y), w.h, w.p, w.q),
+               PositiveBisimWitness(_reparented(w.z1), w.z2, w.h, w.p, w.q)]
+    assert [verify_positive_bisim(m, x, y)[0] for m in mutated] == [False] * 3
+    full = build_bisim(a, a, family, 2)
+    assert verify_bisim(full, x, x) == (True, [])
+    mutated = [_dropped(full.z), _added(full.z, full.q, x), _reparented(full.z)]
+    assert [verify_bisim(BisimWitness(z, full.p, full.q), x, x)[0] for z in mutated] == [False] * 3

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra
 from fmgames.coalgebras import branch_tuples, pull_back
 from fmgames.structures import gaifman
 
-from conftest import E2, kripke
+from conftest import E2, kripke, reference_branch_compat, reference_pull_back
 
 
 def test_build_ef_loop(loop):
@@ -326,3 +327,65 @@ def test_pull_back_is_condition_e(edge):
     c = build_ef(edge, 2)
     chains = [c.chain(s) for s in c.universe]
     assert pull_back(chains, lambda s: s[-1], edge) == c.carrier.interp
+
+
+ARITIES_0_TO_3 = Vocabulary((("Z", 0), ("P", 1), ("E", 2), ("T", 3)))
+
+
+def _random_structure(rnd, vocab, size, density=0.4):
+    elems = [f"t{i}" for i in range(size)]
+    interp = {rel: [t for t in itertools.product(elems, repeat=arity) if rnd.random() < density]
+              for rel, arity in vocab.relations}
+    return Structure.make(vocab, elems, interp, name="T")
+
+
+def test_pull_back_matches_the_reference_on_random_branches():
+    """Random branches of mixed lengths, random images and relations of
+    arities 0 to 3: the same relations as mapping every tuple one at a time."""
+    rnd = random.Random(2024)
+    for _ in range(60):
+        target = _random_structure(rnd, ARITIES_0_TO_3, rnd.randint(1, 3))
+        elems = list(range(rnd.randint(1, 8)))
+        chains = [tuple(rnd.sample(elems, rnd.randint(1, min(4, len(elems)))))
+                  for _ in range(rnd.randint(1, 6))]
+        image = {e: rnd.choice(target.universe) for e in elems}
+        assert (pull_back(chains, image.__getitem__, target)
+                == reference_pull_back(chains, image.__getitem__, target))
+
+
+def test_pull_back_refuses_where_the_reference_does():
+    target = _random_structure(random.Random(7), ARITIES_0_TO_3, 2, density=1.0)
+    chains = [("r",), ("r", "s", "t")]
+    for cap in (0, 3, 7):  # refused on P, E and T in turn
+        messages = []
+        for scan in (pull_back, reference_pull_back):
+            with pytest.raises(CoalgebraSizeError) as err:
+                scan(chains, lambda e: "t0", target, cap)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert (pull_back(chains, lambda e: "t0", target, 19)
+            == reference_pull_back(chains, lambda e: "t0", target, 19))
+
+
+def test_branch_compat_matches_the_gaifman_reference():
+    """EF and pebble forests with related tuples added within and across
+    branches report the Gaifman pairs on different branches in one order."""
+    rnd = random.Random(97)
+    vocab = Vocabulary((("E", 2), ("T", 3)))
+    seen_split = 0
+    for _ in range(30):
+        base = _random_structure(rnd, vocab, 2, density=0.3)
+        if rnd.random() < 0.5:
+            c = build_ef(base, 2)
+        else:
+            c = build_pebble_truncated(base, 2, 2)
+        extra = {rel: {tuple(rnd.choice(c.universe) for _ in range(arity))
+                       for _ in range(rnd.randint(0, 6))} for rel, arity in vocab.relations}
+        carrier = Structure.make(vocab, c.universe,
+                                 {rel: c.carrier.interp[rel] | extra[rel] for rel in vocab.names})
+        bad = ForestCoalgebra(carrier, c.parent, c.k_bound, c.kind, c.pebble_fn)
+        expected = reference_branch_compat(bad)
+        got = [v.witness for v in validate_coalgebra(bad) if v.code == "branch-compat"]
+        assert got == expected
+        seen_split += bool(expected)
+    assert seen_split > 10
