@@ -16,7 +16,11 @@ The branch layer (:func:`branch_tuples`, :func:`pull_back`) is the one scan of
 tuples over a branch: the builders and the morphism checks obtain their
 branch relations from it.  The branch-pair fixpoint and the bisimulation
 spans read ``ForestCoalgebra.signatures`` instead, which files each related
-tuple once, under its deepest component.
+tuple once, under its deepest component.  ``build_modal`` files an
+unravelling's ``children``, branches and ``signatures`` in the walk that
+creates its nodes; every other coalgebra (the EF and pebble cofree ones,
+bisimulation spans, parsed files) derives them on first use from its
+parent map and carrier.
 """
 
 from __future__ import annotations
@@ -348,13 +352,22 @@ def _build_ef(a: Structure, k: int, cap: int) -> ForestCoalgebra:
 def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestCoalgebra:
     """The k-unravelling of a pointed Kripke model, a synchronization tree.
 
-    Unlike ``build_ef`` it is not kept in ``a.memo``.  An unravelling grows
-    with the model's branching, not only with its size, and a memo would
-    keep one per model and depth for as long as the model lives: over the
-    2180 pointed models of ``all_pointed_kripke(3)`` at depths 1 and 2 that
-    raised the peak memory of a cross-check sweep from 32 to 47 MB, for
-    about a fifth more queries per second.
+    Unlike ``build_ef`` it is not kept in ``a.memo``, so every call builds
+    a new one.  An unravelling grows with the model's branching, not only
+    with its size, and a memo would keep one per model and depth for as
+    long as the model lives: on the modal cross-check benchmark (the pointed
+    models of ``all_pointed_kripke(3)`` at depths 1 and 2) a memoizing copy
+    answered 7779 queries per second against about 6660 without the memo,
+    but its peak memory rose from about 33.5 to 56.1 MB.
+
+    Instead, the walk that creates the nodes also files their ``children``
+    (in creation order), ``_branches`` and ``signatures``, which every
+    reader of an unravelling asks for: on trees of a few nodes, deriving
+    them afterwards from the parent map and the carrier took longer than
+    building the tree.  The tests check them against the derived ones.
     """
+    if k < 0:
+        raise CoalgebraError(f"modal depth k must be >= 0, got {k}")
     if not a.vocab.modal_flag:
         raise CoalgebraError("modal coalgebra needs a modal vocabulary")
     if a.point is None:
@@ -364,10 +377,14 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
     universe = [root]
     frontier = [root]
     parent: dict = {}
-    for _ in range(k):
+    children: dict = {BOTTOM: [root], root: []}
+    branches: dict = {BOTTOM: (), root: (root,)}
+    sig: dict = {BOTTOM: set(), root: set()}
+    for d in range(2, k + 2):  # the depth of the new nodes; the root's is 1
         new_frontier = []
+        depths = (d - 1, d)
         for s in frontier:
-            cur = _LAST["modal"](s)
+            cur, kids, branch = _LAST["modal"](s), children[s], branches[s]
             for rel in a.vocab.binary:
                 nxts = succ.get((rel, cur))
                 if nxts is None:
@@ -376,6 +393,10 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
                 for nxt in nxts:
                     t = s + ((rel, nxt),)
                     parent[t] = s
+                    kids.append(t)
+                    children[t] = []
+                    branches[t] = branch + (t,)
+                    sig[t] = {(rel, depths)}
                     new_frontier.append(t)
                     if len(universe) + len(new_frontier) > cap:
                         raise CoalgebraSizeError(f"unravelling exceeds cap {cap}")
@@ -384,10 +405,15 @@ def build_modal(a: Structure, k: int, cap: int = DEFAULT_CARRIER_CAP) -> ForestC
     interp: dict = {}
     for rel in a.vocab.unary:
         interp[rel] = frozenset((s,) for s in universe if (_LAST["modal"](s),) in a.interp[rel])
+        for (s,) in interp[rel]:  # a path's length is its depth
+            sig[s].add((rel, (len(s),)))
     for rel in a.vocab.binary:
         interp[rel] = frozenset((parent[t], t) for t in parent if t[-1][0] == rel)
     carrier = Structure(a.vocab, tuple(universe), interp, root, f"M{k}({a.name})")
-    return ForestCoalgebra(carrier, parent, k, "modal")
+    c = ForestCoalgebra(carrier, parent, k, "modal")
+    # the instance dict is where the cached properties look first
+    c.__dict__.update(children=children, _branches=branches, signatures=(sig, False))
+    return c
 
 
 def build_pebble_truncated(a: Structure, k: int, n: int, with_i: bool = False,

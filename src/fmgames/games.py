@@ -938,11 +938,15 @@ def _solve_attractor(v: Verdict, cap: int):
 
     ``placement_cap`` bounds this work: every candidate set the level
     enumeration tries, plus a row of |A| + |B| counters per kept set of
-    fewer than k pairs.  A compatibility mask (|A||B| type comparisons) is
-    built only after the cap has counted a base ending with its pair.  The
-    count is kept as the levels grow, so a refusal comes before the table
-    is built, not after.  The levels stop at the first empty one (at most
-    |A||B| + 1), so past that the work does not grow with k.
+    fewer than k pairs.  A level's bases are charged before it is
+    enumerated: a set kept with last pair i adds its row and the
+    len(pairs) - i - 1 candidates above i to the next level's total.  The
+    count only grows within a level, so a refusal names the same cap on the
+    same inputs as a charge per base would, and comes before any set of the
+    refused level is kept.  A compatibility mask (|A||B| type comparisons)
+    is built only after the cap has counted a base ending with its pair.
+    The levels stop at the first empty one (at most |A||B| + 1), so past
+    that the work does not grow with k.
     """
     rules, k = v.rules, v.spec.k
     na, nb = len(v.a.universe), len(v.b.universe)
@@ -961,17 +965,18 @@ def _solve_attractor(v: Verdict, cap: int):
     carry = [singles] * len(masks)
     ids = {mask: c for c, mask in enumerate(masks)}
     start = [0, len(masks)]  # the sets of j pairs have ids start[j] .. start[j + 1] - 1
-    work = 0
+    # a base's work: one counter row, and the candidates above its last pair
+    row = na + nb + len(pairs)
+    work, level = 0, row * len(masks)
     for j in range(1, k + 1):
         if start[j - 1] == start[j]:
             break  # no set of j - 1 pairs, so none of j or more
+        work, level = work + level, 0
+        if work > cap:
+            raise GameResourceError(f"pebble game: attractor work exceeds cap {cap}")
         for c in range(start[j - 1], start[j]):
             mask, idx, fit = masks[c], members[c], carry[c]
             first = idx[-1] + 1 if idx else 0
-            # a base: one counter row, and the candidates that extend it
-            work += na + nb + len(pairs) - first
-            if work > cap:
-                raise GameResourceError(f"pebble game: attractor work exceeds cap {cap}")
             if idx:
                 if compat[idx[-1]] is None:
                     compat[idx[-1]] = compatible(idx[-1])
@@ -988,6 +993,7 @@ def _solve_attractor(v: Verdict, cap: int):
                 elif j > m > 2 and not all((new ^ 1 << b) in ids for b in idx):
                     continue
                 ids[new] = len(masks)
+                level += row - i - 1
                 masks.append(new)
                 members.append((*idx, i))
                 carry.append(fit)

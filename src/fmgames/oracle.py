@@ -478,6 +478,8 @@ def _profile(eng: _Refinement, k: int, keys_of) -> list[OracleResult]:
 def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
                     cap: int = DEFAULT_SIGNATURE_CAP) -> list[OracleResult]:
     """Preservation verdicts for every rank 0..k in a single layered run."""
+    if k < 0:
+        raise ValueError(f"rank k must be >= 0, got {k}")
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
     eng = _fo_engine(a, b, k, canonical_mode(mode), cap)
@@ -486,6 +488,8 @@ def fo_rank_profile(a: Structure, b: Structure, k: int, mode: str,
 
 def ml_depth_profile(a: Structure, b: Structure, k: int, mode: str,
                      cap: int = DEFAULT_SIGNATURE_CAP) -> list[OracleResult]:
+    if k < 0:
+        raise ValueError(f"modal depth k must be >= 0, got {k}")
     if not same_vocab(a, b):
         raise StructureError("vocabulary mismatch")
     if not a.vocab.modal_flag:

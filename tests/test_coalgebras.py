@@ -12,6 +12,8 @@ from fmgames import (BOTTOM, CoalgebraError, CoalgebraSizeError, ForestCoalgebra
                      validate_coalgebra)
 
 from fmgames.coalgebras import branch_tuples, pull_back
+from fmgames.corpus import all_pointed_kripke
+from fmgames.oracle import fo_rank_profile, ml_depth_profile
 from fmgames.structures import gaifman
 
 from conftest import E2, kripke, reference_branch_compat, reference_pull_back
@@ -60,6 +62,52 @@ def test_build_modal_loop_unravels():
 def test_build_modal_pointless_successor_free():
     single = kripke(["a"], [], ["a"], "a")
     assert len(build_modal(single, 5).universe) == 1
+
+
+TWO_BY_TWO = Vocabulary((("R", 2), ("S", 2), ("P", 1), ("Q", 1)))
+
+
+def _random_pointed_model(rnd: random.Random, name: str) -> Structure:
+    """4-5 worlds over two binary and two unary relations, pointed at w0."""
+    worlds = [f"w{i}" for i in range(rnd.choice((4, 5)))]
+    interp = {rel: [(u, v) for u in worlds for v in worlds if rnd.random() < 0.3]
+              for rel in ("R", "S")}
+    interp.update({rel: [(w,) for w in worlds if rnd.random() < 0.5] for rel in ("P", "Q")})
+    return Structure.make(TWO_BY_TWO, worlds, interp, point="w0", name=name)
+
+
+def test_build_modal_files_the_generic_indexes():
+    # the walk files children, branches and signatures; the properties
+    # derived from the parent map and the carrier are the reference
+    rnd = random.Random(2025)
+    models = [(a, k) for a in all_pointed_kripke(3) for k in range(4)]
+    models += [(_random_pointed_model(rnd, f"G{i}"), rnd.randint(0, 3)) for i in range(200)]
+    models += [(kripke(["a", "b"], [("b", "a")], ["a"], "a"), 3),  # no successors
+               (kripke(["a", "b"], [("a", "a"), ("a", "b")], ["b"], "a"), 3)]  # a self-loop
+    for a, k in models:
+        c = build_modal(a, k)
+        reference = ForestCoalgebra(c.carrier, c.parent, c.k_bound, "modal")
+        assert c.children == reference.children, (a.name, k)
+        assert c._branches == reference._branches, (a.name, k)
+        assert c.signatures == reference.signatures, (a.name, k)
+
+
+def test_build_modal_builds_a_new_unravelling_per_call(chain_ab):
+    # not memoized: a memo would keep an unravelling per model and depth
+    first, second = build_modal(chain_ab, 2), build_modal(chain_ab, 2)
+    assert first is not second
+    assert not any(isinstance(v, ForestCoalgebra) for v in chain_ab.memo.values())
+
+
+@pytest.mark.parametrize("build, error", [
+    (build_modal, CoalgebraError),
+    (lambda a, k: ml_depth_profile(a, a, k, "full"), ValueError),
+    (lambda a, k: fo_rank_profile(a, a, k, "full"), ValueError),
+], ids=["build_modal", "ml_depth_profile", "fo_rank_profile"])
+def test_negative_depth_or_rank_is_refused(chain_ab, build, error):
+    with pytest.raises(error, match="k must be >= 0, got -1"):
+        build(chain_ab, -1)
+    assert build(chain_ab, 0)  # k = 0 stays valid
 
 
 def test_build_pebble_truncated_example(loop):

@@ -250,6 +250,21 @@ def test_pebble_placement_cap(cliques):
     assert time.perf_counter() - start < 2
 
 
+def test_pebble_placement_cap_refuses_before_keeping_a_level():
+    from fmgames import GameResourceError
+    # charged per base, this refusal first kept about 173k candidate sets
+    # of the level it refused: 1.42 s and a 146 MB tracemalloc peak
+    a, b = linear_order(100), linear_order(101)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GameResourceError, match="exceeds cap 200000"):
+            solve(GameSpec("pebble", "full", 3), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak
+
+
 def test_round_bounded_solver_caps_memoized_positions(orders):
     from fmgames import GameResourceError
     # rank 4 on orders of 15 and 16 elements ran for minutes without a cap

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package, the tests and the benchmark
+harness is used.
 
 No linter is a dependency, so this walks the syntax trees: a name an
 import binds at module level must be read somewhere in its module, as a
@@ -13,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "fmgames").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES.append(ROOT / "perfbench" / "run.py")
 
 
 def _bound(node) -> list:
