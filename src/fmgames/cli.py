@@ -307,7 +307,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # Interactive play
 
-def _parse_move(words, spec: GameSpec, verdict, history, side):
+def _parse_move(words, spec: GameSpec, verdict, side):
     family = spec.family
     if family == "ef":
         if len(words) != 1:
@@ -327,9 +327,9 @@ def _parse_move(words, spec: GameSpec, verdict, history, side):
     raise IllegalMoveError("expected 'move [<R>] <element>'", 0)
 
 
-def _status_lines(spec: GameSpec, verdict, history) -> list[str]:
-    ok = verdict.condition_holds(history)
-    bindings = verdict.bindings(history)
+def _status_lines(spec: GameSpec, verdict, key, played) -> list[str]:
+    ok = verdict.condition_at(key)
+    bindings = verdict.rules.bindings(key, played)
     if spec.family == "pebble":
         pos = ", ".join(f"{p}:({x},{y})" for p, x, y in bindings)
         head = f"pebbles [{pos}]"
@@ -354,8 +354,8 @@ def cmd_play(args) -> int:
     print(f"playing {spec.family}/{spec.mode} k={spec.k}; you are {args.as_side}; "
           f"engine {'Duplicator' if human_spoiler else 'Spoiler'}"
           f" ({'winning' if verdict.duplicator_wins == human_spoiler else 'losing'} position)")
-    history = verdict.initial_history()
-    if not verdict.condition_holds(history):
+    key, played = verdict.root, ()
+    if not verdict.condition_at(key):
         print("initial position violates the winning condition: Spoiler wins")
         return 0
     side = "A"
@@ -366,12 +366,12 @@ def cmd_play(args) -> int:
             print(f"all {limit} rounds survived: Duplicator wins")
             return 0
         if not human_spoiler:
-            move = verdict.spoiler_move(history)
+            move = verdict.spoiler_move_at(key)
             if move is None and limit is None:
                 print("Spoiler has no winning move: Duplicator wins the unbounded game")
                 return 0
             if move is None:
-                move = next(iter(verdict.legal_moves(history)), None)
+                move = next(iter(verdict.moves(key)), None)
             if move is None:
                 print("Spoiler has no move: Duplicator wins the remaining rounds")
                 return 0
@@ -379,7 +379,7 @@ def cmd_play(args) -> int:
             line = _read_line("your response> ")
             if line in ("quit", "q"):
                 return 0
-            responses = verdict.responses(history, move)
+            responses = verdict.responses(key, move)
             if line not in map(str, responses):
                 print(f"illegal response; options: {responses}")
                 continue
@@ -392,7 +392,7 @@ def cmd_play(args) -> int:
             if words[0] in ("quit", "q"):
                 return 0
             if words[0] == "status":
-                for s in _status_lines(spec, verdict, history):
+                for s in _status_lines(spec, verdict, key, played):
                     print(s)
                 continue
             if words[0] == "side":
@@ -408,24 +408,25 @@ def cmd_play(args) -> int:
                 print("commands: move, side A|B, status, quit")
                 continue
             try:
-                move = _parse_move(words[1:], spec, verdict, history, side)
+                move = _parse_move(words[1:], spec, verdict, side)
             except IllegalMoveError as exc:
                 print(exc)
                 continue
-            if not verdict.is_legal(history, move):
+            if not verdict.is_legal(key, move):
                 print("illegal move (element unknown, wrong side, or no such transition)")
                 continue
-            response = verdict.duplicator_response(history, move)
+            response = verdict.duplicator_response(key, move)
             if response is None:
-                options = verdict.responses(history, move)
+                options = verdict.responses(key, move)
                 if not options:
                     print("Duplicator has no response: Spoiler wins")
                     return 0
                 response = options[0]
             print(f"engine (Duplicator) answers {response}")
-        history = verdict.extend(history, move, response)
+        key = verdict.child(key, move, response)
+        played += (verdict.rules.pair(move, response),)
         round_no += 1
-        if not verdict.condition_holds(history):
+        if not verdict.condition_at(key):
             print(f"condition violated at round {round_no}: Spoiler wins")
             return 0
         print(f"round {round_no} complete; condition holds")
@@ -519,6 +520,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -334,7 +334,8 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
 
     For modal formulas the evaluation world is, in order of preference, the
     explicit ``world``, the single binding of ``assignment``, or the point of
-    the structure.
+    the structure.  A world or binding outside the universe raises
+    ``StructureError``.
     """
     assignment = dict(assignment or {})
     kinds, free, _, _, _, symbols = _facts(phi)
@@ -361,6 +362,9 @@ def model_check(phi: Formula, a: Structure, assignment: Mapping[int, object] | N
     missing = free - set(assignment)
     if missing:
         raise FormulaError(f"unbound free variable x{min(missing)}")
+    for var, e in sorted(assignment.items()):
+        if e not in a.index:
+            raise StructureError(f"x{var} bound to {e!r}, not in universe")
     return _evaluate(phi, a, assignment, None)
 
 

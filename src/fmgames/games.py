@@ -29,9 +29,10 @@ The same ``placement_cap`` bounds the attractor's work (candidate sets
 tried and counter rows) and the positions the backward induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
-modal states are pairs of current worlds; pebble states of the history API
-(``play``, ``replay``, strategy lookups) are placements, while the unbounded
-game's stage table, and the synthesis that walks it, work on pair-set masks.
+modal states are pairs of current worlds; pebble states are placements,
+while the unbounded game's stage table, and the synthesis that walks it,
+work on pair-set masks.  Every strategy lookup takes a key: the winning
+conditions are hereditary, so a strategy need only read the position.
 Points of the structures are ignored by the EF and pebble families; the
 modal family requires them.
 """
@@ -310,18 +311,19 @@ def _violated_tuple(rel: str, arity: int, bindings, rel_a, rel_b, iso: bool):
 class _Rules:
     """The positions, moves and winning condition of one game family.
 
-    Solvers work on positional keys ``(state, remaining)``: the state holds
-    everything the winning condition and the available moves depend on, and
-    ``remaining`` counts the rounds left (None in the unbounded pebble game).
+    Solvers and strategies work on positional keys ``(state, remaining)``:
+    the state holds everything the winning condition and the available moves
+    depend on, and ``remaining`` counts the rounds left (None in the
+    unbounded pebble game).
     ``root`` is the starting key, ``cond`` the winning condition (memoized
     per state), ``moves`` Spoiler's moves, ``responses`` Duplicator's answers
     to one, and ``step`` the resulting state.  Every move ends with
     ``(side, element)`` and is answered by an element of the other structure.
 
-    Histories, the explicit play records of the strategy API, start at
-    ``initial``, grow by ``extend`` and reduce to keys by ``key``;
-    ``bindings`` lists the position's pairs under their variables and
-    ``label`` names the variable or relation a move binds.
+    ``bindings`` lists a position's pairs under their variables and
+    ``label`` names the variable or relation a move binds; ``played``, the
+    ``(a, b)`` pairs placed so far in play order, is all they need beyond
+    the key.
     """
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
@@ -351,7 +353,11 @@ class _Rules:
         """Whether ``move`` is one of ``moves(state)``."""
         return move in self.moves(state)
 
-    def label(self, history, move):
+    def bindings(self, key, played) -> list:
+        """``(variable, a, b)`` per pair of ``played``, numbered from 1."""
+        return [(i, x, y) for i, (x, y) in enumerate(played, start=1)]
+
+    def label(self, key, move):
         return move[0]
 
     def _spoiler_elements(self) -> list:
@@ -367,43 +373,27 @@ class _Rules:
 
 
 class _EFRules(_Rules):
-    """EF: the state is the set of chosen pairs; histories are
-    ``(played_a, played_b)`` element tuples."""
+    """EF: the state is the set of chosen pairs.  A pair chosen twice is
+    one pair of the state but two rounds of ``played``, so the bindings
+    number the rounds."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         super().__init__(spec, a, b)
         self.root = (frozenset(), spec.k)
-        self.initial = ((), ())
         self._moves = self._spoiler_elements()
 
     def step(self, state, move, response):
         side, e = move
         return state | {(e, response) if side == "A" else (response, e)}
 
-    def key(self, history):
-        pa, pb = history
-        return frozenset(zip(pa, pb)), self.k - len(pa)
-
-    def extend(self, history, move, response):
-        x, y = self.pair(move, response)
-        return history[0] + (x,), history[1] + (y,)
-
-    def bindings(self, history) -> list:
-        return [(i, x, y) for i, (x, y) in enumerate(zip(*history), start=1)]
-
-    def label(self, history, move):
-        return len(history[0]) + 1
-
-
-def _worlds(path) -> tuple:
-    """The worlds a labelled path ``(point, (R, w1), (R, w2), ...)`` visits."""
-    return (path[0],) + tuple(w for _, w in path[1:])
+    def label(self, key, move):
+        """The round number."""
+        return self.k - key[1] + 1
 
 
 class _ModalRules(_Rules):
-    """Modal: the state is the pair of current worlds; histories are pairs of
-    labelled paths from the points, the elements of the modal cofree
-    coalgebras."""
+    """Modal: the state is the pair of current worlds; the bindings are the
+    worlds visited, the points first."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         if not a.vocab.modal_flag:
@@ -412,7 +402,6 @@ class _ModalRules(_Rules):
             raise StructureError("modal game needs pointed structures on both sides")
         super().__init__(spec, a, b)
         self.root = ((a.point, b.point), spec.k)
-        self.initial = ((a.point,), (b.point,))
         self._binary = a.vocab.binary
         self._succ: dict = {}
 
@@ -441,32 +430,20 @@ class _ModalRules(_Rules):
         _, side, e = move
         return (e, response) if side == "A" else (response, e)
 
-    def key(self, history):
-        pa, pb = history
-        return (_worlds(pa)[-1], _worlds(pb)[-1]), self.k - (len(pa) - 1)
-
-    def extend(self, history, move, response):
-        rel = move[0]
-        x, y = self.pair(move, response)
-        return history[0] + ((rel, x),), history[1] + ((rel, y),)
-
-    def bindings(self, history) -> list:
-        pairs = zip(_worlds(history[0]), _worlds(history[1]))
-        return [(i, x, y) for i, (x, y) in enumerate(pairs, start=1)]
+    def bindings(self, key, played) -> list:
+        return super().bindings(key, (self.root[0], *played))
 
 
 class _PebbleRules(_Rules):
-    """Pebble: the state is the placement, a frozenset of ``(pebble, (a, b))``;
-    histories are tuples of ``(pebble, a, b)`` triples.  The condition is
-    memoized on the set of placed pairs, which placements share.
+    """Pebble: the state is the placement, a frozenset of ``(pebble, (a, b))``,
+    which alone gives the bindings.  The condition is memoized on the set of
+    placed pairs, which placements share.
     ``elements`` lists the ``(side, element)`` pairs Spoiler may pebble,
     the same for every pebble."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
         super().__init__(spec, a, b)
-        self.rounds = spec.rounds
         self.root = (frozenset(), spec.rounds)
-        self.initial = ()
         self.elements = self._spoiler_elements()
 
     pairs_cond = _Rules.cond
@@ -490,19 +467,9 @@ class _PebbleRules(_Rules):
         pair = (e, response) if side == "A" else (response, e)
         return frozenset(item for item in state if item[0] != p) | {(p, pair)}
 
-    @staticmethod
-    def _placement(history) -> dict:
-        return {p: (x, y) for p, x, y in history}
-
-    def key(self, history):
-        rem = None if self.rounds is None else self.rounds - len(history)
-        return frozenset(self._placement(history).items()), rem
-
-    def extend(self, history, move, response):
-        return history + ((move[0], *self.pair(move, response)),)
-
-    def bindings(self, history) -> list:
-        return [(p, x, y) for p, (x, y) in sorted(self._placement(history).items())]
+    def bindings(self, key, played) -> list:
+        """The placement's pairs by pebble index."""
+        return [(p, x, y) for p, (x, y) in sorted(key[0])]
 
 
 _RULES = {"ef": _EFRules, "modal": _ModalRules, "pebble": _PebbleRules}
@@ -511,10 +478,9 @@ _RULES = {"ef": _EFRules, "modal": _ModalRules, "pebble": _PebbleRules}
 class Verdict:
     """Solver outcome plus positional strategies for both players.
 
-    Histories are explicit play records: ``(played_a, played_b)`` element
-    tuples for EF, pairs of labelled paths ``(point, (R, w1), ...)`` for
-    modal, and tuples of ``(pebble, a, b)`` triples for pebble.  Strategy
-    lookups reduce them to the memoized positional keys.
+    Every lookup takes a positional key ``(state, remaining)``: the play
+    starts at ``root`` and ``child`` takes it one round on.  ``alive``, set
+    by the solver, tells whether Duplicator survives from a key.
     """
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure):
@@ -522,37 +488,10 @@ class Verdict:
         self.a = a
         self.b = b
         self.rules = _RULES[spec.family](spec, a, b)
+        self.root = self.rules.root
         self.duplicator_wins: bool = False
         self.stage: _StageTable | None = None
-        self._alive = None
-
-    # -- histories ------------------------------------------------------------
-
-    def initial_history(self):
-        return self.rules.initial
-
-    def extend(self, history, move, response):
-        """The history after ``move`` and Duplicator's ``response``."""
-        return self.rules.extend(history, move, response)
-
-    def bindings(self, history) -> list:
-        """``(variable, a, b)`` for the pairs of the position a history
-        reaches: EF rounds and modal worlds in play order, pebbles by index."""
-        return self.rules.bindings(history)
-
-    def label(self, history, move):
-        """The variable (EF, pebble) or relation (modal) a move binds."""
-        return self.rules.label(history, move)
-
-    def key(self, history):
-        """The positional key ``(state, remaining)`` a history reduces to.
-        ``condition_at``, ``spoiler_move_at`` and ``children`` take keys, for
-        callers that follow the positions themselves and so reduce each
-        history once."""
-        return self.rules.key(history)
-
-    def condition_holds(self, history) -> bool:
-        return self.condition_at(self.rules.key(history))
+        self.alive = None
 
     def condition_at(self, key) -> bool:
         state = key[0]
@@ -561,44 +500,41 @@ class Verdict:
             return self.stage.get(state, -1) != 0
         return self.rules.cond(state)
 
-    def position_alive(self, history) -> bool:
-        return self._alive(self.rules.key(history))
-
     # -- moves --------------------------------------------------------------
 
-    def _moves(self, key):
+    def moves(self, key):
+        """Spoiler's moves from ``key``, in canonical order."""
         state, rem = key
         return [] if rem is not None and rem <= 0 else self.rules.moves(state)
+
+    def is_legal(self, key, move) -> bool:
+        """Whether ``move`` is one of ``moves(key)``, without listing them."""
+        state, rem = key
+        return (rem is None or rem > 0) and self.rules.legal(state, move)
+
+    def responses(self, key, move) -> list:
+        return list(self.rules.responses(key[0], move))
+
+    def child(self, key, move, response):
+        """The key ``move`` and Duplicator's ``response`` lead to."""
+        state, rem = key
+        return self.rules.step(state, move, response), None if rem is None else rem - 1
 
     def children(self, key, move) -> list:
         """``(response, key it leads to)`` for Duplicator's responses to a
         move from ``key``, in canonical order."""
-        state, rem = key
-        rem = None if rem is None else rem - 1
-        return [(r, (self.rules.step(state, move, r), rem))
-                for r in self.rules.responses(state, move)]
-
-    def legal_moves(self, history) -> list:
-        return list(self._moves(self.rules.key(history)))
-
-    def is_legal(self, history, move) -> bool:
-        """Whether ``move`` is in ``legal_moves(history)``, without building it."""
-        state, rem = self.rules.key(history)
-        return (rem is None or rem > 0) and self.rules.legal(state, move)
-
-    def responses(self, history, move) -> list:
-        return list(self.rules.responses(self.rules.key(history)[0], move))
+        return [(r, self.child(key, move, r)) for r in self.rules.responses(key[0], move)]
 
     # -- strategies ----------------------------------------------------------
 
-    def duplicator_response(self, history, move):
+    def duplicator_response(self, key, move):
         """First response (canonical order) keeping the position alive."""
-        for r, child in self.children(self.rules.key(history), move):
-            if self._alive(child):
+        for r, child in self.children(key, move):
+            if self.alive(child):
                 return r
         return None
 
-    def spoiler_move(self, history):
+    def spoiler_move_at(self, key):
         """A winning Spoiler move: every response leads to a dead position.
 
         EF, modal and bounded pebble verdicts return the first such move in
@@ -608,13 +544,10 @@ class Verdict:
         order; the stage bound is what keeps synthesized distinguishing
         formulas within rank = death stage.
         """
-        return self.spoiler_move_at(self.rules.key(history))
-
-    def spoiler_move_at(self, key):
         if self.stage is not None:
             return self.stage.spoiler_move(key[0], self.rules.elements)
-        for move in self._moves(key):
-            if not any(self._alive(child) for _, child in self.children(key, move)):
+        for move in self.moves(key):
+            if not any(self.alive(child) for _, child in self.children(key, move)):
                 return move
         return None
 
@@ -626,7 +559,7 @@ class Verdict:
         """
         if self.spec.family == "pebble":
             raise ValueError("round-budget reuse applies to EF and modal verdicts")
-        return self._alive((self.rules.root[0], rounds))
+        return self.alive((self.root[0], rounds))
 
 
 def solve(spec: GameSpec, a: Structure, b: Structure,
@@ -654,8 +587,8 @@ def _solve_backward(v: Verdict, cap: int):
     The memo also serves the strategy lookups after the solve; memoizing
     more than ``cap`` positions raises ``GameResourceError``.
     """
-    v._alive = _Backward(v.rules, cap, v.spec.family).alive
-    v.duplicator_wins = v._alive(v.rules.root)
+    v.alive = _Backward(v.rules, cap, v.spec.family).alive
+    v.duplicator_wins = v.alive(v.root)
 
 
 class _Backward:
@@ -705,12 +638,12 @@ class _StageTable:
     ``pairs``; every other pair set fails the condition and has stage 0.
     ``pair_sets`` lists the kept sets.  Spoiler's move is read off the
     masks (``move``), and ``replies`` gives the bits a move's responses
-    place, so synthesis walks Spoiler's strategy on masks alone; placements
-    are only what the lookups by placement (``death_stage``,
-    ``spoiler_move``, ``get``, ``[]``) of the history API take.  The
-    length counts the dead placements without walking them: the placements
-    whose pairs are exactly an alive set of j pairs are the maps from the k
-    pebbles onto that set plus "off the board", counted by
+    place, so synthesis walks Spoiler's strategy on masks alone; placements,
+    the states of the verdict's keys, are only what the lookups by
+    placement (``death_stage``, ``spoiler_move``, ``get``, ``[]``) take.
+    The length counts the dead placements without walking them: the
+    placements whose pairs are exactly an alive set of j pairs are the maps
+    from the k pebbles onto that set plus "off the board", counted by
     inclusion-exclusion (``_onto``) from the alive sets per level, and
     every other placement is dead.  The indexes that lookups by placement
     read are built on the first lookup, so a verdict that is never asked
@@ -1042,7 +975,7 @@ def _solve_attractor(v: Verdict, cap: int):
         layer = nxt
     filed = dict(zip(masks, stages))
     table = _StageTable(filed, stages, start, pairs, k)
-    v._alive = lambda key: table.death_stage(key[0]) < 0
+    v.alive = lambda key: table.death_stage(key[0]) < 0
     v.stage = table
     v.duplicator_wins = filed.get(0, 0) < 0  # the empty pair set has mask 0
 
@@ -1068,13 +1001,13 @@ class Transcript:
         return out
 
 
-def _validate_move(verdict: Verdict, history, move, round_no: int):
-    if verdict.is_legal(history, move):
+def _validate_move(verdict: Verdict, key, move, round_no: int):
+    if verdict.is_legal(key, move):
         return move
     if verdict.spec.family == "ef" and not isinstance(move, tuple):
         # bare element shorthand for forth-only play
         move = ("A", move)
-        if verdict.is_legal(history, move):
+        if verdict.is_legal(key, move):
             return move
     raise IllegalMoveError(f"illegal move {move!r}", round_no)
 
@@ -1089,31 +1022,31 @@ def replay(spec: GameSpec, a: Structure, b: Structure, verdict: Verdict,
     if verdict.spec != spec or verdict.a != a or verdict.b != b:
         raise ValueError("verdict does not match the given spec and structures")
     transcript = Transcript(spec)
-    history = verdict.initial_history()
-    if not verdict.condition_holds(history):
+    key = verdict.root
+    if not verdict.condition_at(key):
         transcript.winner = "Spoiler"
         transcript.note = "initial position violates the winning condition"
         return transcript
     for i, move in enumerate(moves_script, start=1):
-        move = _validate_move(verdict, history, move, i)
-        response = verdict.duplicator_response(history, move)
+        move = _validate_move(verdict, key, move, i)
+        response = verdict.duplicator_response(key, move)
         doomed_note = ""
         if response is None:
-            options = verdict.responses(history, move)
+            options = verdict.responses(key, move)
             if not options:
                 transcript.rounds.append({"move": move, "response": None, "condition": False})
                 transcript.note = f"no response available at round {i}"
                 break
             response = options[0]
             doomed_note = " (best effort)"
-        history = verdict.extend(history, move, response)
-        ok = verdict.condition_holds(history)
+        key = verdict.child(key, move, response)
+        ok = verdict.condition_at(key)
         transcript.rounds.append({"move": move, "response": response, "condition": ok})
         if not ok:
             transcript.note = f"condition violated at round {i}{doomed_note}"
             break
     else:
-        if verdict.duplicator_wins and not verdict.position_alive(history):
+        if verdict.duplicator_wins and not verdict.alive(key):
             raise RuntimeError("replay left the winning region under Duplicator's strategy "
                                "(bug sentinel)")
         return transcript

@@ -9,12 +9,12 @@ order, the pebble game reuses the pebble index, and the modal game uses
 diamonds and boxes (over an empty response family these degenerate to
 ``<R> true`` and ``[R] false``).
 
-EF, modal and bounded pebble verdicts are walked through their histories
-(``_Synthesis``).  An unbounded pebble verdict is walked on its stage
+EF, modal and bounded pebble verdicts are walked through their positional
+keys (``_Synthesis``).  An unbounded pebble verdict is walked on its stage
 table's own data instead (``_PebbleSynthesis``): a node is the pair bit each
 placed pebble holds and the mask of the placed pairs, a leaf is a mask of
 stage 0, Spoiler's move is ``_StageTable.move`` and a move's responses are
-the bits of ``_StageTable.replies``, so no placement or history is built.
+the bits of ``_StageTable.replies``, so no placement or key is built.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
     if isinstance(verdict.stage, _StageTable):
         return _PebbleSynthesis(a, b, verdict).formula({}, 0)
-    history = verdict.initial_history()
-    return _Synthesis(spec, a, b, verdict).formula(history, verdict.key(history))
+    return _Synthesis(spec, a, b, verdict).formula(verdict.root, ())
 
 
 def _leaf(literal: Formula | None) -> Formula:
@@ -57,9 +56,8 @@ class _Synthesis:
     """The recursion of ``distinguish`` along Spoiler's strategy.  A method,
     not a recursive closure: a closure holds itself through its cell, and
     that cycle would leave the verdict to the cyclic garbage collector.
-    Each node carries its history (for the bindings of a violating leaf)
-    and its positional key, which a child gets from its parent's by one
-    step instead of reducing its history again."""
+    Each node carries its positional key and ``played``, the pairs placed
+    on the way to it, which an EF leaf binds to the rounds' variables."""
 
     def __init__(self, spec: GameSpec, a: Structure, b: Structure, verdict: Verdict):
         self.a, self.b, self.verdict = a, b, verdict
@@ -67,20 +65,21 @@ class _Synthesis:
         self.modal = spec.family == "modal"
         self.forth, self.back = (Dia, Box) if self.modal else (Exists, Forall)
 
-    def formula(self, history, key) -> Formula:
+    def formula(self, key, played) -> Formula:
         verdict = self.verdict
+        rules = verdict.rules
         if not verdict.condition_at(key):
-            bindings = verdict.bindings(history)
             if self.modal:
-                _, x, y = bindings[-1]
+                x, y = key[0]
                 return _leaf(modal_literal(x, y, self.a, self.b, self.iso))
+            bindings = rules.bindings(key, played)
             return _leaf(violated_literal(bindings, self.a, self.b, self.iso))
         move = verdict.spoiler_move_at(key)
         if move is None:
             raise RuntimeError("dead position without a winning move")
-        parts = [self.formula(verdict.extend(history, move, r), child)
+        parts = [self.formula(child, (*played, rules.pair(move, r)))
                  for r, child in verdict.children(key, move)]
-        label = verdict.label(history, move)
+        label = rules.label(key, move)
         if move[-2] == "A":
             return self.forth(label, and_(parts))
         return self.back(label, or_(parts))

@@ -108,6 +108,33 @@ def test_modelcheck_and_bindings(files, capsys):
                  "--bind", "x1=w", "--bind", "x2=v"]) == 1
 
 
+@pytest.mark.parametrize("formula, binds, culprit", [
+    ("!E(x1,x2)", ["x1=v", "x2=zz"], "x2"),
+    ("x1=x1", ["x1=zz"], "x1"),
+    ("E x2. E(x1,x2)", ["x1=zz"], "x1"),
+])
+def test_modelcheck_binding_outside_the_universe_exit_two(files, capsys, formula, binds,
+                                                          culprit):
+    argv = ["modelcheck", formula, files["edge"]]
+    for bind in binds:
+        argv += ["--bind", bind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {culprit} bound to 'zz', not in universe\n"
+
+
+def test_memory_error_exits_two_without_a_traceback(files, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("fmgames.cli.solve", exhausted)
+    assert main(["check", "--family", "ef", "-k", "2", files["L3"], files["L4"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["E x1. Q(x1)", "edge"],
     ["!E(x1,x1,x1)", "edge", "--bind", "x1=v"],

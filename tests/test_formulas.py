@@ -5,10 +5,10 @@ import pytest
 
 from fmgames import (And, Atom, Box, Dia, Eq, Exists, FALSE, FalseC, Forall,
                      FormulaError, FragmentSpec, GameSpec, NegAtom, NegEq,
-                     NegProp, Or, Prop, Structure, TRUE, TrueC, Vocabulary, and_,
-                     classify, distinguish, dualize, free_vars, model_check,
-                     oracle_preserves, or_, parse_formula, serialize_formula,
-                     solve, standard_translation)
+                     NegProp, Or, Prop, Structure, StructureError, TRUE, TrueC,
+                     Vocabulary, and_, classify, distinguish, dualize, free_vars,
+                     model_check, oracle_preserves, or_, parse_formula,
+                     serialize_formula, solve, standard_translation)
 from fmgames import formulas
 from fmgames.corpus import all_digraphs, all_pointed_kripke
 
@@ -106,6 +106,17 @@ def test_model_check_assignment_and_errors(edge):
     assert not model_check(phi, edge, {1: "w", 2: "v"})
     with pytest.raises(FormulaError, match="unbound"):
         model_check(phi, edge, {1: "v"})
+
+
+@pytest.mark.parametrize("text, bind, match", [
+    ("!E(x1,x2)", {1: "v", 2: "zz"}, "^x2 bound to 'zz', not in universe$"),
+    ("x1=x1", {1: "zz"}, "^x1 bound to 'zz'"),
+    ("E x2. E(x1,x2)", {1: "zz"}, "^x1 bound to 'zz'"),
+    ("E x1. E(x1,x1)", {2: "zz"}, "^x2 bound to 'zz'"),
+])
+def test_model_check_rejects_a_binding_outside_the_universe(edge, text, bind, match):
+    with pytest.raises(StructureError, match=match):
+        model_check(parse_formula(text), edge, bind)
 
 
 def test_model_check_modal(chain_ab):

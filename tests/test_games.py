@@ -8,7 +8,8 @@ import pytest
 from fmgames import (GameSpec, IllegalMoveError, StructureError, Structure,
                      Vocabulary, distinguish, pairs_condition, replay,
                      serialize_structure, solve)
-from fmgames.corpus import DIGRAPH_VOCAB, all_digraphs, clique, linear_order
+from fmgames.corpus import (DIGRAPH_VOCAB, all_digraphs, all_pointed_kripke, clique,
+                            linear_order)
 from fmgames.formulas import Atom, Eq, NegAtom, NegEq, serialize_formula
 from fmgames.games import Verdict, violated_literal
 from conftest import _partial_map_ok, brute_force_game, kripke, small_structures
@@ -143,12 +144,103 @@ def test_determinacy_strategy_presence():
     for _ in range(30):
         a, b = rnd.choice(pool), rnd.choice(pool)
         v = solve(GameSpec("ef", rnd.choice(MODES), 2), a, b)
-        start = v.initial_history()
+        start = v.root
         if v.duplicator_wins:
-            for move in v.legal_moves(start):
+            for move in v.moves(start):
                 assert v.duplicator_response(start, move) is not None
         else:
-            assert v.spoiler_move(start) is not None or not v.condition_holds(start)
+            assert v.spoiler_move_at(start) is not None or not v.condition_at(start)
+
+
+def _play(v, moves):
+    """The key and ``played`` after ``moves``, each answered by its first
+    response."""
+    key, played = v.root, ()
+    for move in moves:
+        r = v.responses(key, move)[0]
+        key = v.child(key, move, r)
+        played += (v.rules.pair(move, r),)
+    return key, played
+
+
+def test_ef_bindings_keep_a_repeated_element_as_two_rounds(edge):
+    v = solve(GameSpec("ef", "full", 2), edge, edge)
+    key, played = _play(v, [("A", "v"), ("A", "v")])
+    assert key == (frozenset({("v", "v")}), 0)
+    assert v.rules.bindings(key, played) == [(1, "v", "v"), (2, "v", "v")]
+    assert v.rules.label(v.root, ("A", "v")) == 1
+    assert v.rules.label(v.child(v.root, ("A", "v"), "w"), ("B", "v")) == 2
+
+
+def test_modal_bindings_start_at_the_points(chain_ab):
+    b = kripke(["p", "q"], [("p", "q")], ["q"], "p")
+    v = solve(GameSpec("modal", "full", 2), chain_ab, b)
+    key, played = _play(v, [("R", "A", "b")])
+    assert key == (("b", "q"), 1)
+    assert v.rules.bindings(v.root, ()) == [(1, "a", "p")]
+    assert v.rules.bindings(key, played) == [(1, "a", "p"), (2, "b", "q")]
+    assert v.rules.label(v.root, ("R", "B", "q")) == "R"
+
+
+def test_pebble_bindings_follow_the_pebble_index_after_a_move():
+    v = solve(GameSpec("pebble", "full", 2), clique(3), clique(3))
+    key, played = _play(v, [(2, "A", "c1"), (1, "A", "c0"), (2, "B", "c2")])
+    assert key == (frozenset({(1, ("c0", "c0")), (2, ("c0", "c2"))}), None)
+    assert v.rules.bindings(key, played) == [(1, "c0", "c0"), (2, "c0", "c2")]
+    assert v.rules.label(key, (2, "A", "c1")) == 2
+
+
+def _reachable(v):
+    """Every key reached from the root, by any move and response."""
+    seen, todo = {v.root}, [v.root]
+    while todo:
+        key = todo.pop()
+        yield key
+        for move in v.moves(key):
+            for _, child in v.children(key, move):
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+
+
+def _seeded_verdicts(family, seed, count):
+    rnd = random.Random(seed)
+    pool = all_pointed_kripke(2) if family == "modal" else small_structures(2)
+    for _ in range(count):
+        a, b = rnd.choice(pool), rnd.choice(pool)
+        mode, k = rnd.choice(MODES), rnd.choice((1, 2))
+        if family == "pebble":
+            spec = GameSpec("pebble", mode, k, rounds=rnd.choice((1, 2, 3)))
+        else:
+            spec = GameSpec(family, mode, k)
+        yield solve(spec, a, b)
+
+
+@pytest.mark.parametrize("family", ["ef", "modal", "pebble"])
+def test_strategies_at_every_reachable_position(family):
+    # child agrees with children, and wherever Duplicator is alive its
+    # response keeps it alive, not only at the root
+    seen = {"alive": 0, "dead": 0, "spoiler wins": 0}
+    for v in _seeded_verdicts(family, 97, 40):
+        seen["spoiler wins"] += not v.duplicator_wins
+        for key in _reachable(v):
+            alive = v.alive(key)
+            seen["alive" if alive else "dead"] += 1
+            if alive:
+                assert v.condition_at(key), key
+            elif v.condition_at(key):
+                move = v.spoiler_move_at(key)
+                assert not any(v.alive(c) for _, c in v.children(key, move)), key
+            for move in v.moves(key):
+                assert v.is_legal(key, move)
+                children = v.children(key, move)
+                assert [r for r, _ in children] == v.responses(key, move)
+                for r, child in children:
+                    assert v.child(key, move, r) == child and child[1] == key[1] - 1
+                if alive:
+                    r = v.duplicator_response(key, move)
+                    assert r is not None and v.alive(v.child(key, move, r)), (key, move)
+    assert min(seen.values()) >= 3, seen
 
 
 def test_mode_lattice_and_resource_monotonicity():
@@ -352,14 +444,14 @@ class ReferenceVerdict(Verdict):
     def __init__(self, spec, a, b, stage):
         super().__init__(spec, a, b)
         self.stage, self.duplicator_wins = stage, frozenset() not in stage
-        self._alive = lambda key: key[0] not in stage
+        self.alive = lambda key: key[0] not in stage
 
     def condition_at(self, key) -> bool:
         return self.rules.cond(key[0])
 
     def spoiler_move_at(self, key):
         best = best_stage = None
-        for move in self._moves(key):
+        for move in self.moves(key):
             stages = [self.stage.get(child[0], -1) for _, child in self.children(key, move)]
             if -1 in stages:
                 continue
@@ -381,15 +473,15 @@ def assert_matches_reference(spec, a, b):
     assert len(v.stage) == len(stage)
     ref = ReferenceVerdict(spec, a, b, stage)
     # every position distinguish visits, the violating ones included
-    todo = [v.initial_history()]
+    todo = [v.root]
     while todo:
-        history = todo.pop()
-        move = v.spoiler_move(history)
-        assert move == ref.spoiler_move(history), (spec, history)
-        holds = v.condition_holds(history)
-        assert holds == ref.condition_holds(history), (spec, history)
+        key = todo.pop()
+        move = v.spoiler_move_at(key)
+        assert move == ref.spoiler_move_at(key), (spec, key)
+        holds = v.condition_at(key)
+        assert holds == ref.condition_at(key), (spec, key)
         if holds and move is not None:
-            todo += [v.extend(history, move, r) for r in v.responses(history, move)]
+            todo += [child for _, child in v.children(key, move)]
     if not v.duplicator_wins:
         assert serialize_formula(distinguish(spec, a, b, v)) == \
             serialize_formula(distinguish(spec, a, b, ref))
@@ -478,8 +570,8 @@ def test_pebble_spoiler_move_matches_reference_at_every_placement():
             ref = ReferenceVerdict(spec, a, b, reference_pebble(spec, a, b))
             pairs = [(x, y) for x in a.universe for y in b.universe]
             for combo in itertools.product([None, *pairs], repeat=k):
-                history = tuple((p, *pair) for p, pair in enumerate(combo, 1) if pair)
-                assert v.spoiler_move(history) == ref.spoiler_move(history), (spec, history)
+                key = frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair), None
+                assert v.spoiler_move_at(key) == ref.spoiler_move_at(key), (spec, key)
 
 
 def test_pebble_attractor_empty_universes(edge):
@@ -771,7 +863,7 @@ def test_pebble_replay_tests_moves_without_listing_them():
     assert peak < 2 ** 20 and elapsed < 1, (peak, elapsed)
     for move in [(0, "A", "c0"), (10 ** 6 + 1, "A", "c0"), (1, "A", "c1"), (1, "C", "c0"),
                  [1, "A", "c0"], (1, "A"), "c0"]:
-        assert not v.is_legal(v.initial_history(), move)
+        assert not v.is_legal(v.root, move)
         with pytest.raises(IllegalMoveError, match="round 2"):
             replay(spec, a, b, v, [(2, "A", "c0"), move])
 

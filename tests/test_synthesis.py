@@ -148,15 +148,14 @@ def test_verdict_is_freed_without_the_cycle_collector(spec, pair):
         gc.enable()
 
 
-def _history_walk(spec, a, b, v):
-    """The formula ``_Synthesis`` reads off the verdict's history API."""
-    history = v.initial_history()
-    return synthesis._Synthesis(spec, a, b, v).formula(history, v.key(history))
+def _key_walk(spec, a, b, v):
+    """The formula ``_Synthesis`` reads off the verdict's strategy lookups."""
+    return synthesis._Synthesis(spec, a, b, v).formula(v.root, ())
 
 
 def test_unbounded_pebble_distinguish_walks_the_stage_table(monkeypatch):
-    # the formula of the mask walk is the history walk's, byte for byte, and
-    # it answers with the history API's strategy lookups refusing to run
+    # the formula of the mask walk is the key walk's, byte for byte, and it
+    # answers with the verdict's strategy lookups refusing to run
     rnd = random.Random(89)
     graphs = all_digraphs(3)
     cases = []
@@ -167,11 +166,11 @@ def test_unbounded_pebble_distinguish_walks_the_stage_table(monkeypatch):
                 spec = GameSpec("pebble", mode, k)
                 v = solve(spec, a, b)
                 if not v.duplicator_wins:
-                    cases.append((spec, a, b, v, serialize_formula(_history_walk(spec, a, b, v))))
+                    cases.append((spec, a, b, v, serialize_formula(_key_walk(spec, a, b, v))))
     assert len(cases) > 20
 
     def refuse(self, key):
-        raise AssertionError("the history API was read")
+        raise AssertionError("a strategy lookup was read")
     monkeypatch.setattr(Verdict, "spoiler_move_at", refuse)
     monkeypatch.setattr(Verdict, "condition_at", refuse)
     for spec, a, b, v, expected in cases:
@@ -186,6 +185,6 @@ def test_unbounded_pebble_distinguish_walks_the_stage_table(monkeypatch):
     assert model_check(phi, clique(2)) and not model_check(phi, clique(3))
     assert classify(phi).var_count == 3 and classify(phi).rank == 3
     assert elapsed < 0.5, elapsed
-    # the bounded game still walks its histories
-    with pytest.raises(AssertionError, match="history API"):
+    # the bounded game still walks its keys
+    with pytest.raises(AssertionError, match="strategy lookup"):
         distinguish(GameSpec("pebble", "full", 3, 3), clique(3), clique(2))
