@@ -14,8 +14,8 @@ synthesized from the Spoiler winning strategy.
 from .structures import (Vocabulary, Structure, ParseError, StructureError,
                          parse_structure, serialize_structure,
                          is_homomorphism, is_embedding, gaifman,
-                         expand_i, collapse_i, find_homomorphism,
-                         iter_homomorphisms, are_isomorphic, EQUALITY_SYMBOL)
+                         expand_i, collapse_i, iter_homomorphisms,
+                         are_isomorphic, EQUALITY_SYMBOL)
 from .formulas import (Formula, FormulaError, parse_formula, serialize_formula,
                        classify, model_check, standard_translation,
                        and_, or_, dualize, free_vars,
@@ -26,13 +26,12 @@ from .games import (GameSpec, Verdict, Transcript, solve, replay,
 from .synthesis import distinguish, DuplicatorWinsError
 from .oracle import (FragmentSpec, OracleResult, OracleResourceError,
                      oracle_preserves, fo_rank_profile, ml_depth_profile)
-from .coalgebras import (ForestCoalgebra, PathTree, Violation, BOTTOM,
+from .coalgebras import (ForestCoalgebra, Violation, BOTTOM,
                          CoalgebraError, CoalgebraSizeError,
                          build_ef, build_modal, build_pebble_truncated,
                          build_cofree, counit, counit_map, coextend,
                          check_comonad_laws, validate_coalgebra,
-                         path_tree, is_p_morphism, forest_shape,
-                         parse_coalgebra, serialize_coalgebra)
+                         forest_shape, parse_coalgebra, serialize_coalgebra)
 from .morphisms import (MorphismWitness, find_morphism, verify_morphism,
                         factor_xo, check_open_by_squares,
                         check_open_cover_lifting, check_pathwise)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, build_ef,
-                         build_modal, path_tree, validate_coalgebra)
+                         build_modal, validate_coalgebra)
 from .formulas import MODES, canonical_mode
 from .games import Verdict
 from .morphisms import (BranchPairs, chain_map_ok, check_bijection,
@@ -87,27 +87,37 @@ def back_forth(mode: str, x: ForestCoalgebra, y: ForestCoalgebra
 
 def validate_back_forth(system: BackForthSystem, x: ForestCoalgebra, y: ForestCoalgebra,
                         mode: str = "positive") -> list[str]:
-    """Check conditions (root pair, forth, back, pair compatibility, strength)."""
+    """Check conditions (root pair, forth, back, pair compatibility, strength).
+
+    A pair whose first node is neither ``BOTTOM`` nor an element of ``x``,
+    or whose second is neither ``BOTTOM`` nor an element of ``y``, is
+    reported, and the other conditions are checked on the remaining pairs.
+    """
     iso, back = MODES[canonical_mode(mode)]
     out = []
-    tx, ty = path_tree(x), path_tree(y)
     if (BOTTOM, BOTTOM) not in system.pairs:
         out.append("root pair missing")
+    pairs = []
     for xn, yn in system.pairs:
+        if xn in x.children and yn in y.children:
+            pairs.append((xn, yn))
+        else:
+            out.append(f"pair ({xn!r}, {yn!r}) names a node outside the coalgebras")
+    for xn, yn in pairs:
         if not chain_map_ok(x, y, x.chain(xn), y.chain(yn), iso):
             out.append(f"pair ({xn!r}, {yn!r}) fails the chain-map condition")
-    for xn, yn in system.pairs:
-        for xc in tx.children[xn]:
-            if not any((xc, yc) in system.pairs for yc in ty.children[yn]):
+    for xn, yn in pairs:
+        for xc in x.children[xn]:
+            if not any((xc, yc) in system.pairs for yc in y.children[yn]):
                 out.append(f"forth fails at ({xn!r}, {yn!r}) on {xc!r}")
         if back:
-            for yc in ty.children[yn]:
-                if not any((xc, yc) in system.pairs for xc in tx.children[xn]):
+            for yc in y.children[yn]:
+                if not any((xc, yc) in system.pairs for xc in x.children[xn]):
                     out.append(f"back fails at ({xn!r}, {yn!r}) on {yc!r}")
-    for xn, yn in system.pairs:
+    for xn, yn in pairs:
         if xn is BOTTOM or yn is BOTTOM:
             continue
-        if (tx.parent[xn], ty.parent[yn]) not in system.pairs:
+        if (x.parent.get(xn, BOTTOM), y.parent.get(yn, BOTTOM)) not in system.pairs:
             out.append(f"strength fails below ({xn!r}, {yn!r})")
     return out
 

@@ -218,7 +218,7 @@ def cmd_modelcheck(args) -> int:
 
 def cmd_build(args) -> int:
     a = _load_structure(args.file)
-    c = build_cofree(a, args.family, args.k, getattr(args, "n", None), args.with_i)
+    c = build_cofree(a, args.family, args.k, args.n, args.with_i)
     text = serialize_coalgebra(c)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -264,7 +264,7 @@ def cmd_morphism(args) -> int:
 
 def cmd_laws(args) -> int:
     a = _load_structure(args.file)
-    c = build_cofree(a, args.family, args.k, getattr(args, "n", None), args.with_i)
+    c = build_cofree(a, args.family, args.k, args.n, args.with_i)
     base = a
     if args.with_i:
         base = expand_i(a)

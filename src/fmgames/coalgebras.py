@@ -21,6 +21,12 @@ unravelling's ``children``, branches and ``signatures`` in the walk that
 creates its nodes; every other coalgebra (the EF and pebble cofree ones,
 bisimulation spans, parsed files) derives them on first use from its
 parent map and carrier.
+
+A coalgebra is its own tree of paths, the arboreal view of Abramsky and
+Reggio: a path is a branch, and :data:`BOTTOM`, the empty path, sits below
+the roots.  ``children[BOTTOM]`` lists the roots, ``chain(BOTTOM)`` is
+``()`` and ``signatures[0][BOTTOM]`` holds the 0-ary facts, so the
+back-and-forth systems and the openness checks walk the coalgebra itself.
 """
 
 from __future__ import annotations
@@ -47,6 +53,17 @@ class CoalgebraSizeError(CoalgebraError):
 
 
 DEFAULT_CARRIER_CAP = 100_000
+
+
+class _Bottom:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "⊥"
+
+
+#: The empty path, below every root; kept outside every carrier.
+BOTTOM = _Bottom()
 
 
 def _heights(nodes, parent: Mapping) -> dict:
@@ -154,6 +171,27 @@ class ForestCoalgebra:
 
     def comparable(self, x, y) -> bool:
         return x in self.chain(y) or y in self.chain(x)
+
+
+def forest_shape(children: Mapping, roots) -> str:
+    """Canonical label-free shape of a forest; equal shapes = order isomorphic.
+
+    The shape is the AHU encoding: a node is ``(`` + its children's shapes
+    in sorted order + ``)``, and the forest its sorted root shapes.  Built
+    bottom-up without recursion, and compared as flat strings, so forests of
+    any depth work.
+    """
+    shape: dict = {}
+    stack = list(roots)
+    while stack:
+        n = stack[-1]
+        pending = [c for c in children[n] if c not in shape]
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            shape[n] = "(" + "".join(sorted(shape[c] for c in children[n])) + ")"
+    return "".join(sorted(shape[r] for r in roots))
 
 
 @dataclass(frozen=True)
@@ -454,6 +492,12 @@ def build_pebble_truncated(a: Structure, k: int, n: int, with_i: bool = False,
 
 def build_cofree(a: Structure, kind: str, k: int, n: int | None = None,
                  with_i: bool = False, cap: int = DEFAULT_CARRIER_CAP) -> ForestCoalgebra:
+    """The cofree coalgebra of ``kind``; the truncation depth ``n`` is the
+    pebble kind's only, and ``with_i`` is refused for the modal kind."""
+    if n is not None and kind != "pebble":
+        raise CoalgebraError(f"truncation depth n applies to the pebble kind only, not {kind!r}")
+    if with_i and kind == "modal":
+        raise CoalgebraError("with_i (the I-expansion) does not apply to the modal kind")
     if kind == "ef":
         return build_ef(a, k, with_i, cap)
     if kind == "modal":
@@ -539,99 +583,6 @@ def check_comonad_laws(c: ForestCoalgebra, base: Structure, f: Mapping, b: Struc
             failures.append("coextension does not commute with composition")
             break
     return failures
-
-
-# ---------------------------------------------------------------------------
-# Path trees
-
-class _Bottom:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "⊥"
-
-
-#: Synthetic least path, kept outside every carrier.
-BOTTOM = _Bottom()
-
-
-@dataclass(frozen=True, eq=False)
-class PathTree:
-    """The tree of paths of a forest coalgebra: a synthetic root below the forest."""
-
-    nodes: tuple
-    parent: Mapping
-
-    @cached_property
-    def children(self) -> dict:
-        out: dict = {n: [] for n in self.nodes}
-        for c in self.nodes:
-            p = self.parent.get(c)
-            if p is not None:
-                out[p].append(c)
-        return out
-
-    @cached_property
-    def height(self) -> dict:
-        """Distance to the synthetic root per node; raises on a parent cycle."""
-        return _heights(self.nodes, self.parent)
-
-    @property
-    def root(self):
-        return self.nodes[0]
-
-
-def path_tree(x: ForestCoalgebra) -> PathTree:
-    parent = {BOTTOM: None}
-    parent.update({e: x.parent.get(e, BOTTOM) for e in x.universe})
-    del parent[BOTTOM]
-    return PathTree((BOTTOM,) + x.universe, parent)
-
-
-def is_forest_morphism_tree(tmap: Mapping, t1: PathTree, t2: PathTree) -> bool:
-    for n in t1.nodes:
-        if n not in tmap or tmap[n] not in t2.children:
-            return False
-    if tmap[t1.root] != t2.root:
-        return False
-    for c in t1.nodes:
-        p = t1.parent.get(c)
-        if p is not None and t2.parent.get(tmap[c]) != tmap[p]:
-            return False
-    return True
-
-
-def is_p_morphism(tmap: Mapping, t1: PathTree, t2: PathTree) -> bool:
-    """Root preservation plus cover lifting, for a forest morphism of path trees."""
-    if not is_forest_morphism_tree(tmap, t1, t2):
-        raise CoalgebraError("map is not a forest morphism of path trees")
-    for n in t1.nodes:
-        image_children = {tmap[c] for c in t1.children[n]}
-        for yc in t2.children[tmap[n]]:
-            if yc not in image_children:
-                return False
-    return True
-
-
-def forest_shape(nodes, children: Mapping, roots) -> str:
-    """Canonical label-free shape of a forest; equal shapes = order isomorphic.
-
-    The shape is the AHU encoding: a node is ``(`` + its children's shapes
-    in sorted order + ``)``, and the forest its sorted root shapes.  Built
-    bottom-up without recursion, and compared as flat strings, so forests of
-    any depth work.
-    """
-    shape: dict = {}
-    stack = list(roots)
-    while stack:
-        n = stack[-1]
-        pending = [c for c in children[n] if c not in shape]
-        if pending:
-            stack += pending
-        else:
-            stack.pop()
-            shape[n] = "(" + "".join(sorted(shape[c] for c in children[n])) + ")"
-    return "".join(sorted(shape[r] for r in roots))
 
 
 # ---------------------------------------------------------------------------

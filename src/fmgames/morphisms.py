@@ -3,8 +3,10 @@
 The checkers verify a map for each kind: a forest morphism that is a
 homomorphism (pebbling preserved for pebble kinds); pathwise embeddings
 also reflect every relation on tuples from a single branch; open pathwise
-embeddings also hit every target root and lift covers of images to covers
-(the concrete p-morphism conditions on path trees).  Openness by cover
+embeddings also hit every target root and lift covers of images to covers.
+Read on the coalgebras as their own path trees (``BOTTOM`` below the
+roots), these are the p-morphism conditions, so ``verify_morphism(f, x, y,
+"open_pathwise_embedding")`` is the p-morphism test.  Openness by cover
 lifting is checked independently by enumerating lifting squares in
 :func:`check_open_by_squares`.
 
@@ -20,8 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .coalgebras import (BOTTOM, CoalgebraError, ForestCoalgebra, path_tree,
-                         pull_back)
+from .coalgebras import BOTTOM, CoalgebraError, ForestCoalgebra, pull_back
 from .structures import EQUALITY_SYMBOL, is_homomorphism
 
 MORPHISM_KINDS = ("hom", "i_morphism", "pathwise_embedding", "open_pathwise_embedding")
@@ -140,8 +141,8 @@ def check_open_by_squares(f: Mapping, x: ForestCoalgebra, y: ForestCoalgebra) ->
     cover-lifting route on purpose.
     """
     out = []
-    x_chain = {n: x.chain(n) for n in path_tree(x).nodes}
-    y_chain = {n: y.chain(n) for n in path_tree(y).nodes}
+    x_chain = {n: x.chain(n) for n in (BOTTOM, *x.universe)}
+    y_chain = {n: y.chain(n) for n in (BOTTOM, *y.universe)}
     for xn, cx in x_chain.items():
         image_chain = tuple(f[c] for c in cx)
         for yn, cy in y_chain.items():

@@ -136,10 +136,6 @@ class Structure:
         full = {rel: frozenset(map(tuple, interp.get(rel, ()))) for rel, _ in vocab.relations}
         return cls(vocab, tuple(universe), full, point, name)
 
-    def rel(self, name: str) -> frozenset:
-        self.vocab.arity(name)
-        return self.interp.get(name, frozenset())
-
     @cached_property
     def index(self) -> dict:
         return {e: i for i, e in enumerate(self.universe)}
@@ -164,12 +160,6 @@ class Structure:
             raise StructureError(f"{rel} is not binary")
         succ = {b for a, b in self.interp[rel] if a == elem}
         return [e for e in self.universe if e in succ]
-
-    def with_point(self, point: Optional[ElementId]) -> "Structure":
-        return Structure(self.vocab, self.universe, self.interp, point, self.name)
-
-    def with_name(self, name: str) -> "Structure":
-        return Structure(self.vocab, self.universe, self.interp, self.point, name)
 
     def __repr__(self):
         pt = f", point={self.point!r}" if self.point is not None else ""
@@ -334,10 +324,6 @@ def iter_homomorphisms(a: Structure, b: Structure, *, injective: bool = False,
             del assignment[x]
 
     yield from extend(0)
-
-
-def find_homomorphism(a: Structure, b: Structure) -> Optional[dict]:
-    return next(iter_homomorphisms(a, b), None)
 
 
 def are_isomorphic(a: Structure, b: Structure) -> bool:

@@ -27,7 +27,7 @@ import pytest
 
 from fmgames import (FALSE, TRUE, And, Atom, BOTTOM, Box, Dia, Eq, Exists, FalseC, Forall,
                      Formula, FormulaError, NegAtom, NegEq, NegProp, Or, Prop, Structure,
-                     TrueC, Vocabulary, and_, or_, path_tree)
+                     TrueC, Vocabulary, and_, or_)
 from fmgames import oracle as _oracle
 from fmgames.coalgebras import DEFAULT_CARRIER_CAP, CoalgebraSizeError, branch_tuples
 from fmgames.formulas import Classification
@@ -212,16 +212,15 @@ def reference_back_forth(mode, x, y):
     """
     iso = mode in ("full", "existential")
     back = mode in ("full", "positive")
-    tx, ty = path_tree(x), path_tree(y)
-    chains_x = {n: x.chain(n) for n in tx.nodes}
-    chains_y = {n: y.chain(n) for n in ty.nodes}
+    chains_x = {n: x.chain(n) for n in (BOTTOM, *x.universe)}
+    chains_y = {n: y.chain(n) for n in (BOTTOM, *y.universe)}
     alive = {(xn, yn) for xn, cx in chains_x.items() for yn, cy in chains_y.items()
-             if tx.height[xn] == ty.height[yn] and _reference_chain_map(x, y, cx, cy, iso)}
+             if len(cx) == len(cy) and _reference_chain_map(x, y, cx, cy, iso)}
     changed = True
     while changed:
         changed = False
         for pair in list(alive):
-            kids_x, kids_y = tx.children[pair[0]], ty.children[pair[1]]
+            kids_x, kids_y = x.children[pair[0]], y.children[pair[1]]
             ok = all(any((xc, yc) in alive for yc in kids_y) for xc in kids_x)
             if ok and back:
                 ok = all(any((xc, yc) in alive for xc in kids_x) for yc in kids_y)

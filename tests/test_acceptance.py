@@ -22,13 +22,13 @@ import random
 
 import pytest
 
-from fmgames import (GameSpec, FragmentSpec, build_ef, build_modal,
+from fmgames import (BOTTOM, GameSpec, FragmentSpec, build_ef, build_modal,
                      build_pebble_truncated, build_bisim, build_positive_bisim,
                      check_comonad_laws, check_open_by_squares,
                      check_open_cover_lifting, classify, counit_map,
-                     distinguish, extract_back_forth, find_homomorphism,
-                     find_morphism, forest_shape, model_check,
-                     oracle_preserves, path_tree, solve, validate_back_forth)
+                     distinguish, extract_back_forth, find_morphism,
+                     forest_shape, model_check, oracle_preserves, solve,
+                     validate_back_forth)
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, clique,
                             edge_structure, linear_order, loop_structure)
 from fmgames.oracle import fo_rank_profile, ml_depth_profile
@@ -328,7 +328,7 @@ def test_criterion_4_classical_calibration():
     assert not solve(GameSpec("pebble", "full", 3), k2, k3).duplicator_wins
     notes.append("K2 ==_L2 K3, K2 !=_L3 K3")
     edge, loop = edge_structure(), loop_structure()
-    assert find_homomorphism(edge, loop) is not None
+    assert next(iter_homomorphisms(edge, loop), None) is not None
     for k in (1, 2, 3, 4):
         assert solve(GameSpec("ef", "ep", k), edge, loop).duplicator_wins
         assert oracle_preserves(FragmentSpec("fo_rank", k, "ep"), edge, loop).preserved
@@ -348,6 +348,8 @@ def test_criterion_5_positive_bisim_round_trip(ef_sweep, modal_sweep):
 
 
 def test_criterion_6_path_tree_correspondence():
+    """The paths of a coalgebra, the branches ``chain(e)`` ordered by prefix,
+    form the forest of its parent map, with the empty path at the bottom."""
     bad = []
     coalgebras = []
     for s in DIGRAPHS:
@@ -357,10 +359,14 @@ def test_criterion_6_path_tree_correspondence():
     for s in KRIPKES:
         coalgebras.append(build_modal(s, 2))
     for c in coalgebras:
-        t = path_tree(c)
-        shape_tree = forest_shape(t.nodes, t.children, t.children[t.root])
-        shape_forest = forest_shape(c.universe, c.children, c.roots)
-        if shape_tree != shape_forest:
+        paths = {c.chain(e): e for e in c.universe}
+        covers, roots = {p: [] for p in paths}, []
+        for q in paths:
+            below = [q[:i] for i in range(1, len(q)) if q[:i] in paths]
+            (covers[below[-1]] if below else roots).append(q)
+        if (c.chain(BOTTOM) != () or len(paths) != len(c.universe)
+                or any(q[-1] != e for q, e in paths.items())
+                or forest_shape(covers, roots) != forest_shape(c.children, c.roots)):
             bad.append(c.carrier.name)
     status = "PASS" if not bad else "FAIL"
     _report(f"criterion 6 (path-tree correspondence): {status} — "

@@ -5,10 +5,10 @@ import time
 import pytest
 
 import fmgames
-from fmgames import (BOTTOM, BisimVerificationError, ForestCoalgebra, GameSpec, Structure,
-                     back_forth, build_bisim, build_ef, build_modal, build_positive_bisim,
-                     extract_back_forth, find_morphism, solve, validate_back_forth,
-                     verify_bisim, verify_positive_bisim)
+from fmgames import (BOTTOM, BackForthSystem, BisimVerificationError, ForestCoalgebra,
+                     GameSpec, Structure, back_forth, build_bisim, build_ef, build_modal,
+                     build_positive_bisim, extract_back_forth, find_morphism, solve,
+                     validate_back_forth, verify_bisim, verify_positive_bisim)
 from fmgames.bisim import BisimWitness, PositiveBisimWitness, _spans
 from fmgames.corpus import all_digraphs, all_pointed_kripke
 
@@ -24,6 +24,16 @@ def test_backforth_diagonal_on_identical(edge):
     assert system is not None
     assert all((n, n) in system.pairs for n in (BOTTOM,) + x.universe)
     assert validate_back_forth(system, x, x, "positive") == []
+
+
+def test_validate_back_forth_reports_pairs_outside_the_coalgebras(edge, loop):
+    x, y = build_ef(edge, 2), build_ef(loop, 2)
+    system = back_forth("ep", x, y)
+    assert validate_back_forth(system, x, y, "ep") == []
+    for xn, yn in ((("zz",), ("u",)), (("v",), ("zz",)), (BOTTOM, "u")):
+        stray = BackForthSystem(system.pairs | {(xn, yn)})
+        assert validate_back_forth(stray, x, y, "ep") == [
+            f"pair ({xn!r}, {yn!r}) names a node outside the coalgebras"]
 
 
 def test_backforth_point_vs_loop_example(loop):

@@ -186,6 +186,21 @@ def test_laws_command(files, capsys):
         assert capsys.readouterr().out.strip() == "all laws hold"
 
 
+@pytest.mark.parametrize("command", ["build", "laws"])
+@pytest.mark.parametrize("family,extra,message", [
+    ("ef", ["-n", "3"], "truncation depth n applies to the pebble kind only, not 'ef'"),
+    ("modal", ["-n", "3"], "truncation depth n applies to the pebble kind only, not 'modal'"),
+    ("modal", ["--with-I"], "with_i (the I-expansion) does not apply to the modal kind"),
+])
+def test_build_and_laws_refuse_options_outside_their_kind(files, capsys, command,
+                                                          family, extra, message):
+    target = files["modal_a"] if family == "modal" else files["edge"]
+    code = main([command, "--family", family, "-k", "1", *extra, target])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_oracle_command(files, capsys):
     code = main(["oracle", "--family", "modal", "--mode", "existential",
                  "-k", "1", files["modal_a"], files["modal_b"]])

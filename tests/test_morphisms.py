@@ -3,11 +3,11 @@ import time
 
 import pytest
 
-from fmgames import (CoalgebraError, ForestCoalgebra, GameSpec, Structure, build_ef,
-                     build_modal, build_pebble_truncated, check_open_by_squares,
+from fmgames import (BOTTOM, CoalgebraError, ForestCoalgebra, GameSpec, Structure,
+                     build_ef, build_modal, build_pebble_truncated, check_open_by_squares,
                      check_open_cover_lifting, factor_xo, find_morphism,
-                     is_embedding, is_homomorphism, path_tree, is_p_morphism,
-                     solve, validate_coalgebra, verify_morphism)
+                     is_embedding, is_homomorphism, solve, validate_coalgebra,
+                     verify_morphism)
 from fmgames.cli import main
 from fmgames.corpus import (all_digraphs, all_pointed_kripke, edge_structure,
                             loop_structure)
@@ -31,6 +31,19 @@ def test_hom_exists_from_coextension(edge, loop):
     w = find_morphism("hom", fa, fb)
     assert w is not None
     assert verify_morphism(w.mapping, fa, fb, "hom") == []
+
+
+def test_verify_morphism_reasons_on_a_chain(edge):
+    point = Structure.make(edge.vocab, ["x"], {})
+    short, chain = build_ef(point, 1), build_ef(point, 2)
+    x, xx = ("x",), ("x", "x")
+    # collapsing the chain onto its root breaks the cover below xx
+    assert verify_morphism({x: x, xx: x}, chain, chain, "hom") == [
+        f"cover {x!r} -> {xx!r} not preserved"]
+    # the inclusion of the short chain is a pathwise embedding, not an open one
+    assert verify_morphism({x: x}, short, chain, "pathwise_embedding") == []
+    assert verify_morphism({x: x}, short, chain, "open_pathwise_embedding") == [
+        f"open violated at {x!r}: cover {xx!r} does not lift"]
 
 
 def test_pathwise_none_edge_loop(edge, loop):
@@ -122,11 +135,6 @@ def test_open_formulations_agree_on_found_embeddings():
         lifting = not check_open_cover_lifting(w.mapping, x, y)
         squares = not check_open_by_squares(w.mapping, x, y)
         assert lifting == squares
-        # and the path-tree p-morphism check is the same thing
-        tx, ty = path_tree(x), path_tree(y)
-        from fmgames import BOTTOM
-        tmap = {BOTTOM: BOTTOM, **w.mapping}
-        assert is_p_morphism(tmap, tx, ty) == lifting
         agree += 1
     assert agree > 5
 
@@ -160,14 +168,12 @@ def _chain_map_reference(x, y, xn, yn, iso: bool) -> bool:
 def _chain_map_agreement(coalgebras) -> set:
     seen = set()
     for x in coalgebras:
-        tx = path_tree(x)
         for y in coalgebras:
-            ty = path_tree(y)
-            for xn in tx.nodes:
-                for yn in ty.nodes:
-                    if tx.height[xn] != ty.height[yn]:
-                        continue
+            for xn in (BOTTOM, *x.universe):
+                for yn in (BOTTOM, *y.universe):
                     cx, cy = x.chain(xn), y.chain(yn)
+                    if len(cx) != len(cy):
+                        continue
                     for iso in (False, True):
                         got = chain_map_ok(x, y, cx, cy, iso)
                         assert got == _chain_map_reference(x, y, xn, yn, iso), (xn, yn, iso)

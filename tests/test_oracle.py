@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -162,7 +163,7 @@ def test_ml_requires_points_and_modal_vocab(edge, chain_ab):
         oracle_preserves(FragmentSpec("ml_depth", 1, "full"), edge, edge)
     with pytest.raises(StructureError):
         oracle_preserves(FragmentSpec("ml_depth", 1, "full"),
-                         chain_ab.with_point(None), chain_ab)
+                         dataclasses.replace(chain_ab, point=None), chain_ab)
 
 
 def test_empty_universe_conventions(edge):

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from fmgames import (EQUALITY_SYMBOL, ParseError, Structure, StructureError,
                      Vocabulary, are_isomorphic, collapse_i, expand_i,
-                     find_homomorphism, gaifman, is_embedding,
-                     is_homomorphism, parse_structure, serialize_structure)
+                     gaifman, is_embedding, is_homomorphism, iter_homomorphisms,
+                     parse_structure, serialize_structure)
 
 from conftest import small_structures
 
@@ -75,7 +76,7 @@ def test_is_homomorphism(edge, loop):
 
 def test_point_preservation_checked():
     a = Structure.make(Vocabulary((("R", 2),)), ["a", "b"], {}, point="a")
-    b = a.with_point("b")
+    b = dataclasses.replace(a, point="b")
     assert not is_homomorphism({"a": "a", "b": "b"}, a, b)
     assert is_homomorphism({"a": "b", "b": "b"}, a, b)
 
@@ -146,8 +147,8 @@ def test_collapse_requires_i(edge):
 
 
 def test_find_homomorphism(edge, loop):
-    assert find_homomorphism(edge, loop) == {"v": "u", "w": "u"}
-    assert find_homomorphism(loop, edge) is None
+    assert next(iter_homomorphisms(edge, loop), None) == {"v": "u", "w": "u"}
+    assert next(iter_homomorphisms(loop, edge), None) is None
 
 
 def test_are_isomorphic():
