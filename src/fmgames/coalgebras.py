@@ -66,23 +66,6 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-def _heights(nodes, parent: Mapping) -> dict:
-    """Distance to the root per node of a parent map; raises on a cycle."""
-    out: dict = {}
-    for e in nodes:
-        trail = []
-        while e not in out and parent.get(e) is not None:
-            trail.append(e)
-            if len(trail) > len(nodes):
-                raise CoalgebraError("parent map has a cycle")
-            e = parent[e]
-        h = out.setdefault(e, 0)
-        for x in reversed(trail):
-            h += 1
-            out[x] = h
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ForestCoalgebra:
     """A structure with a forest order; concretely a coalgebra of its kind."""
@@ -114,11 +97,6 @@ class ForestCoalgebra:
     @property
     def roots(self) -> list:
         return self.children[BOTTOM]
-
-    @cached_property
-    def height(self) -> dict:
-        """Distance to the root per element; raises on a parent cycle."""
-        return _heights(self.universe, self.parent)
 
     @cached_property
     def _branches(self) -> dict:
@@ -228,8 +206,9 @@ def validate_coalgebra(x: ForestCoalgebra) -> list[Violation]:
 
     if x.kind in ("ef", "modal"):
         for e in x.universe:
-            if x.height[e] > x.k_bound:
-                out.append(Violation("height", (e,), f"height {x.height[e]} exceeds bound {x.k_bound}"))
+            height = len(x.chain(e)) - 1
+            if height > x.k_bound:
+                out.append(Violation("height", (e,), f"height {height} exceeds bound {x.k_bound}"))
 
     if x.kind in ("ef", "pebble"):
         # a tuple's elements are pairwise comparable iff they all lie on the
@@ -654,9 +633,11 @@ def parse_coalgebra(text: str) -> ForestCoalgebra:
     else:
         kind = "ef"
         k_bound = 0
+    x = ForestCoalgebra(carrier, parent, k_bound, kind, pebble or None)
     try:
-        depth = max(_heights(carrier.universe, parent).values(), default=0)
+        depth = max(map(len, x._branches.values())) - 1  # BOTTOM's branch is ()
     except CoalgebraError:  # a parent cycle, which validate_coalgebra reports
         depth = 0
-    k_bound = max(k_bound, depth, 1)
-    return ForestCoalgebra(carrier, parent, k_bound, kind, pebble or None)
+    # set before the coalgebra leaves here, so its branches are walked once
+    object.__setattr__(x, "k_bound", max(k_bound, depth, 1))
+    return x

@@ -30,9 +30,10 @@ tried and counter rows) and the positions the backward induction memoizes.
 
 EF states are sets of chosen pairs, which collapses the sequence blowup;
 modal states are pairs of current worlds; pebble states are placements,
-while the unbounded game's stage table, and the synthesis that walks it,
-work on pair-set masks.  Every strategy lookup takes a key: the winning
-conditions are hereditary, so a strategy need only read the position.
+which the unbounded game's stage table reads at their sets of placed pairs,
+while the synthesis that walks the table works on pair-set masks.  Every
+strategy lookup takes a key: the winning conditions are hereditary, so a
+strategy need only read the position.
 Points of the structures are ignored by the EF and pebble families; the
 modal family requires them.
 """
@@ -494,11 +495,7 @@ class Verdict:
         self.alive = None
 
     def condition_at(self, key) -> bool:
-        state = key[0]
-        if self.stage is not None:
-            # the attractor kept exactly the pair sets that satisfy the condition
-            return self.stage.get(state, -1) != 0
-        return self.rules.cond(state)
+        return self.rules.cond(key[0])
 
     # -- moves --------------------------------------------------------------
 
@@ -555,10 +552,13 @@ class Verdict:
         """Verdict for another round budget, read off the same solve tables.
 
         EF and modal positions are memoized by remaining rounds, so one
-        backward induction answers every smaller (or larger) budget too.
+        backward induction answers every smaller (or larger) budget too.  A
+        budget of 0 asks about the root condition; a negative one is refused.
         """
         if self.spec.family == "pebble":
             raise ValueError("round-budget reuse applies to EF and modal verdicts")
+        if rounds < 0:
+            raise ValueError(f"round budget {rounds} is negative")
         return self.alive((self.root[0], rounds))
 
 
@@ -629,25 +629,22 @@ class _Backward:
 
 class _StageTable:
     """Death stages of the unbounded pebble game, keyed by the sets of placed
-    pairs the attractor solves over, with lookups by placement
-    ``{(pebble, (a, b)), ...}``.
+    pairs the attractor solves over.
 
     A placement's stage is the stage of its set of placed pairs (see
     ``_solve_attractor``).  So ``stages`` holds one stage per pair set that
     satisfies the condition (-1 while alive), keyed by its bit mask over
     ``pairs``; every other pair set fails the condition and has stage 0.
-    ``pair_sets`` lists the kept sets.  Spoiler's move is read off the
-    masks (``move``), and ``replies`` gives the bits a move's responses
-    place, so synthesis walks Spoiler's strategy on masks alone; placements,
-    the states of the verdict's keys, are only what the lookups by
-    placement (``death_stage``, ``spoiler_move``, ``get``, ``[]``) take.
+    ``pair_sets`` lists the kept sets and ``[]`` reads a set's stage.
+    Spoiler's move is read off the masks (``move``), and ``replies`` gives
+    the bits a move's responses place, so synthesis walks Spoiler's
+    strategy on masks alone.
     The length counts the dead placements without walking them: the
     placements whose pairs are exactly an alive set of j pairs are the maps
     from the k pebbles onto that set plus "off the board", counted by
     inclusion-exclusion (``_onto``) from the alive sets per level, and
-    every other placement is dead.  The indexes that lookups by placement
-    read are built on the first lookup, so a verdict that is never asked
-    about a placement builds none.
+    every other placement is dead.  The index of the pairs is built when a
+    non-empty set is first looked up.
     """
 
     def __init__(self, stages: dict, levels: array, start: list, pairs: list, k: int):
@@ -679,19 +676,12 @@ class _StageTable:
         return {frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1): s
                 for mask, s in self.stages.items()}
 
-    def _bit(self, item) -> int:
-        if item[0] not in range(1, self._k + 1):
-            raise KeyError(item)
-        return 1 << self._index[item[1]]
-
-    def death_stage(self, placement) -> int:
-        """The placement's death stage, -1 while it is alive."""
-        if len(dict(placement)) != len(placement):
-            raise KeyError(placement)  # two positions for one pebble
-        mask = 0
-        for item in placement:
-            mask |= self._bit(item)
-        return self.stages.get(mask, 0)
+    def __getitem__(self, pairs) -> int:
+        """The death stage of a set of ``(a, b)`` pairs: -1 while it is alive,
+        0 when the attractor did not keep it.  A pair outside A x B raises
+        ``KeyError``."""
+        # distinct pairs have distinct bits, so the sum is the set's mask
+        return self.stages.get(sum(1 << self._index[pair] for pair in pairs), 0)
 
     @staticmethod
     def placed(bits) -> tuple:
@@ -705,9 +695,7 @@ class _StageTable:
 
     def spoiler_move(self, placement, elements):
         """``move`` from a placement ``{(pebble, (a, b)), ...}``."""
-        held = {item[0]: self._bit(item) for item in placement}
-        if len(held) != len(placement):
-            raise KeyError(placement)  # two positions for one pebble
+        held = {p: 1 << self._index[pair] for p, pair in placement}
         return self.move(held, *self.placed(held.values()), elements)
 
     def move(self, held: dict, full: int, shared: int, elements):
@@ -747,21 +735,6 @@ class _StageTable:
                         return p, side, e
                     best, cutoff = (p, side, e), worst
         return best
-
-    def __getitem__(self, placement) -> int:
-        s = self.death_stage(placement)
-        if s < 0:
-            raise KeyError(placement)
-        return s
-
-    def get(self, placement, default=None):
-        """The stage, or ``default`` for an alive or unknown placement, in one
-        lookup where ``in`` and then ``[]`` would take two."""
-        try:
-            s = self.death_stage(placement)
-        except KeyError:
-            return default
-        return default if s < 0 else s
 
     def __len__(self) -> int:
         """The number of dead placements, counted per call from the alive
@@ -975,7 +948,7 @@ def _solve_attractor(v: Verdict, cap: int):
         layer = nxt
     filed = dict(zip(masks, stages))
     table = _StageTable(filed, stages, start, pairs, k)
-    v.alive = lambda key: table.death_stage(key[0]) < 0
+    v.alive = lambda key: table[frozenset(pair for _, pair in key[0])] < 0
     v.stage = table
     v.duplicator_wins = filed.get(0, 0) < 0  # the empty pair set has mask 0
 
@@ -1001,6 +974,12 @@ class Transcript:
         return out
 
 
+def _check_verdict(verdict: Verdict, spec: GameSpec, a: Structure, b: Structure):
+    """Refuse (``ValueError``) a verdict solved for another game."""
+    if (verdict.spec, verdict.a, verdict.b) != (spec, a, b):
+        raise ValueError("verdict does not match the given spec and structures")
+
+
 def _validate_move(verdict: Verdict, key, move, round_no: int):
     if verdict.is_legal(key, move):
         return move
@@ -1019,8 +998,7 @@ def replay(spec: GameSpec, a: Structure, b: Structure, verdict: Verdict,
     If the solver declared Duplicator the winner, reaching a lost position
     raises ``RuntimeError`` (a bug sentinel).
     """
-    if verdict.spec != spec or verdict.a != a or verdict.b != b:
-        raise ValueError("verdict does not match the given spec and structures")
+    _check_verdict(verdict, spec, a, b)
     transcript = Transcript(spec)
     key = verdict.root
     if not verdict.condition_at(key):

@@ -20,7 +20,8 @@ the bits of ``_StageTable.replies``, so no placement or key is built.
 from __future__ import annotations
 
 from .formulas import Box, Dia, Formula, Exists, Forall, and_, or_
-from .games import GameSpec, Verdict, _StageTable, modal_literal, solve, violated_literal
+from .games import (GameSpec, Verdict, _StageTable, _check_verdict, modal_literal, solve,
+                    violated_literal)
 from .structures import Structure
 
 
@@ -35,9 +36,11 @@ def distinguish(spec: GameSpec, a: Structure, b: Structure,
     Requires a Spoiler win.  The result is true in ``a`` and false in ``b``,
     stays inside the mode, and respects the resource bound (rank <= k for EF,
     variables <= k and rank <= death stage for pebble, depth <= k for modal).
+    A ``verdict`` passed in must be one for ``spec``, ``a`` and ``b``.
     """
     if verdict is None:
         verdict = solve(spec, a, b)
+    _check_verdict(verdict, spec, a, b)
     if verdict.duplicator_wins:
         raise DuplicatorWinsError("Duplicator wins; nothing to distinguish")
     if isinstance(verdict.stage, _StageTable):

@@ -345,7 +345,7 @@ def _added(z: ForestCoalgebra, q, y: ForestCoalgebra) -> ForestCoalgebra:
 def _reparented(z: ForestCoalgebra) -> ForestCoalgebra:
     """``z`` with one element moved under another element of its parent's height."""
     e, other = next((e, o) for e, p in z.parent.items() for o in z.universe
-                    if o != p and z.height[o] == z.height[p])
+                    if o != p and len(z.chain(o)) == len(z.chain(p)))
     return _mutated(z, parent={**z.parent, e: other})
 
 

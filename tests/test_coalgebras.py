@@ -55,7 +55,7 @@ def test_build_modal_loop_unravels():
     la = kripke(["a"], [("a", "a")], [], "a")
     c = build_modal(la, 2)
     assert len(c.universe) == 3  # a, a->a, a->a->a
-    assert c.height[max(c.universe, key=len)] == 2
+    assert len(c.chain(max(c.universe, key=len))) - 1 == 2
 
 
 def test_build_modal_pointless_successor_free():
@@ -285,7 +285,7 @@ def _chain_coalgebra(depth: int) -> ForestCoalgebra:
 
 def test_deep_chain_height_and_shape():
     deep = _chain_coalgebra(3000)
-    assert deep.height["n2999"] == 2999
+    assert len(deep.chain("n2999")) - 1 == 2999
     assert validate_coalgebra(deep) == []
     shape = forest_shape(deep.children, deep.roots)
     assert shape == "(" * 3000 + ")" * 3000
@@ -308,7 +308,7 @@ def test_parse_coalgebra_with_parent_cycle_reports_it(text):
     c = parse_coalgebra(text)
     assert [v.code for v in validate_coalgebra(c)] == ["forest-cycle"]
     with pytest.raises(CoalgebraError, match="cycle"):
-        c.height
+        c.chain("a")
 
 
 @pytest.mark.parametrize("text", [

@@ -299,14 +299,24 @@ def test_replay_rejects_illegal_moves(edge, loop):
         replay(spec, edge, loop, v, [("A", "zzz")])
 
 
+def test_round_budget_reuse_refuses_a_negative_budget(edge, loop):
+    # a negative budget once answered the root condition: True, though
+    # Spoiler wins this game
+    v = solve(GameSpec("ef", "full", 2), edge, loop)
+    assert not v.duplicator_wins and not v.duplicator_wins_within(2)
+    assert v.duplicator_wins_within(0)  # the root condition holds
+    with pytest.raises(ValueError, match="round budget -3"):
+        v.duplicator_wins_within(-3)
+
+
 def test_pebble_stage_table(cliques):
     spec = GameSpec("pebble", "full", 3)
     v = solve(spec, cliques[2], cliques[3])
     assert not v.duplicator_wins
     assert v.stage[frozenset()] >= 1
-    # stages are finite on dead positions and absent on alive ones
+    # each dead placement's stage is that of its pair set
     stage = reference_pebble(spec, cliques[2], cliques[3])
-    assert all(v.stage[pl] == s for pl, s in stage.items())
+    assert all(v.stage[pair_set(pl)] == s for pl, s in stage.items())
     assert len(v.stage) == len(stage)
 
 
@@ -435,6 +445,11 @@ def reference_pebble(spec, a, b):
         stage.update(dict.fromkeys(killed, s))
 
 
+def pair_set(placement) -> frozenset:
+    """The set of pairs a placement ``{(pebble, (a, b)), ...}`` places."""
+    return frozenset(pair for _, pair in placement)
+
+
 class ReferenceVerdict(Verdict):
     """An unbounded pebble verdict over a plain dict of dead placements, read
     child by child: the condition from ``pairs_condition`` and Spoiler's move
@@ -468,8 +483,8 @@ def assert_matches_reference(spec, a, b):
     stage = reference_pebble(spec, a, b)
     assert v.duplicator_wins == (frozenset() not in stage)
     # the same dead placements with the same stages: each one the reference
-    # lists, and no more
-    assert all(v.stage[pl] == s for pl, s in stage.items())
+    # lists, at its pair set, and no more
+    assert all(v.stage[pair_set(pl)] == s for pl, s in stage.items())
     assert len(v.stage) == len(stage)
     ref = ReferenceVerdict(spec, a, b, stage)
     # every position distinguish visits, the violating ones included
@@ -533,7 +548,7 @@ def test_pebble_spoiler_move_matches_reference_at_every_visited_position():
         spec = GameSpec("pebble", rnd.choice(MODES), rnd.choice((1, 2, 3)))
         v = assert_matches_reference(spec, a, b)
         seen["spoiler wins"] += not v.duplicator_wins
-        seen["violated root"] += v.stage.get(frozenset()) == 0
+        seen["violated root"] += v.stage[frozenset()] == 0
         seen["empty side"] += (a.size == 0) != (b.size == 0)
     assert min(seen.values()) >= 5, seen
 
@@ -593,26 +608,22 @@ def test_pebble_attractor_empty_universes(edge):
 def test_pebble_stage_table_lookups_are_read_only(cliques):
     v = solve(GameSpec("pebble", "full", 2), cliques[2], cliques[3])
     assert v.duplicator_wins and v.stage
-    alive = frozenset({(1, ("c0", "c1"))})
-    dead = frozenset({(1, ("c0", "c1")), (2, ("c1", "c1"))})
-    assert v.stage.get(alive) is None and v.stage.get(alive, -1) == -1
-    assert v.stage.death_stage(alive) == -1
-    with pytest.raises(KeyError):
-        v.stage[alive]
-    assert v.stage[dead] == 0 and v.stage.get(dead) == 0
+    alive = frozenset({("c0", "c1")})
+    dead = frozenset({("c0", "c1"), ("c1", "c1")})
+    assert v.stage[alive] == -1 and v.stage[frozenset()] == -1
+    assert v.stage[dead] == 0
     with pytest.raises(TypeError):
         v.stage[dead] = 1
-    for bad in (frozenset({(3, ("c0", "c1"))}), frozenset({(1, ("c0", "c9"))}),
-                frozenset({(1, ("c0", "c1")), (1, ("c1", "c0"))})):
-        assert v.stage.get(bad, "absent") == "absent"
+    for bad in (frozenset({("c0", "c9")}), frozenset({("c0", "c1"), ("c9", "c1")})):
         with pytest.raises(KeyError):
             v.stage[bad]
 
 
 def assert_pair_sets(spec, a, b, placements=True):
     """The listed pair sets are exactly those of at most k pairs that satisfy
-    the condition, and (``placements``) a placement's stage is its pair
-    set's listed stage, or 0 when the set is not listed."""
+    the condition, and (``placements``) at every placement the verdict reads
+    the listed stage of its pair set, or 0 when the set is not listed:
+    alive iff the stage is -1, the condition fails iff it is 0."""
     pairs = [(x, y) for x in a.universe for y in b.universe]
     v = solve(spec, a, b)
     listed = v.stage.pair_sets()
@@ -622,8 +633,10 @@ def assert_pair_sets(spec, a, b, placements=True):
     assert set(listed) == kept, (spec, serialize_structure(a), serialize_structure(b))
     for combo in itertools.product([None, *pairs], repeat=spec.k if placements else 0):
         placement = frozenset((p, pair) for p, pair in enumerate(combo, 1) if pair)
-        expected = listed.get(frozenset(pair for _, pair in placement), 0)
-        assert v.stage.death_stage(placement) == expected, (spec, placement)
+        expected = listed.get(pair_set(placement), 0)
+        key = placement, None
+        assert v.alive(key) == (expected == -1), (spec, placement)
+        assert v.condition_at(key) == (expected != 0), (spec, placement)
 
 
 def test_pebble_stage_table_by_pair_set():
@@ -949,7 +962,7 @@ def test_stage_zero_iff_pairs_condition_fails_per_placement():
                         placement.add((p, pairs[d - 1]))
                 fails = not pairs_condition({pair for _, pair in placement}, a, b,
                                             spec.iso_condition)
-                assert (v.stage.get(frozenset(placement)) == 0) == fails, \
+                assert (v.stage[pair_set(placement)] == 0) == fails, \
                     (serialize_structure(a), serialize_structure(b), mode, k, placement)
                 checked += 1
     assert checked > 400_000

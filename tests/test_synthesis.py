@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import time
@@ -6,7 +7,7 @@ import weakref
 import pytest
 
 from fmgames import (DuplicatorWinsError, GameSpec, Verdict, classify, distinguish,
-                     model_check, serialize_formula, solve)
+                     model_check, replay, serialize_formula, solve)
 from fmgames import synthesis
 
 from fmgames.corpus import all_digraphs, clique, linear_order
@@ -23,6 +24,22 @@ def test_edge_loop_witness(edge, loop):
     assert not model_check(phi, loop)
     c = classify(phi)
     assert c.rank <= 2 and c.in_mode["existential"]
+
+
+def test_distinguish_and_replay_refuse_a_verdict_from_another_game(edge, loop):
+    # read at foreign positions, these verdicts once raised StructureError
+    # and the "no violated literal" bug sentinel
+    full = GameSpec("ef", "full", 2)
+    for spec, verdict in ((full, solve(full, loop, edge)),
+                          (GameSpec("ef", "positive", 1), solve(full, edge, loop))):
+        for use in (lambda: distinguish(spec, edge, loop, verdict),
+                    lambda: replay(spec, edge, loop, verdict, [])):
+            with pytest.raises(ValueError, match="verdict does not match"):
+                use()
+    # an equal spec and equal structures are the same game
+    copy = dataclasses.replace(edge, name="copy")
+    phi = distinguish(GameSpec("ef", "full", 2), copy, loop, solve(full, edge, loop))
+    assert model_check(phi, edge) and not model_check(phi, loop)
 
 
 def test_rank2_distinguisher_for_l2_l3(orders):
